@@ -15,7 +15,7 @@ from .discriminant import (
     setup,
     shoot_vertex,
 )
-from .exact import IntMat, RatMat, det, integer_kernel_basis, rank, reduce_on_basis, rref
+from .exact import IntMat, det, integer_kernel_basis, rank
 from .fan import (
     CaterpillarTree,
     CompatiblePair,
@@ -39,12 +39,9 @@ from .matroid import Matroid, TuttePoly
 
 __all__ = [
     "IntMat",
-    "RatMat",
     "rank",
     "det",
-    "reduce_on_basis",
     "integer_kernel_basis",
-    "rref",
     "Matroid",
     "TuttePoly",
     "CompatiblePair",

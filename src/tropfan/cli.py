@@ -22,30 +22,10 @@ import sys
 from dataclasses import dataclass
 
 from .discriminant import random_vertices, setup
-from .errors import (
-    DegenerateDual,
-    HasColoops,
-    HasLoops,
-    LatticeNotSpanned,
-    NoAllOnesRow,
-    ParseError,
-    RankDeficient,
-    RankError,
-    TropfanError,
-)
+from .errors import ParseError, TropfanError
 from .exact import IntMat
 from .fan import compare_with_bergman, cyclic_bergman_fan
 from .matroid import Matroid
-
-_PRECONDITION_ERRORS = (
-    HasLoops,
-    HasColoops,
-    RankDeficient,
-    RankError,
-    NoAllOnesRow,
-    DegenerateDual,
-    LatticeNotSpanned,
-)
 
 
 @dataclass
@@ -142,7 +122,7 @@ def build_config(argv) -> RunConfig:
     parser.add_argument(
         "--threads",
         type=int,
-        default=int(os.environ.get("TROPFAN_THREADS", "0")),
+        default=os.environ.get("TROPFAN_THREADS", "0"),
         help="worker processes for per-basis work (0 = sequential canonical mode)",
     )
     args = parser.parse_args(argv)
@@ -222,6 +202,16 @@ def _write_discriminant(out, config: RunConfig, A: IntMat):
         out.write(" ".join(map(str, v.u)) + "\n")
 
 
+def _write(out, config: RunConfig, A: IntMat):
+    if config.mode == "discriminant":
+        _write_discriminant(out, config, A)
+    else:
+        M = Matroid.from_matrix(A, strict=False)
+        if config.dual:
+            M = M.dual()
+        _write_fan(out, config, M)
+
+
 def run(config: RunConfig) -> int:
     try:
         with open(config.input_path, "r", encoding="utf-8") as fh:
@@ -229,31 +219,27 @@ def run(config: RunConfig) -> int:
     except (OSError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    # --output is written to a temporary file beside the target and renamed
+    # over it only on success, so a failed run never leaves a partial file.
+    tmp = None
     try:
-        if config.output is not None:
-            out = open(config.output, "w", encoding="utf-8")
+        if config.output is None:
+            _write(sys.stdout, config, A)
         else:
-            out = sys.stdout
-        try:
-            if config.mode == "discriminant":
-                _write_discriminant(out, config, A)
-            else:
-                M = Matroid.from_matrix(A, strict=False)
-                if config.dual:
-                    M = M.dual()
-                _write_fan(out, config, M)
-        finally:
-            if config.output is not None:
-                out.close()
-    except _PRECONDITION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+            tmp = f"{config.output}.{os.getpid()}.tmp"
+            with open(tmp, "w", encoding="utf-8") as out:
+                _write(out, config, A)
+            os.replace(tmp, config.output)
+            tmp = None
     except TropfanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if tmp is not None and os.path.exists(tmp):
+            os.remove(tmp)
     return 0
 
 

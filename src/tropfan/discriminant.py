@@ -27,7 +27,6 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
@@ -37,15 +36,18 @@ from .errors import (
     LatticeNotSpanned,
     NoAllOnesRow,
     RankError,
+    SingularBasis,
 )
 from .exact import (
     IntMat,
-    _rref_fractions,
-    det,
+    adjugate,
+    det,  # unused here; bound for tracing by module attribute (perfbench/tracer.py)
     det_of_columns,
+    gauss_jordan,
     integer_kernel_basis,
+    kernel_rows,
     rank,
-    rank_of_rows,
+    rank_of_rows,  # unused here; bound for tracing by module attribute (perfbench/tracer.py)
     solve_columns,
 )
 from .fan import Fan, cyclic_bergman_fan
@@ -92,37 +94,6 @@ class _Unresolved(Exception):
     """An exact tie survived the current perturbation; retry with a fresh one."""
 
 
-def _independent_rows(rows):
-    sel = []
-    kept = []
-    for t, row in enumerate(rows):
-        if rank_of_rows(kept + [list(row)]) == len(kept) + 1:
-            sel.append(t)
-            kept.append(list(row))
-    return sel
-
-
-def _scaled_inverse(rows):
-    """(det * inverse, det) of a square integer matrix, with integer entries."""
-    k = len(rows)
-    aug = [
-        [Fraction(rows[i][j]) for j in range(k)]
-        + [Fraction(1 if i == j else 0) for j in range(k)]
-        for i in range(k)
-    ]
-    reduced, pivots = _rref_fractions(aug)
-    if pivots != list(range(k)):
-        raise InternalInvariant("membership matrix is singular")
-    d = det(IntMat.from_rows(rows))
-    out = []
-    for row in reduced:
-        scaled = [x * d for x in row[k:]]
-        if any(x.denominator != 1 for x in scaled):
-            raise InternalInvariant("adjugate rows are not integral")
-        out.append(tuple(int(x) for x in scaled))
-    return out, d
-
-
 def setup(A, *, threads: int = 0) -> DiscriminantProblem:
     """Build the fan of the Gale-dual matroid and index its codimension-1 cones.
 
@@ -160,10 +131,11 @@ def setup(A, *, threads: int = 0) -> DiscriminantProblem:
     phi = [tuple(dot(row, ray) for row in Aperp.entries) for ray in fan.rays]
     codim1 = []
     for ci, cone in enumerate(fan.maximal_cones):
-        proj = [phi[i] for i in cone]
-        if rank_of_rows(proj) != q - 1:
+        proj = [list(phi[i]) for i in cone]
+        sel, _ = gauss_jordan(proj)  # greedy independent coordinates of the projected rays
+        if len(sel) != q - 1:
             continue
-        y = integer_kernel_basis(IntMat.from_rows(proj)).entries[0]
+        y = kernel_rows(proj, sel)[0]
         normal = primitive(
             [sum(y[t] * Aperp.entries[t][c] for t in range(q)) for c in range(n)]
         )
@@ -173,10 +145,11 @@ def setup(A, *, threads: int = 0) -> DiscriminantProblem:
         for row in A.entries:
             if dot(normal, row) != 0:
                 raise InternalInvariant("normal not orthogonal to the rowspace")
-        cols = list(zip(*proj))  # q rows of the projected ray matrix
-        sel = _independent_rows(cols)
-        w_rows = [[proj[j][t] for j in range(q - 1)] for t in sel]
-        nmat, d = _scaled_inverse(w_rows)
+        w_rows = [[phi[i][t] for i in cone] for t in sel]
+        try:
+            nmat, d = adjugate(w_rows)
+        except SingularBasis:
+            raise InternalInvariant("membership matrix is singular") from None
         qrows = tuple(
             tuple(
                 sum(nmat[j][t] * Aperp.entries[sel[t]][c] for t in range(q - 1))

@@ -1,10 +1,12 @@
 """Exact integer and rational linear algebra.
 
 Everything downstream (circuits, fan cones, ray shooting) depends on exact
-zero tests, so no operation here ever touches a float.  Elimination uses the
-fraction-free Bareiss scheme: cross-multiplication followed by an exact
-division by the previous pivot, which keeps every intermediate entry an
-integer minor of the input.
+zero tests, so no operation here ever touches a float.  Every routine is a
+few lines over one elimination core, `gauss_jordan`: Montante's fraction-free
+Gauss-Jordan scheme (Bareiss 1968, applied to the rows above the pivot as
+well as below), where cross-multiplication is followed by an exact division
+by the previous pivot, so every intermediate entry is an integer minor of the
+input.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
 from .errors import SingularBasis
 from .util import primitive
@@ -53,181 +54,107 @@ class IntMat:
         return self.entries[i][j]
 
 
-@dataclass(frozen=True)
-class RatMat:
-    """Immutable rational matrix; Fraction keeps entries in lowest terms."""
+def gauss_jordan(m: list[list[int]], pivot_cols=None) -> tuple[list[int], int]:
+    """Destructive fraction-free Gauss-Jordan reduction of integer rows.
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[Fraction, ...], ...]
+    Without pivot_cols, each pivot is the first column with a nonzero entry
+    in the rows not yet used, as in the reduced row echelon form; with them,
+    the given 0-based columns are pivoted on in order, and SingularBasis is
+    raised if they are dependent.  Returns (pivots, d): the pivot columns and
+    the determinant of the pivot minor, signed by the row swaps.
 
-    @classmethod
-    def from_rows(cls, rows) -> "RatMat":
-        data = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        return cls(len(data), len(data[0]), data)
-
-    def __getitem__(self, pos):
-        i, j = pos
-        return self.entries[i][j]
-
-
-def _bareiss_forward(m: list[list[int]]) -> int:
-    """Destructive fraction-free row echelon reduction; returns the rank."""
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pivot_row = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-        piv = m[r][c]
-        for i in range(r + 1, nrows):
-            mic = m[i][c]
-            row_i = m[i]
-            row_r = m[r]
-            for j in range(c + 1, ncols):
-                row_i[j] = (row_i[j] * piv - mic * row_r[j]) // prev
-            row_i[c] = 0
-        prev = piv
-        r += 1
-    return r
-
-
-def rank(A: IntMat) -> int:
-    """Rank over the rationals, computed fraction-free."""
-    return _bareiss_forward(A.row_lists())
-
-
-def rank_of_rows(rows) -> int:
-    """Rank of a list of integer row vectors (convenience wrapper)."""
-    data = [list(r) for r in rows]
-    if not data:
-        return 0
-    return _bareiss_forward(data)
-
-
-def det(A: IntMat) -> int:
-    """Exact determinant of a square matrix via Bareiss elimination."""
-    if A.rows != A.cols:
-        raise ValueError("determinant requires a square matrix")
-    m = A.row_lists()
-    n = A.rows
-    sign = 1
-    prev = 1
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot_row is None:
-            return 0
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            sign = -sign
-        piv = m[c][c]
-        for i in range(c + 1, n):
-            mic = m[i][c]
-            row_i = m[i]
-            row_c = m[c]
-            for j in range(c + 1, n):
-                row_i[j] = (row_i[j] * piv - mic * row_c[j]) // prev
-            row_i[c] = 0
-        prev = piv
-    return sign * m[n - 1][n - 1]
-
-
-def det_of_columns(cols) -> int:
-    """Determinant of a square matrix given by its columns."""
-    n = len(cols)
-    return det(IntMat.from_rows([[cols[j][i] for j in range(n)] for i in range(n)]))
-
-
-def jordan_reduce_on_columns(m: list[list[int]], pivot_cols) -> list[int]:
-    """Destructive integer Gauss-Jordan reduction pivoting on the given 0-based columns.
-
-    Uses the Montante/Bareiss division so entries stay integral.  After the
-    call, row i has its pivot at pivot_cols[i] and zeros in every other pivot
-    column; the zero pattern outside the pivot columns equals that of the
-    reduced row echelon form.  Returns the pivot values (one per row).
-    Raises SingularBasis if the pivot columns are dependent.
+    Afterwards row r < len(pivots) has zeros in every other pivot column,
+    every pivot entry m[r][pivots[r]] equals the last pivot value p (1 if
+    there is none), and row r is p times row r of the reduced row echelon
+    form; the remaining rows are zero.
     """
     nrows = len(m)
-    ncols = len(m[0])
-    prev = 1
-    for r, c in enumerate(pivot_cols):
-        pivot_row = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    prev = sign = 1
+    for c in range(ncols) if pivot_cols is None else pivot_cols:
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, nrows) if m[i][c]), None)
         if pivot_row is None:
+            if pivot_cols is None:
+                continue
             raise SingularBasis(f"columns {list(pivot_cols)} are linearly dependent")
         if pivot_row != r:
             m[r], m[pivot_row] = m[pivot_row], m[r]
-        piv = m[r][c]
+            sign = -sign
         row_r = m[r]
+        piv = row_r[c]
         for i in range(nrows):
             if i == r:
                 continue
             row_i = m[i]
             mic = row_i[c]
-            for j in range(ncols):
-                row_i[j] = (row_i[j] * piv - mic * row_r[j]) // prev
+            if mic:
+                for j in range(ncols):
+                    row_i[j] = (row_i[j] * piv - mic * row_r[j]) // prev
+            elif piv != prev:  # otherwise the update leaves the row as it is
+                for j in range(ncols):
+                    row_i[j] = row_i[j] * piv // prev
         prev = piv
-    return [m[r][c] for r, c in enumerate(pivot_cols)]
-
-
-def reduce_on_basis(A: IntMat, basis) -> RatMat:
-    """Row-reduce A so the columns indexed by the (1-based) basis form the identity.
-
-    Basis columns map to unit vectors in sorted order; the rowspace is
-    unchanged.  Raises SingularBasis when the selected columns are dependent.
-    """
-    bcols = sorted(b - 1 for b in basis)
-    if len(bcols) != A.rows:
-        raise SingularBasis(f"need exactly {A.rows} basis columns, got {len(bcols)}")
-    m = A.row_lists()
-    jordan_reduce_on_columns(m, bcols)
-    out = []
-    for r, c in enumerate(bcols):
-        piv = m[r][c]
-        out.append(tuple(Fraction(x, piv) for x in m[r]))
-    return RatMat(A.rows, A.cols, tuple(out))
-
-
-def _rref_fractions(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over the rationals; returns (nonzero rows, pivot columns)."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        piv = rows[r][c]
-        rows[r] = [x / piv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
-        r += 1
-    return rows[:r], pivots
+    return pivots, sign * prev
 
 
-def rref(A: IntMat) -> RatMat:
-    """Canonical reduced row echelon form with zero rows dropped.
+def rank(A: IntMat) -> int:
+    """Rank over the rationals, computed fraction-free."""
+    return len(gauss_jordan(A.row_lists())[0])
 
-    Two integer matrices have equal rowspace iff their rref outputs are equal,
-    which is how rowspace assertions are phrased in the tests.
+
+def rank_of_rows(rows) -> int:
+    """Rank of a list of integer row vectors (convenience wrapper)."""
+    return len(gauss_jordan([list(r) for r in rows])[0])
+
+
+def det(A: IntMat) -> int:
+    """Exact determinant of a square matrix."""
+    if A.rows != A.cols:
+        raise ValueError("determinant requires a square matrix")
+    pivots, d = gauss_jordan(A.row_lists())
+    return d if len(pivots) == A.rows else 0
+
+
+def det_of_columns(cols) -> int:
+    """Determinant of a square matrix given by its columns (det(M^T) = det(M))."""
+    return det(IntMat.from_rows(cols))
+
+
+def adjugate(rows) -> tuple[list[list[int]], int]:
+    """(adj(W), det(W)) of a nonsingular square integer matrix W.
+
+    One reduction of [W | I] leaves p * W^-1 in the right block, and
+    adj(W) = det(W) * W^-1 with det(W) = +-p.
     """
-    rows = [[Fraction(x) for x in row] for row in A.entries]
-    reduced, _ = _rref_fractions(rows)
-    if not reduced:
-        reduced = [[Fraction(0)] * A.cols]
-    return RatMat(len(reduced), A.cols, tuple(tuple(row) for row in reduced))
+    k = len(rows)
+    m = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(rows)]
+    pivots, d = gauss_jordan(m)
+    if pivots != list(range(k)):
+        raise SingularBasis("matrix is singular")
+    s = 1 if d == m[0][0] else -1
+    return [[s * x for x in row[k:]] for row in m], d
+
+
+def kernel_rows(m: list[list[int]], pivots) -> list[tuple[int, ...]]:
+    """Primitive kernel vectors, one per free column, of rows reduced by `gauss_jordan`.
+
+    For a free column f the vector has p at f and -m[r][f] at pivots[r],
+    which is p times the rational kernel vector read off the rref.
+    """
+    p = m[0][pivots[0]] if pivots else 1
+    out = []
+    for f in range(len(m[0])):
+        if f in pivots:
+            continue
+        vec = [0] * len(m[0])
+        vec[f] = p
+        for r, c in enumerate(pivots):
+            vec[c] = -m[r][f]
+        out.append(primitive(vec))
+    return out
 
 
 def integer_kernel_basis(A: IntMat) -> IntMat:
@@ -236,22 +163,11 @@ def integer_kernel_basis(A: IntMat) -> IntMat:
     The result K satisfies A @ K^T = 0 and has full row rank n - rank(A);
     only its rowspace is canonical, not the individual rows.
     """
-    rows = [[Fraction(x) for x in row] for row in A.entries]
-    reduced, pivots = _rref_fractions(rows)
-    n = A.cols
-    free_cols = [c for c in range(n) if c not in pivots]
-    if not free_cols:
+    m = A.row_lists()
+    pivots, _ = gauss_jordan(m)
+    if len(pivots) == A.cols:
         raise ValueError("kernel is trivial; matrix has full column rank")
-    kernel_rows = []
-    for f in free_cols:
-        vec = [Fraction(0)] * n
-        vec[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            vec[c] = -reduced[r][f]
-        scale = lcm(*(x.denominator for x in vec))
-        ints = [int(x * scale) for x in vec]
-        kernel_rows.append(primitive(ints))
-    return IntMat.from_rows(kernel_rows)
+    return IntMat.from_rows(kernel_rows(m, pivots))
 
 
 def solve_columns(cols, rhs) -> list[Fraction] | None:
@@ -260,12 +176,11 @@ def solve_columns(cols, rhs) -> list[Fraction] | None:
     Returns None when the system is inconsistent.
     """
     ncols = len(cols)
-    nrows = len(rhs)
-    aug = [[Fraction(cols[j][i]) for j in range(ncols)] + [Fraction(rhs[i])] for i in range(nrows)]
-    reduced, pivots = _rref_fractions(aug)
+    aug = [[col[i] for col in cols] + [b] for i, b in enumerate(rhs)]
+    pivots, _ = gauss_jordan(aug)
+    if pivots and pivots[-1] == ncols:
+        return None
     sol = [Fraction(0)] * ncols
     for r, c in enumerate(pivots):
-        if c == ncols:
-            return None
-        sol[c] = reduced[r][ncols]
+        sol[c] = Fraction(aug[r][ncols], aug[r][c])
     return sol

@@ -22,7 +22,7 @@ from .errors import (
     SingularBasis,
     WrongSize,
 )
-from .exact import IntMat, jordan_reduce_on_columns, rank_of_rows
+from .exact import IntMat, gauss_jordan, rank_of_rows
 from .util import elements_of
 
 
@@ -76,21 +76,18 @@ class Matroid:
         """
         if not isinstance(A, IntMat):
             A = IntMat.from_rows(A)
-        selected = []
-        for row in A.entries:
-            if any(row) and rank_of_rows(selected + [list(row)]) == len(selected) + 1:
-                selected.append(list(row))
-        if not selected:
+        independent, _ = gauss_jordan([list(col) for col in A.columns])
+        if not independent:
             raise RankDeficient("matrix has rank 0")
-        if len(selected) < A.rows:
-            A = IntMat.from_rows(selected)
+        if len(independent) < A.rows:
+            A = IntMat.from_rows([A.entries[i] for i in independent])
         loops = tuple(j + 1 for j, col in enumerate(A.columns) if not any(col))
-        m = A.rows
-        coloops = []
-        for j in range(A.cols):
-            rows_without = [row[:j] + row[j + 1 :] for row in A.entries]
-            if rank_of_rows(rows_without) < m:
-                coloops.append(j + 1)
+        # Row operations keep the column matroid; a pivot column is a coloop
+        # iff no free column has a nonzero entry in its row.
+        m = A.row_lists()
+        pivots, _ = gauss_jordan(m)
+        free = [c for c in range(A.cols) if c not in pivots]
+        coloops = [c + 1 for r, c in enumerate(pivots) if not any(m[r][f] for f in free)]
         if strict:
             if loops:
                 raise HasLoops(loops)
@@ -190,7 +187,7 @@ class Matroid:
             query_elems = B
         m = self.A.row_lists()
         try:
-            jordan_reduce_on_columns(m, [b - 1 for b in pivot_elems])
+            gauss_jordan(m, [b - 1 for b in pivot_elems])
         except SingularBasis as exc:  # pragma: no cover - _require_basis screens this
             raise NotABasis(str(exc)) from exc
         if not self.dual_mode:

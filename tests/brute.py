@@ -2,9 +2,9 @@
 
 Everything here is implemented from definitions, independently of the package
 code paths it checks: plain Gaussian elimination over Fraction instead of
-Bareiss, subset enumeration instead of incidence tricks, deletion-contraction
-instead of activities, and total-order enumeration instead of the pair
-recursion.
+the fraction-free core, subset enumeration instead of incidence tricks,
+deletion-contraction instead of activities, total-order enumeration instead
+of the pair recursion, and a phase-one simplex for cone membership.
 """
 
 from fractions import Fraction
@@ -28,6 +28,28 @@ def frac_rank(vectors):
                 f = rows[i][c] / rows[piv][c]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[piv])]
     return rank
+
+
+def frac_rref(vectors):
+    """Reduced row echelon form over Fraction, zero rows dropped.
+
+    Canonical for the rowspace: two matrices have equal rowspace iff their
+    frac_rref outputs are equal.
+    """
+    rows = [[Fraction(x) for x in v] for v in vectors]
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return tuple(tuple(row) for row in rows[:r])
 
 
 def columns_of(A):
@@ -228,3 +250,87 @@ def literal_pairs(cols, B):
 def pair_key(pair):
     """Canonical (pref, order) key of a CompatiblePair for set comparison."""
     return (tuple(sorted(pair.pref)), pair.order)
+
+
+# -- exact cone membership ----------------------------------------------------
+#
+# Free variables are eliminated by Gaussian pivots; the remaining
+# sign-constrained system goes through a phase-one simplex over Fractions with
+# Bland's rule, so termination is guaranteed and every comparison is exact.
+
+
+def _phase1_feasible(rows, rhs) -> bool:
+    m = len(rows)
+    p = len(rows[0]) if m else 0
+    tableau = []
+    for i in range(m):
+        r = list(rows[i])
+        b = rhs[i]
+        if b < 0:
+            r = [-x for x in r]
+            b = -b
+        row = r + [Fraction(0)] * m + [b]
+        row[p + i] = Fraction(1)
+        tableau.append(row)
+    basis = [p + i for i in range(m)]
+    width = p + m
+    z = [sum(tableau[i][j] for i in range(m)) for j in range(width + 1)]
+    for j in range(p, width):
+        z[j] -= 1
+    while True:
+        enter = next((j for j in range(width) if z[j] > 0), None)
+        if enter is None:
+            return z[width] == 0
+        leave = None
+        best = None
+        for i in range(m):
+            a = tableau[i][enter]
+            if a > 0:
+                ratio = tableau[i][width] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:  # pragma: no cover - phase-1 objective is bounded below
+            raise RuntimeError("unbounded phase-1 problem")
+        prow = tableau[leave]
+        piv = prow[enter]
+        tableau[leave] = [x / piv for x in prow]
+        prow = tableau[leave]
+        for i in range(m):
+            if i != leave and tableau[i][enter] != 0:
+                f = tableau[i][enter]
+                tableau[i] = [a - f * b for a, b in zip(tableau[i], prow)]
+        if z[enter] != 0:
+            f = z[enter]
+            z = [a - f * b for a, b in zip(z, prow)]
+        basis[leave] = enter
+
+
+def nonneg_combination_exists(nonneg_cols, free_cols, rhs) -> bool:
+    """Decide rhs = sum(lambda_i * nonneg_cols[i]) + sum(mu_j * free_cols[j]), lambda >= 0."""
+    neq = len(rhs)
+    p = len(nonneg_cols)
+    q = len(free_cols)
+    aug = [
+        [Fraction(nonneg_cols[j][i]) for j in range(p)]
+        + [Fraction(free_cols[j][i]) for j in range(q)]
+        + [Fraction(rhs[i])]
+        for i in range(neq)
+    ]
+    active = list(range(neq))
+    for fj in range(p, p + q):
+        pivot = next((i for i in active if aug[i][fj] != 0), None)
+        if pivot is None:
+            continue
+        active.remove(pivot)
+        prow = aug[pivot]
+        for i in active:
+            c = aug[i][fj]
+            if c:
+                f = c / prow[fj]
+                aug[i] = [a - f * b for a, b in zip(aug[i], prow)]
+    rows = [[aug[i][j] for j in range(p)] for i in active]
+    rhs2 = [aug[i][-1] for i in active]
+    if not rows:
+        return True
+    return _phase1_feasible(rows, rhs2)

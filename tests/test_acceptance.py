@@ -11,7 +11,7 @@ from itertools import combinations
 
 import pytest
 
-from brute import expected_ray_supports, pair_key
+from brute import expected_ray_supports, nonneg_combination_exists, pair_key
 from conftest import random_fan_matrices, run_cli, small_corpus, write_matrix_file
 from tropfan.data import (
     GRAPHIC_3X6,
@@ -33,7 +33,6 @@ from tropfan.fan import (
     interior_witness,
     is_in_trop,
 )
-from tropfan.lp import nonneg_combination_exists
 from tropfan.matroid import Matroid
 from tropfan.util import dot
 

@@ -1,7 +1,13 @@
 """Command-line surface: parsing, output grammar, exit codes, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import tropfan
 from conftest import UNIFORM_2_4, run_cli, write_matrix_file
 from tropfan.cli import parse_matrix
 from tropfan.data import GRAPHIC_3X6, UNIFORM_2_3, cube_matrix
@@ -84,6 +90,36 @@ def test_output_file(tmp_path):
     code, out = run_cli([str(path), "--output", str(target)])
     assert code == 0 and out == ""
     assert target.read_text().startswith("n 3\nm 2\nrays 3\nmaxcones 3\n")
+
+
+def test_failed_run_leaves_output_untouched(tmp_path):
+    coloops = tmp_path / "coloops.txt"
+    coloops.write_text("2 3\n1 0 0\n0 1 1\n")
+    target = tmp_path / "out.txt"
+    code, _ = run_cli([str(coloops), "--output", str(target)])
+    assert code == 2
+    assert not target.exists()
+    target.write_text("previous result\n")
+    code, _ = run_cli([str(coloops), "--output", str(target)])
+    assert code == 2
+    assert target.read_text() == "previous result\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["coloops.txt", "out.txt"]
+
+
+def test_bad_threads_env_is_usage_error(tmp_path):
+    path = tmp_path / "u23.txt"
+    write_matrix_file(path, UNIFORM_2_3)
+    src = str(Path(tropfan.__file__).resolve().parents[1])
+    env = dict(os.environ, TROPFAN_THREADS="abc", PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "tropfan", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 2
+    assert "--threads" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_dual_equals_direct_on_gale_dual(tmp_path):

@@ -1,5 +1,6 @@
 """Ray shooting for Newton-polytope vertices."""
 
+import hashlib
 import random
 import warnings
 
@@ -92,6 +93,19 @@ def test_a_degree_constant_and_degree_sum(line_cubic_problem):
     # rows 1 and 2 of A sum to the all-ones vector, so the total degree splits
     assert all(sum(v.u) == a_degree[0] + a_degree[1] for v in vs)
     assert all(x >= 0 for v in vs for x in v.u)
+
+
+def test_seed1_stream_is_pinned(line_cubic_problem):
+    """The `--random 100 --seed 1` output on line/cubic, byte for byte."""
+    vs = random_vertices(line_cubic_problem, 100, seed=1)
+    lines = ["A-DEGREE " + " ".join(map(str, vs[0].a_degree))]
+    lines += [" ".join(map(str, v.u)) for v in vs]
+    text = "\n".join(lines) + "\n"
+    assert vs[0].a_degree == (12, 10, -6, -6)
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "4ff7da40a70f3ff35f4e5723e740bc53a3413950edddf9790b40a00188330614"
+    )
 
 
 def test_cross_objective_minimality(line_cubic_problem):

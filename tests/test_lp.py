@@ -1,8 +1,8 @@
-"""Exact feasibility solver."""
+"""Exact feasibility oracle used by the acceptance tests."""
 
 from fractions import Fraction
 
-from tropfan.lp import nonneg_combination_exists
+from brute import nonneg_combination_exists
 
 
 def test_point_inside_quadrant():

@@ -5,9 +5,17 @@ from fractions import Fraction
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from brute import brute_circuits, cofactor_det, columns_of, frac_rank
+from brute import brute_circuits, cofactor_det, columns_of, frac_rank, frac_rref
 from tropfan.errors import TropfanError
-from tropfan.exact import IntMat, det, integer_kernel_basis, rank, rank_of_rows, rref
+from tropfan.exact import (
+    IntMat,
+    adjugate,
+    det,
+    gauss_jordan,
+    integer_kernel_basis,
+    rank,
+    rank_of_rows,
+)
 from tropfan.fan import cyclic_bergman_fan, fan_rays_are_cyclic_flats, interior_witness, is_in_trop
 from tropfan.matroid import Matroid
 
@@ -60,9 +68,35 @@ def test_kernel_properties(rows):
 @common
 @given(matrices(4, 7))
 def test_rref_is_canonical_for_rowspace(rows):
-    A = IntMat.from_rows(rows)
-    doubled = IntMat.from_rows([[2 * x for x in row] for row in rows])
-    assert rref(A).entries == rref(doubled).entries
+    doubled = [[2 * x for x in row] for row in rows]
+    assert frac_rref(rows) == frac_rref(doubled)
+
+
+@common
+@given(matrices(4, 7))
+def test_gauss_jordan_rows_are_pivot_times_rref(rows):
+    m = [list(row) for row in rows]
+    pivots, d = gauss_jordan(m)
+    p = m[0][pivots[0]] if pivots else 1
+    assert all(m[r][c] == p for r, c in enumerate(pivots))
+    assert not any(any(row) for row in m[len(pivots):])
+    assert abs(d) == abs(p)
+    reduced = tuple(tuple(Fraction(x, p) for x in row) for row in m[: len(pivots)])
+    assert reduced == frac_rref(rows)
+
+
+@common
+@given(matrices(4, 4))
+def test_adjugate_matches_cofactors(rows):
+    assume(len(rows) == len(rows[0]) and det(IntMat.from_rows(rows)) != 0)
+    k = len(rows)
+    adj, d = adjugate(rows)
+    assert d == cofactor_det(rows)
+    for i in range(k):
+        for j in range(k):
+            minor = [[rows[a][b] for b in range(k) if b != i] for a in range(k) if a != j]
+            cof = (-1) ** (i + j) * (cofactor_det(minor) if minor else 1)
+            assert adj[i][j] == cof
 
 
 def _clean_matroid(rows):
@@ -112,8 +146,6 @@ def test_dual_involution_on_bases(rows):
 def test_reduce_on_basis_matches_fraction_reduction(rows):
     from itertools import combinations
 
-    from tropfan.exact import reduce_on_basis
-
     A = IntMat.from_rows(rows)
     m = A.rows
     assume(rank(A) == m)
@@ -126,7 +158,9 @@ def test_reduce_on_basis_matches_fraction_reduction(rows):
         None,
     )
     assume(basis is not None)
-    R = reduce_on_basis(A, basis)
+    reduced = A.row_lists()
+    pivots, _ = gauss_jordan(reduced, [b - 1 for b in basis])
+    R = tuple(tuple(Fraction(x, reduced[r][c]) for x in reduced[r]) for r, c in enumerate(pivots))
     # oracle: straightforward Gauss-Jordan over Fraction
     work = [[Fraction(x) for x in row] for row in A.entries]
     for r, c in enumerate(b - 1 for b in basis):
@@ -137,4 +171,4 @@ def test_reduce_on_basis_matches_fraction_reduction(rows):
             if i != r and work[i][c] != 0:
                 f = work[i][c]
                 work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-    assert R.entries == tuple(tuple(row) for row in work)
+    assert R == tuple(tuple(row) for row in work)
