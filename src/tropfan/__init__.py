@@ -27,7 +27,6 @@ from .fan import (
     cyclic_bergman_fan,
     enumerate_pairs,
     fan_counts,
-    fan_rays_are_cyclic_flats,
     induce_pair,
     interior_witness,
     is_in_local_trop,
@@ -60,7 +59,6 @@ __all__ = [
     "interior_witness",
     "point_in_cone",
     "compare_with_bergman",
-    "fan_rays_are_cyclic_flats",
     "DiscriminantProblem",
     "NewtonVertex",
     "setup",

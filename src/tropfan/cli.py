@@ -146,6 +146,8 @@ def build_config(argv) -> RunConfig:
             parser.error("--counts-only requires fan mode, not --random")
         if config.random_count < 0:
             parser.error("--random takes a nonnegative count")
+    if config.threads < 0:
+        parser.error("--threads takes a nonnegative count")
     return config
 
 

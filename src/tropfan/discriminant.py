@@ -6,7 +6,7 @@ the rowspace of A.  Shooting axis rays from a generic objective w and summing
 exact determinant weights over the codimension-one cones crossed recovers the
 vertex of the Newton polytope minimizing the dot product with w.
 
-Two exactness devices keep this fast:
+Three exactness devices keep this fast:
 
 * membership of the crossing point in a cone reduces, after applying the
   Gale-dual projection (whose kernel is exactly the rowspace of A), to a
@@ -14,7 +14,15 @@ Two exactness devices keep this fast:
   an integer matrix Q and denominator D;
 * the determinant in the vertex formula factors through the cone's hyperplane
   normal: det(A^T, rays, e_i) = kappa * normal_i for a per-cone integer
-  kappa, so one determinant per cone serves all sixteen directions.
+  kappa, so one determinant per cone serves all sixteen directions;
+* every inner product one objective needs (normal . w and Q . w for every
+  cone) comes from one pass of exact big-int arithmetic: coordinate t of all
+  normals and Q rows is packed into one int as signed 64-bit lanes, and the
+  sum over t of w_t times that int, plus 2^63 in every lane, is read back as
+  64-bit words.  Each lane equals sum_t w_t * x_t, so
+  |lane| <= n * max|x| * max|w|; a vector for which that bound could reach
+  2^63 takes plain `dot` products instead, so the products are exact for
+  every input.
 
 Non-generic objectives are resolved by symbolic perturbation w + eps*r with a
 seeded random integer r; every sign test is evaluated lexicographically on
@@ -25,10 +33,13 @@ rather than guessing.
 from __future__ import annotations
 
 import random
+import sys
 import warnings
-from dataclasses import dataclass, replace
+from array import array
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from math import gcd
+from operator import mul
 
 from .errors import (
     DegenerateDual,
@@ -88,6 +99,27 @@ class DiscriminantProblem:
     codim1_cones: list
     lattice_spanned: bool
     a_degree: tuple | None = None
+    _packed: _PackedCones | None = field(default=None, compare=False, repr=False)
+
+
+_LANE_BIAS = 1 << 63  # added to every lane of a packed sum, so no lane borrows
+
+
+@dataclass(frozen=True)
+class _PackedCones:
+    """The codim-1 cones as shooting reads them, built on the first shot.
+
+    cols[t] holds coordinate t of every cone's normal and Q rows as signed
+    64-bit lanes, cone by cone, the normal before the Q rows.  For a vector v
+    with max|v| <= wmax, every lane of sum_t v_t * cols[t] is below 2^63 in
+    absolute value; wmax is -1 when no nonzero v qualifies.
+    """
+
+    cols: tuple
+    bias: int  # 2^63 in every lane
+    nbytes: int
+    wmax: int
+    supports: tuple  # per cone, the directions i with normal_i != 0
 
 
 class _Unresolved(Exception):
@@ -129,6 +161,7 @@ def setup(A, *, threads: int = 0) -> DiscriminantProblem:
     fan = cyclic_bergman_fan(M, threads=threads, keep_pairs=False)
     q = n - m
     phi = [tuple(dot(row, ray) for row in Aperp.entries) for ray in fan.rays]
+    aperp_cols = list(zip(*Aperp.entries))
     codim1 = []
     for ci, cone in enumerate(fan.maximal_cones):
         proj = [list(phi[i]) for i in cone]
@@ -136,9 +169,7 @@ def setup(A, *, threads: int = 0) -> DiscriminantProblem:
         if len(sel) != q - 1:
             continue
         y = kernel_rows(proj, sel)[0]
-        normal = primitive(
-            [sum(y[t] * Aperp.entries[t][c] for t in range(q)) for c in range(n)]
-        )
+        normal = primitive([sum(map(mul, y, col)) for col in aperp_cols])
         for i in cone:
             if dot(normal, fan.rays[i]) != 0:
                 raise InternalInvariant("normal not orthogonal to a cone ray")
@@ -150,13 +181,8 @@ def setup(A, *, threads: int = 0) -> DiscriminantProblem:
             nmat, d = adjugate(w_rows)
         except SingularBasis:
             raise InternalInvariant("membership matrix is singular") from None
-        qrows = tuple(
-            tuple(
-                sum(nmat[j][t] * Aperp.entries[sel[t]][c] for t in range(q - 1))
-                for c in range(n)
-            )
-            for j in range(q - 1)
-        )
+        cols = list(zip(*(Aperp.entries[t] for t in sel)))
+        qrows = tuple(tuple(sum(map(mul, nrow, col)) for col in cols) for nrow in nmat)
         codim1.append(Codim1Cone(ci, normal, qrows, d))
     return DiscriminantProblem(A, m, n, Aperp, M, fan, codim1, lattice_spanned)
 
@@ -182,34 +208,85 @@ def _kappa_abs(prob: DiscriminantProblem, cone: Codim1Cone) -> int:
     return cone.kappa_abs
 
 
-def _cone_hits(prob, cone, w, r, directions):
-    """Directions i in `directions` whose open ray from w crosses the cone.
+def _pack_lanes(lanes, bias: int) -> int:
+    """sum_l lanes[l] * 2^(64 l) for signed 64-bit lanes, in linear time.
 
-    r is the perturbation vector or None; raises _Unresolved on any exact tie
-    under the current perturbation.
+    `bias` holds 2^63 in each lane.  XOR with it flips the top bit of each
+    two's-complement lane, turning lane x into 2^63 + x; subtracting the bias
+    then takes back, for each negative lane, the 2^64 it borrowed from the
+    lane above.
+    """
+    raw = int.from_bytes(array("q", lanes), sys.byteorder)
+    return (raw ^ bias) - bias
+
+
+def _pack_cones(prob: DiscriminantProblem) -> _PackedCones:
+    supports = tuple(
+        tuple(i for i, g in enumerate(cone.normal) if g) for cone in prob.codim1_cones
+    )
+    vecs = [vec for cone in prob.codim1_cones for vec in (cone.normal, *cone.qrows)]
+    xmax = max((abs(x) for vec in vecs for x in vec), default=1)
+    # |lane| <= n * xmax * max|v| <= 2^63 - 1 whenever max|v| <= wmax
+    wmax = (_LANE_BIAS - 1) // (prob.n * xmax)
+    if wmax == 0:
+        return _PackedCones((), 0, 0, -1, supports)
+    nbytes = 8 * len(vecs)
+    bias = int.from_bytes(_LANE_BIAS.to_bytes(8, sys.byteorder) * len(vecs), sys.byteorder)
+    cols = tuple(_pack_lanes([vec[t] for vec in vecs], bias) for t in range(prob.n))
+    return _PackedCones(cols, bias, nbytes, wmax, supports)
+
+
+def _packed_cones(prob: DiscriminantProblem) -> _PackedCones:
+    if prob._packed is None:
+        prob._packed = _pack_cones(prob)
+    return prob._packed
+
+
+def _packed_products(packed: _PackedCones, v) -> list:
+    acc = packed.bias
+    for x, col in zip(v, packed.cols):
+        acc += x * col
+    # Each biased lane 2^63 + y lies in [1, 2^64); flipping its top bit leaves
+    # y in two's complement, which the signed cast reads back.
+    acc ^= packed.bias
+    return memoryview(acc.to_bytes(packed.nbytes, sys.byteorder)).cast("q").tolist()
+
+
+def _dot_products(cones, v) -> list:
+    return [dot(vec, v) for cone in cones for vec in (cone.normal, *cone.qrows)]
+
+
+def _inner_products(prob: DiscriminantProblem, v) -> list:
+    """normal . v, then Q . v, for every codim-1 cone, concatenated in cone order."""
+    packed = _packed_cones(prob)
+    if max(map(abs, v)) > packed.wmax:
+        return _dot_products(prob.codim1_cones, v)
+    return _packed_products(packed, v)
+
+
+def _cone_hits(cone, directions, s0, a0, s1, a1):
+    """Directions i in `directions` whose open ray from w + eps*r crosses the cone.
+
+    s0 = normal . w and a0 = Q . w; s1 and a1 are the same products with the
+    perturbation vector r, all zero when there is none.  Raises _Unresolved on
+    any exact tie of the (constant, eps) pair.
     """
     nv = cone.normal
-    s0 = dot(nv, w)
-    s1 = dot(nv, r) if r is not None else 0
-    a0 = a1 = None
     Q = cone.qrows
     D = cone.denom
     hits = []
     for i in directions:
         g = nv[i]
         if g == 0:
-            if s0 == 0 and (r is None or s1 == 0):
+            if s0 == 0 and s1 == 0:
                 raise _Unresolved  # the ray lies inside the hyperplane
             continue
         c0 = -s0 * g
         c1 = -s1 * g
         if c0 < 0 or (c0 == 0 and c1 < 0):
             continue
-        if c0 == 0 and (r is None or c1 == 0):
+        if c0 == 0 and c1 == 0:
             raise _Unresolved
-        if a0 is None:
-            a0 = [dot(qr, w) for qr in Q]
-            a1 = [dot(qr, r) for qr in Q] if r is not None else [0] * len(Q)
         sgn = 1 if D * g > 0 else -1
         inside = True
         for j in range(len(Q)):
@@ -220,8 +297,6 @@ def _cone_hits(prob, cone, w, r, directions):
             if l0 < 0:
                 inside = False
                 break
-            if r is None:
-                raise _Unresolved
             l1 = (a1[j] * g - s1 * qji) * sgn
             if l1 > 0:
                 continue
@@ -240,22 +315,31 @@ def ray_hits_cone(prob: DiscriminantProblem, cone_pos: int, w, i: int, *, seed: 
     Exact ties are resolved by seeded symbolic perturbation, never by choice.
     """
     cone = prob.codim1_cones[cone_pos]
-    w = tuple(w)
+    p0 = _dot_products((cone,), tuple(w))
+    p1 = [0] * len(p0)
     rng = random.Random(seed)
-    r = None
     for _ in range(64):
         try:
-            return bool(_cone_hits(prob, cone, w, r, (i - 1,)))
+            return bool(_cone_hits(cone, (i - 1,), p0[0], p0[1:], p1[0], p1[1:]))
         except _Unresolved:
             r = tuple(rng.randint(-(10**6), 10**6) for _ in range(prob.n))
+            p1 = _dot_products((cone,), r)
     raise InternalInvariant("tie unresolved after 64 perturbations")
 
 
 def _shoot(prob, w, r):
     u = [0] * prob.n
-    directions = range(prob.n)
-    for cone in prob.codim1_cones:
-        hits = _cone_hits(prob, cone, w, r, directions)
+    width = prob.n - prob.m  # the normal and n - m - 1 rows of Q per cone
+    p0 = _inner_products(prob, w)
+    p1 = _inner_products(prob, r) if r is not None else [0] * len(p0)
+    # Only directions with normal_i != 0 can cross a cone.  Skipping the
+    # others loses no tie: they raise only when s0 = s1 = 0, and then every
+    # remaining direction raises as well.
+    supports = _packed_cones(prob).supports
+    for b, cone, directions in zip(range(0, len(p0), width), prob.codim1_cones, supports):
+        hits = _cone_hits(
+            cone, directions, p0[b], p0[b + 1 : b + width], p1[b], p1[b + 1 : b + width]
+        )
         if hits:
             k = _kappa_abs(prob, cone)
             for i in hits:

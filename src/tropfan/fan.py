@@ -510,20 +510,3 @@ def compare_with_bergman(fan: Fan, M: Matroid):
         else:
             bucket.append(ci)
     return tuple(tuple(groups[k]) for k in order)
-
-
-def fan_rays_are_cyclic_flats(fan: Fan, M: Matroid) -> bool:
-    """Exact two-sided check: ray supports == proper nonempty flats that are cyclic or singletons."""
-    if M.n > 14:
-        raise ValueError("brute-force flat enumeration is limited to n <= 14")
-    supports = set()
-    for i in range(len(fan.rays)):
-        supports.add(frozenset(fan.ray_support(i)))
-    expected = set()
-    for mask in range(1, (1 << M.n) - 1):
-        S = elements_of(mask)
-        if not M.is_flat(S):
-            continue
-        if len(S) == 1 or M.is_cyclic_flat(S):
-            expected.add(frozenset(S))
-    return supports == expected

@@ -5,6 +5,7 @@ stored as bit i-1 of a Python int, so masks sort and compare cheaply.
 """
 
 from math import gcd
+from operator import mul
 
 
 def mask_of(elements):
@@ -47,4 +48,4 @@ def primitive(vec):
 
 
 def dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))

@@ -4,7 +4,8 @@ Everything here is implemented from definitions, independently of the package
 code paths it checks: plain Gaussian elimination over Fraction instead of
 the fraction-free core, subset enumeration instead of incidence tricks,
 deletion-contraction instead of activities, total-order enumeration instead
-of the pair recursion, and a phase-one simplex for cone membership.
+of the pair recursion, a phase-one simplex for cone membership, and per-cone
+dot products over every direction instead of packed lanes for ray shooting.
 """
 
 from fractions import Fraction
@@ -136,6 +137,22 @@ def expected_ray_supports(cols):
             out.add(frozenset(F))
     return out
 
+
+def fan_rays_are_cyclic_flats(fan, M) -> bool:
+    """Exact two-sided check: ray supports == proper nonempty flats that are cyclic or singletons."""
+    if M.n > 14:
+        raise ValueError("brute-force flat enumeration is limited to n <= 14")
+    supports = set()
+    for i in range(len(fan.rays)):
+        supports.add(frozenset(fan.ray_support(i)))
+    expected = set()
+    for mask in range(1, (1 << M.n) - 1):
+        S = tuple(i + 1 for i in range(M.n) if mask >> i & 1)
+        if not M.is_flat(S):
+            continue
+        if len(S) == 1 or M.is_cyclic_flat(S):
+            expected.add(frozenset(S))
+    return supports == expected
 
 def _contract(e, rest):
     piv = next(i for i, x in enumerate(e) if x != 0)
@@ -334,3 +351,39 @@ def nonneg_combination_exists(nonneg_cols, free_cols, rhs) -> bool:
     if not rows:
         return True
     return _phase1_feasible(rows, rhs2)
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def scalar_ray_hits(prob, w):
+    """(cone position, direction) pairs whose axis ray from w crosses the cone.
+
+    None instead on any exact tie.  Per-cone dot products, every cone and
+    every direction examined, no perturbation.  The ray w + t*e_i meets the hyperplane normal . x = 0 at
+    t = -s/g (s = normal . w, g = normal_i), and the crossing point lies in the
+    cone when every coordinate of Q x / D is positive, that is when every
+    (Q_j . w * g - s * Q_ji) * sign(g * D) is.  Scanning those in row order, the
+    first that is not positive decides: negative means outside, zero is a tie.
+    s = 0 is a tie in every direction.
+    """
+    hits = []
+    for pos, cone in enumerate(prob.codim1_cones):
+        s = _dot(cone.normal, w)
+        if s == 0:
+            return None
+        a = [_dot(qr, w) for qr in cone.qrows]
+        for i, g in enumerate(cone.normal):
+            if g == 0 or s * g > 0:
+                continue  # parallel, or crossing at t < 0
+            sgn = 1 if cone.denom * g > 0 else -1
+            for aj, qr in zip(a, cone.qrows):
+                lam = (aj * g - s * qr[i]) * sgn
+                if lam == 0:
+                    return None
+                if lam < 0:
+                    break
+            else:
+                hits.append((pos, i))
+    return hits

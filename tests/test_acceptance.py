@@ -11,7 +11,12 @@ from itertools import combinations
 
 import pytest
 
-from brute import expected_ray_supports, nonneg_combination_exists, pair_key
+from brute import (
+    expected_ray_supports,
+    fan_rays_are_cyclic_flats,
+    nonneg_combination_exists,
+    pair_key,
+)
 from conftest import random_fan_matrices, run_cli, small_corpus, write_matrix_file
 from tropfan.data import (
     GRAPHIC_3X6,
@@ -28,7 +33,6 @@ from tropfan.fan import (
     cone_from_tree,
     compare_with_bergman,
     cyclic_bergman_fan,
-    fan_rays_are_cyclic_flats,
     induce_pair,
     interior_witness,
     is_in_trop,

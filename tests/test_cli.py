@@ -122,6 +122,25 @@ def test_bad_threads_env_is_usage_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_negative_threads_is_usage_error(tmp_path):
+    path = tmp_path / "u23.txt"
+    write_matrix_file(path, UNIFORM_2_3)
+    with pytest.raises(SystemExit) as exc:
+        run_cli([str(path), "--threads", "-1"])
+    assert exc.value.code == 2
+    src = str(Path(tropfan.__file__).resolve().parents[1])
+    env = dict(os.environ, TROPFAN_THREADS="-2", PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "tropfan", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 2
+    assert "--threads" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_dual_equals_direct_on_gale_dual(tmp_path):
     src = tmp_path / "a.txt"
     write_matrix_file(src, UNIFORM_2_4)

@@ -1,14 +1,26 @@
 """Ray shooting for Newton-polytope vertices."""
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
 import warnings
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import tropfan
+from brute import scalar_ray_hits
 from tropfan.data import TANGENT_LINE_CUBIC_4X13
 from tropfan.discriminant import (
+    _inner_products,
+    _pack_cones,
+    _packed_cones,
+    _packed_products,
     _shoot,
+    _Unresolved,
     eq2_determinant,
     random_vertices,
     ray_hits_cone,
@@ -168,3 +180,102 @@ def test_ray_hits_cone_basics(line_cubic_problem):
                 assert not hit  # parallel direction, or crossing at t < 0
             hit_count += hit
     assert hit_count > 0
+
+
+def test_packed_lanes_equal_dot(line_cubic_problem):
+    prob = line_cubic_problem
+    packed = _packed_cones(prob)
+    assert packed.wmax > 10**6
+    rng = random.Random(41)
+    n = prob.n
+    vectors = [tuple(rng.randint(-(10**6), 10**6) for _ in range(n)) for _ in range(4)]
+    # every entry at the proven bound, where a lane may reach 2^63 - 1
+    vectors.append(tuple(rng.choice((-1, 1)) * packed.wmax for _ in range(n)))
+    for v in vectors:
+        expected = [
+            dot(vec, v)
+            for cone in prob.codim1_cones
+            for vec in (cone.normal, *cone.qrows)
+        ]
+        assert _packed_products(packed, v) == expected
+
+
+@pytest.mark.parametrize("x", [12, 3**37, 2**62])
+def test_lane_bound_holds_at_its_extreme(x):
+    n = 13
+    cone = SimpleNamespace(normal=(x,) * n, qrows=((-x,) * n, (x, -x) * 6 + (0,)))
+    prob = SimpleNamespace(n=n, codim1_cones=[cone], _packed=None)
+    packed = _pack_cones(prob)
+    wmax = (2**63 - 1) // (n * x)
+    assert packed.wmax == (wmax if wmax else -1)
+    # all entries +-wmax drive the first two lanes to +-n * x * wmax
+    for v in ((wmax,) * n, (-wmax,) * n, (wmax + 1,) * n, (1,) * n):
+        expected = [dot(vec, v) for vec in (cone.normal, *cone.qrows)]
+        if max(map(abs, v)) <= packed.wmax:
+            assert _packed_products(packed, v) == expected
+        assert _inner_products(prob, v) == expected
+
+
+def test_shoot_ties_match_scalar_reference(line_cubic_problem):
+    prob = line_cubic_problem
+    n = prob.n
+    rng = random.Random(2026)
+    objectives = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(300)]
+    objectives.append((0,) * n)
+    objectives += [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    objectives += [tuple(row) for row in prob.A.entries]
+    # small entries always leave some cone's normal orthogonal to w; these do not
+    objectives += [
+        tuple(rng.randint(-(10**6), 10**6) for _ in range(n)) for _ in range(10)
+    ]
+    weights = {}
+    ties = 0
+    for w in objectives:
+        hits = scalar_ray_hits(prob, w)
+        if hits is None:
+            ties += 1
+            with pytest.raises(_Unresolved):
+                _shoot(prob, w, None)
+            continue
+        u = [0] * n
+        for pos, i in hits:
+            if (pos, i) not in weights:
+                weights[pos, i] = eq2_determinant(prob, prob.codim1_cones[pos], i)
+            u[i] += weights[pos, i]
+        assert _shoot(prob, w, None) == u, w
+    assert 0 < ties < len(objectives)
+
+
+def test_vertex_is_scale_invariant_past_the_lane_bound(line_cubic_problem):
+    prob = line_cubic_problem
+    n = prob.n
+    w = tuple(random.Random(19).randint(-(10**6), 10**6) for _ in range(n))
+    e1 = (1,) + (0,) * (n - 1)  # a tie: the big multiple perturbs with a packed r
+    for obj in (w, e1, prob.A.entries[1]):
+        big = tuple(10**25 * x for x in obj)
+        assert max(map(abs, big)) > _packed_cones(prob).wmax
+        small_v, big_v = shoot_vertex(prob, obj), shoot_vertex(prob, big)
+        assert big_v.u == small_v.u
+        assert big_v.perturbed == small_v.perturbed
+    assert shoot_vertex(prob, e1).perturbed
+
+
+def test_shooting_never_imports_numpy():
+    src = str(Path(tropfan.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "import tropfan\n"
+        "from tropfan import cli\n"
+        "from tropfan.data import TANGENT_LINE_CUBIC_4X13\n"
+        "prob = tropfan.setup(TANGENT_LINE_CUBIC_4X13)\n"
+        "tropfan.random_vertices(prob, 3, seed=1)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

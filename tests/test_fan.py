@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from brute import pair_key
+from brute import fan_rays_are_cyclic_flats, pair_key
 from conftest import random_fan_matrices, small_corpus
 from tropfan.data import (
     DEMO_4X7,
@@ -27,7 +27,6 @@ from tropfan.fan import (
     cyclic_bergman_fan,
     enumerate_pairs,
     fan_counts,
-    fan_rays_are_cyclic_flats,
     induce_pair,
     interior_witness,
     is_in_local_trop,

@@ -5,7 +5,14 @@ from fractions import Fraction
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from brute import brute_circuits, cofactor_det, columns_of, frac_rank, frac_rref
+from brute import (
+    brute_circuits,
+    cofactor_det,
+    columns_of,
+    fan_rays_are_cyclic_flats,
+    frac_rank,
+    frac_rref,
+)
 from tropfan.errors import TropfanError
 from tropfan.exact import (
     IntMat,
@@ -16,7 +23,7 @@ from tropfan.exact import (
     rank,
     rank_of_rows,
 )
-from tropfan.fan import cyclic_bergman_fan, fan_rays_are_cyclic_flats, interior_witness, is_in_trop
+from tropfan.fan import cyclic_bergman_fan, interior_witness, is_in_trop
 from tropfan.matroid import Matroid
 
 entry = st.integers(min_value=-3, max_value=3)
