@@ -17,13 +17,9 @@ from .discriminant import (
 )
 from .exact import IntMat, det, integer_kernel_basis, rank
 from .fan import (
-    CaterpillarTree,
     CompatiblePair,
-    Cone,
     Fan,
-    build_tree,
     compare_with_bergman,
-    cone_from_tree,
     cyclic_bergman_fan,
     enumerate_pairs,
     fan_counts,
@@ -44,12 +40,8 @@ __all__ = [
     "Matroid",
     "TuttePoly",
     "CompatiblePair",
-    "CaterpillarTree",
-    "Cone",
     "Fan",
     "enumerate_pairs",
-    "build_tree",
-    "cone_from_tree",
     "cyclic_bergman_fan",
     "fan_counts",
     "is_in_trop",

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .discriminant import random_vertices, setup
 from .errors import ParseError, TropfanError
 from .exact import IntMat
-from .fan import compare_with_bergman, cyclic_bergman_fan
+from .fan import compare_with_bergman, cyclic_bergman_fan, fan_counts
 from .matroid import Matroid
 
 
@@ -41,12 +41,6 @@ class RunConfig:
     counts_only: bool = False
     output: str | None = None
     threads: int = 0
-
-    @property
-    def mode(self) -> str:
-        if self.random_count is not None:
-            return "discriminant"
-        return "fan-dual" if self.dual else "fan"
 
 
 def parse_matrix(text: str) -> IntMat:
@@ -152,21 +146,14 @@ def build_config(argv) -> RunConfig:
 
 
 def _write_fan(out, config: RunConfig, M: Matroid):
-    counts_only = config.counts_only
-    if counts_only:
-        from .fan import fan_counts
-
+    if config.counts_only:
         nrays, ncones = fan_counts(M, threads=config.threads)
-        out.write(f"n {M.n}\n")
-        out.write(f"m {M.rank}\n")
-        out.write(f"rays {nrays}\n")
-        out.write(f"maxcones {ncones}\n")
+    else:
+        fan = cyclic_bergman_fan(M, threads=config.threads)
+        nrays, ncones = len(fan.rays), len(fan.maximal_cones)
+    out.write(f"n {M.n}\nm {M.rank}\nrays {nrays}\nmaxcones {ncones}\n")
+    if config.counts_only:
         return
-    fan = cyclic_bergman_fan(M, threads=config.threads, keep_pairs=False)
-    out.write(f"n {M.n}\n")
-    out.write(f"m {M.rank}\n")
-    out.write(f"rays {len(fan.rays)}\n")
-    out.write(f"maxcones {len(fan.maximal_cones)}\n")
     if config.report_bases:
         out.write("BASES\n")
         for B in M.bases:
@@ -205,7 +192,7 @@ def _write_discriminant(out, config: RunConfig, A: IntMat):
 
 
 def _write(out, config: RunConfig, A: IntMat):
-    if config.mode == "discriminant":
+    if config.random_count is not None:
         _write_discriminant(out, config, A)
     else:
         M = Matroid.from_matrix(A, strict=False)

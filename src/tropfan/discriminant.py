@@ -158,7 +158,7 @@ def setup(A, *, threads: int = 0) -> DiscriminantProblem:
         )
     Aperp = integer_kernel_basis(A)
     M = Matroid.from_matrix(A, strict=False).dual()
-    fan = cyclic_bergman_fan(M, threads=threads, keep_pairs=False)
+    fan = cyclic_bergman_fan(M, threads=threads)
     q = n - m
     phi = [tuple(dot(row, ray) for row in Aperp.entries) for ray in fan.rays]
     aperp_cols = list(zip(*Aperp.entries))

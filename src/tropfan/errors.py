@@ -38,7 +38,7 @@ class ElementInBasis(TropfanError):
 
 
 class WrongSize(TropfanError):
-    """An index set has the wrong cardinality for the requested operation."""
+    """An index set or vector has the wrong size, or an index lies outside 1..n."""
 
 
 class NotInLocalTrop(TropfanError):

@@ -6,7 +6,8 @@ element of F_k = C(k, B) - {k} with p(k) < k, together with a total order <·
 on the image of p.  Pairs are enumerated by a recursion that fixes p(k) for k
 ascending while growing the order, each pair yields a directed caterpillar
 tree on the blocks {b} + p^-1(b), and the tree's up-sets are the 0/1 rays of
-the cone.  The union of these cones over all bases is the tropical linear
+the cone; _cone_masks computes those up-sets as bitmasks without building the
+tree.  The union of these cones over all bases is the tropical linear
 space, each cone produced exactly once.
 """
 
@@ -48,45 +49,18 @@ class CompatiblePair:
 
 
 @dataclass(frozen=True)
-class CaterpillarTree:
-    """Directed caterpillar tree cutting out the cone of one compatible pair.
-
-    blocks partition the ground set, one block {b} + p^-1(b) per basis
-    element; the spine lists the non-singleton block representatives in order;
-    each remaining singleton hangs off its spine parent.
-    """
-
-    n: int
-    basis: tuple
-    blocks: tuple
-    spine: tuple
-    leaf_parent: tuple
-
-
-@dataclass(frozen=True)
-class Cone:
-    ray_indices: tuple
-    source_pair: CompatiblePair | None
-
-
-@dataclass(frozen=True)
 class Fan:
     """Simplicial fan: deduplicated 0/1 rays plus maximal cones as ray-index sets.
 
     rays are sorted lexicographically as vectors; each cone is a sorted tuple
-    of ray indices, cones listed by (basis, pair) enumeration order.  The
-    lineality space, spanned by the all-ones vector, is implicit.
+    of ray indices, cones listed by (basis, pair) enumeration order, which is
+    the order of enumerate_pairs over M.bases.  The lineality space, spanned
+    by the all-ones vector, is implicit.
     """
 
     n: int
-    rank: int
     rays: tuple
     maximal_cones: tuple
-    source_pairs: tuple | None = None
-
-    def cone(self, i: int) -> Cone:
-        pair = self.source_pairs[i] if self.source_pairs is not None else None
-        return Cone(self.maximal_cones[i], pair)
 
     def ray_support(self, i: int) -> tuple:
         return tuple(j + 1 for j, x in enumerate(self.rays[i]) if x)
@@ -212,72 +186,17 @@ def enumerate_pairs(M: Matroid, B):
         yield CompatiblePair(B, tuple(zip(ks, pvals)), chain)
 
 
-def build_tree(M: Matroid, pair: CompatiblePair) -> CaterpillarTree:
-    """Caterpillar tree of a compatible pair.
-
-    Each singleton block {c} attaches to the order-largest image element b
-    with some k in p^-1(b) whose fundamental circuit contains c; such a b
-    exists exactly because the matroid has no coloops.
-    """
-    fmask = M.fundamental_circuit_masks(pair.basis)
-    chain = pair.order
-    members = {b: [b] for b in pair.basis}
-    cover = {c: 0 for c in chain}
-    for k, b in pair.pref:
-        members[b].append(k)
-        cover[b] |= fmask[k]
-    leaf_parent = []
-    for c in pair.basis:
-        if c in cover:
-            continue
-        cbit = 1 << (c - 1)
-        parent = next((b for b in reversed(chain) if cover[b] & cbit), None)
-        if parent is None:
-            raise InternalInvariant(f"element {c} attaches to no block")
-        leaf_parent.append((c, parent))
-    blocks = tuple(tuple(sorted(members[b])) for b in pair.basis)
-    return CaterpillarTree(M.n, pair.basis, blocks, chain, tuple(leaf_parent))
-
-
-def cone_from_tree(tree: CaterpillarTree):
-    """0/1 ray vectors of the cone cut out by a caterpillar tree.
-
-    For every block the indicator of its up-set is a generator; the bottom
-    spine block generates the all-ones lineality vector and is dropped,
-    leaving exactly rank-1 rays.
-    """
-    block_of = {}
-    for block in tree.blocks:
-        for e in block:
-            block_of[e] = block
-    spine_members = {b: mask_of(block_of[b]) for b in tree.spine}
-    attach = {b: 0 for b in tree.spine}
-    for c, parent in tree.leaf_parent:
-        attach[parent] |= 1 << (c - 1)
-    masks = []
-    acc = 0
-    suffix = []
-    for b in reversed(tree.spine):
-        acc |= spine_members[b] | attach[b]
-        suffix.append(acc)
-    suffix.reverse()
-    masks.extend(suffix[1:])
-    for c, _ in sorted(tree.leaf_parent):
-        masks.append(1 << (c - 1))
-    return tuple(mask_to_vector(m, tree.n) for m in masks)
-
-
 # -- fan assembly -------------------------------------------------------------
 
 
 def _per_basis_cones(M: Matroid, B):
-    """Raw pairs and cone ray masks for one basis, in canonical pair order."""
+    """Ray masks of every cone over one basis, in canonical pair order."""
     fmask = M.fundamental_circuit_masks(B)
     ks = tuple(sorted(fmask))
     bmask = mask_of(B)
     n = M.n
-    return ks, [
-        (pvals, chain, _cone_masks(n, bmask, ks, pvals, chain, fmask))
+    return [
+        _cone_masks(n, bmask, ks, pvals, chain, fmask)
         for pvals, chain in _regressive_pairs(ks, fmask)
     ]
 
@@ -285,7 +204,7 @@ def _per_basis_cones(M: Matroid, B):
 def _fan_worker(payload):
     entries, dual_mode, bases = payload
     M = Matroid(IntMat.from_rows(entries), dual_mode=dual_mode, loops=(), coloops=())
-    return [(B,) + _per_basis_cones(M, B) for B in bases]
+    return [_per_basis_cones(M, B) for B in bases]
 
 
 def _chunks(seq, k):
@@ -294,15 +213,14 @@ def _chunks(seq, k):
 
 
 def _iter_basis_results(M: Matroid, threads: int):
-    """Per-basis cone data in canonical basis order, optionally computed in parallel.
+    """Per-basis cone masks in canonical basis order, optionally computed in parallel.
 
     Parallel chunks are merged back in basis order, so the stream is identical
     to the sequential one.
     """
     if threads <= 0:
         for B in M.enumerate_bases():
-            ks, cones = _per_basis_cones(M, B)
-            yield B, ks, cones
+            yield _per_basis_cones(M, B)
         return
     bases = M.bases
     payloads = [
@@ -313,7 +231,7 @@ def _iter_basis_results(M: Matroid, threads: int):
             yield from result
 
 
-def _finalize(n, rank, ray_index, cones, pairs):
+def _finalize(n, ray_index, cones):
     vectors = [mask_to_vector(mask, n) for mask in ray_index]
     order = sorted(range(len(vectors)), key=vectors.__getitem__)
     remap = [0] * len(order)
@@ -321,54 +239,37 @@ def _finalize(n, rank, ray_index, cones, pairs):
         remap[old] = new
     rays = tuple(vectors[old] for old in order)
     maximal = tuple(tuple(sorted(remap[i] for i in cone)) for cone in cones)
-    return Fan(n, rank, rays, maximal, tuple(pairs) if pairs is not None else None)
+    return Fan(n, rays, maximal)
 
 
-def cyclic_bergman_fan(
-    M: Matroid,
-    *,
-    threads: int = 0,
-    keep_pairs: bool = True,
-    check_no_duplicates: bool = False,
-) -> Fan:
+def cyclic_bergman_fan(M: Matroid, *, threads: int = 0) -> Fan:
     """Assemble the full fan: all cones over all bases, rays deduplicated.
 
     Distinct regressive pairs give distinct cones, so no deduplication of
-    cones happens; check_no_duplicates asserts that instead (test mode).
-    threads > 0 distributes per-basis work over processes; the output is
-    byte-identical to the sequential run.
+    cones happens.  threads > 0 distributes per-basis work over processes;
+    the output is byte-identical to the sequential run.
     """
     _require_no_loops_coloops(M)
     ray_index: dict = {}
     cones = []
-    pairs = [] if keep_pairs else None
-    seen = set() if check_no_duplicates else None
-    for B, ks, per_basis in _iter_basis_results(M, threads):
-        for pvals, chain, masks in per_basis:
-            idxs = tuple(
-                sorted(ray_index.setdefault(mask, len(ray_index)) for mask in masks)
+    for per_basis in _iter_basis_results(M, threads):
+        for masks in per_basis:
+            cones.append(
+                tuple([ray_index.setdefault(mask, len(ray_index)) for mask in masks])
             )
-            if seen is not None:
-                if idxs in seen:
-                    raise InternalInvariant(f"duplicate cone {idxs} from basis {B}")
-                seen.add(idxs)
-            cones.append(idxs)
-            if pairs is not None:
-                pairs.append(CompatiblePair(B, tuple(zip(ks, pvals)), chain))
-    return _finalize(M.n, M.rank, ray_index, cones, pairs)
+    return _finalize(M.n, ray_index, cones)
 
 
 def fan_counts(M: Matroid, *, threads: int = 0) -> tuple:
     """(ray count, maximal cone count) without storing the cones."""
     _require_no_loops_coloops(M)
-    ray_index: dict = {}
+    rays = set()
     ncones = 0
-    for _, _, per_basis in _iter_basis_results(M, threads):
-        for _, _, masks in per_basis:
-            for mask in masks:
-                ray_index.setdefault(mask, len(ray_index))
-            ncones += 1
-    return len(ray_index), ncones
+    for per_basis in _iter_basis_results(M, threads):
+        ncones += len(per_basis)
+        for masks in per_basis:
+            rays.update(masks)
+    return len(rays), ncones
 
 
 # -- membership and induced pairs ---------------------------------------------
@@ -433,6 +334,8 @@ def local_trop_point(M: Matroid, B, x) -> tuple:
 def induce_pair(M: Matroid, B, v, J) -> CompatiblePair:
     """Pair induced by a total order J on B respecting v (v_a < v_b forces a before b)."""
     B = M._require_basis(B)
+    if len(v) != M.n:
+        raise WrongSize(f"vector length {len(v)} != {M.n}")
     J = tuple(J)
     if sorted(J) != list(B):
         raise WrongSize("J must be a total order on the basis")
@@ -464,6 +367,8 @@ def interior_witness(fan: Fan, cone_index: int) -> tuple:
 
 def point_in_cone(fan: Fan, cone_index: int, v) -> bool:
     """Exact test v in cone + lineality, via the unique simplicial coordinates."""
+    if len(v) != fan.n:
+        raise WrongSize(f"vector length {len(v)} != {fan.n}")
     cols = [fan.rays[i] for i in fan.maximal_cones[cone_index]]
     cols.append((1,) * fan.n)
     sol = solve_columns(cols, v)

@@ -118,9 +118,16 @@ class Matroid:
             return 0
         return rank_of_rows(rows)
 
+    def _subset(self, S) -> tuple:
+        """S as a sorted tuple of distinct elements, each checked to lie in 1..n."""
+        S = tuple(sorted(set(S)))
+        if S and (S[0] < 1 or S[-1] > self.n):
+            raise WrongSize(f"{list(S)} is not a subset of 1..{self.n}")
+        return S
+
     def rank_of(self, S) -> int:
         """Rank of a subset of the ground set."""
-        S = sorted(set(S))
+        S = self._subset(S)
         if self.dual_mode:
             comp = [i for i in range(1, self.n + 1) if i not in set(S)]
             return len(S) + self._matrix_rank_of(comp) - self.m
@@ -133,7 +140,7 @@ class Matroid:
         return self._matrix_rank_of(S) == self.m
 
     def is_basis(self, S) -> bool:
-        S = tuple(sorted(set(S)))
+        S = self._subset(S)
         if len(S) != self.rank:
             raise WrongSize(f"expected {self.rank} elements, got {len(S)}")
         return self._basis_test(S)
@@ -162,7 +169,7 @@ class Matroid:
         return len(self.bases)
 
     def _require_basis(self, B):
-        B = tuple(sorted(set(B)))
+        B = self._subset(B)
         if len(B) != self.rank or not self._basis_test(B):
             raise NotABasis(f"{list(B)} is not a basis")
         return B
@@ -215,6 +222,8 @@ class Matroid:
         if e in set(B):
             raise ElementInBasis(f"{e} lies in the basis")
         masks = self.fundamental_circuit_masks(B)
+        if e not in masks:
+            raise WrongSize(f"{e} is not in 1..{self.n}")
         return elements_of(masks[e] | (1 << (e - 1)))
 
     # -- global structure ----------------------------------------------------

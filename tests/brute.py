@@ -4,12 +4,19 @@ Everything here is implemented from definitions, independently of the package
 code paths it checks: plain Gaussian elimination over Fraction instead of
 the fraction-free core, subset enumeration instead of incidence tricks,
 deletion-contraction instead of activities, total-order enumeration instead
-of the pair recursion, a phase-one simplex for cone membership, and per-cone
-dot products over every direction instead of packed lanes for ray shooting.
+of the pair recursion, caterpillar trees instead of the fused ray masks, a
+phase-one simplex for cone membership, and per-cone dot products over every
+direction instead of packed lanes for ray shooting.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
+
+from tropfan.errors import InternalInvariant
+from tropfan.fan import CompatiblePair
+from tropfan.matroid import Matroid
+from tropfan.util import mask_of, mask_to_vector
 
 
 def frac_rank(vectors):
@@ -267,6 +274,83 @@ def literal_pairs(cols, B):
 def pair_key(pair):
     """Canonical (pref, order) key of a CompatiblePair for set comparison."""
     return (tuple(sorted(pair.pref)), pair.order)
+
+
+# -- caterpillar trees --------------------------------------------------------
+#
+# The cone of a compatible pair built through its caterpillar tree, the
+# construction the paper states; the package's _cone_masks fuses these steps.
+
+
+@dataclass(frozen=True)
+class CaterpillarTree:
+    """Directed caterpillar tree cutting out the cone of one compatible pair.
+
+    blocks partition the ground set, one block {b} + p^-1(b) per basis
+    element; the spine lists the non-singleton block representatives in order;
+    each remaining singleton hangs off its spine parent.
+    """
+
+    n: int
+    basis: tuple
+    blocks: tuple
+    spine: tuple
+    leaf_parent: tuple
+
+
+def build_tree(M: Matroid, pair: CompatiblePair) -> CaterpillarTree:
+    """Caterpillar tree of a compatible pair.
+
+    Each singleton block {c} attaches to the order-largest image element b
+    with some k in p^-1(b) whose fundamental circuit contains c; such a b
+    exists exactly because the matroid has no coloops.
+    """
+    fmask = M.fundamental_circuit_masks(pair.basis)
+    chain = pair.order
+    members = {b: [b] for b in pair.basis}
+    cover = {c: 0 for c in chain}
+    for k, b in pair.pref:
+        members[b].append(k)
+        cover[b] |= fmask[k]
+    leaf_parent = []
+    for c in pair.basis:
+        if c in cover:
+            continue
+        cbit = 1 << (c - 1)
+        parent = next((b for b in reversed(chain) if cover[b] & cbit), None)
+        if parent is None:
+            raise InternalInvariant(f"element {c} attaches to no block")
+        leaf_parent.append((c, parent))
+    blocks = tuple(tuple(sorted(members[b])) for b in pair.basis)
+    return CaterpillarTree(M.n, pair.basis, blocks, chain, tuple(leaf_parent))
+
+
+def cone_from_tree(tree: CaterpillarTree):
+    """0/1 ray vectors of the cone cut out by a caterpillar tree.
+
+    For every block the indicator of its up-set is a generator; the bottom
+    spine block generates the all-ones lineality vector and is dropped,
+    leaving exactly rank-1 rays.
+    """
+    block_of = {}
+    for block in tree.blocks:
+        for e in block:
+            block_of[e] = block
+    spine_members = {b: mask_of(block_of[b]) for b in tree.spine}
+    attach = {b: 0 for b in tree.spine}
+    for c, parent in tree.leaf_parent:
+        attach[parent] |= 1 << (c - 1)
+    masks = []
+    acc = 0
+    suffix = []
+    for b in reversed(tree.spine):
+        acc |= spine_members[b] | attach[b]
+        suffix.append(acc)
+    suffix.reverse()
+    masks.extend(suffix[1:])
+    for c, _ in sorted(tree.leaf_parent):
+        masks.append(1 << (c - 1))
+    return tuple(mask_to_vector(m, tree.n) for m in masks)
 
 
 # -- exact cone membership ----------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from tropfan.data import DEMO_4X7, GRAPHIC_3X6, UNIFORM_2_3, cube_matrix
 from tropfan.errors import TropfanError
 from tropfan.exact import IntMat
+from tropfan.fan import enumerate_pairs
 from tropfan.matroid import Matroid
 
 #: Rank-2 uniform matroid on four elements (all column pairs independent).
@@ -59,6 +60,11 @@ def random_fan_matrices(count, seed, max_m=4, max_n=8):
             continue
         out.append(M)
     return out
+
+
+def source_pairs(M):
+    """The compatible pair of every maximal cone, in the fan's cone order."""
+    return [pair for B in M.bases for pair in enumerate_pairs(M, B)]
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,13 @@ from brute import (
     nonneg_combination_exists,
     pair_key,
 )
-from conftest import random_fan_matrices, run_cli, small_corpus, write_matrix_file
+from conftest import (
+    random_fan_matrices,
+    run_cli,
+    small_corpus,
+    source_pairs,
+    write_matrix_file,
+)
 from tropfan.data import (
     GRAPHIC_3X6,
     TANGENT_CONIC_CUBIC_4X16,
@@ -29,8 +35,6 @@ from tropfan.data import (
 )
 from tropfan.discriminant import setup
 from tropfan.fan import (
-    build_tree,
-    cone_from_tree,
     compare_with_bergman,
     cyclic_bergman_fan,
     induce_pair,
@@ -244,7 +248,7 @@ def test_criterion_7_property_suite():
         ]
         for name, M in matroids:
             assert M.n <= 9
-            fan = cyclic_bergman_fan(M, check_no_duplicates=True)
+            fan = cyclic_bergman_fan(M)
             cols = list(zip(*M.A.entries))
             # (a) ray supports = proper flats that are cyclic or singletons
             supports = {
@@ -257,10 +261,12 @@ def test_criterion_7_property_suite():
                 interior_witness(fan, ci) for ci in range(len(fan.maximal_cones))
             ]
             assert all(is_in_trop(M, w) for w in witnesses), name
-            # (c) no duplicate cones (also asserted during assembly above)
+            # (c) no duplicate cones
             assert len(set(fan.maximal_cones)) == len(fan.maximal_cones), name
             # (d) witnesses re-induce their source pairs
-            for ci, pair in enumerate(fan.source_pairs):
+            pairs = source_pairs(M)
+            assert len(pairs) == len(fan.maximal_cones), name
+            for ci, pair in enumerate(pairs):
                 v = witnesses[ci]
                 J = tuple(sorted(pair.basis, key=lambda b: (v[b - 1], b)))
                 assert pair_key(induce_pair(M, pair.basis, v, J)) == pair_key(pair), (

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from brute import fan_rays_are_cyclic_flats, pair_key
-from conftest import random_fan_matrices, small_corpus
+from brute import build_tree, cone_from_tree, fan_rays_are_cyclic_flats, pair_key
+from conftest import random_fan_matrices, small_corpus, source_pairs
 from tropfan.data import (
     DEMO_4X7,
     GRAPHIC_3X6,
@@ -21,9 +21,7 @@ from tropfan.errors import (
 )
 from tropfan.exact import integer_kernel_basis, rank_of_rows
 from tropfan.fan import (
-    build_tree,
     compare_with_bergman,
-    cone_from_tree,
     cyclic_bergman_fan,
     enumerate_pairs,
     fan_counts,
@@ -43,7 +41,8 @@ def support(vec):
 
 def test_graphic_fan_rays_and_cones():
     M = Matroid.from_matrix(GRAPHIC_3X6)
-    fan = cyclic_bergman_fan(M, check_no_duplicates=True)
+    fan = cyclic_bergman_fan(M)
+    assert len(set(fan.maximal_cones)) == len(fan.maximal_cones)
     assert len(fan.maximal_cones) == 7
     assert {support(r) for r in fan.rays} == {
         (1, 2),
@@ -69,30 +68,28 @@ def test_uniform23_fan():
 
 def test_cube3_counts():
     M = Matroid.from_matrix(cube_matrix(3))
-    fan = cyclic_bergman_fan(M, check_no_duplicates=True)
+    fan = cyclic_bergman_fan(M)
+    assert len(set(fan.maximal_cones)) == len(fan.maximal_cones)
     assert (len(fan.rays), len(fan.maximal_cones)) == (20, 80)
     assert fan_counts(M) == (20, 80)
 
 
 def test_fan_equals_public_op_composition():
-    for name, A in small_corpus():
-        M = Matroid.from_matrix(A)
-        fan = cyclic_bergman_fan(M, check_no_duplicates=True)
-        rebuilt = []
-        for B in M.bases:
-            for pair in enumerate_pairs(M, B):
-                rays = cone_from_tree(build_tree(M, pair))
-                rebuilt.append(frozenset(rays))
+    cases = [(name, Matroid.from_matrix(A)) for name, A in small_corpus()]
+    cases += [(f"random{i}", M) for i, M in enumerate(random_fan_matrices(15, seed=40))]
+    cases += [(f"{name} dual", M.dual()) for name, M in cases]
+    for name, M in cases:
+        fan = cyclic_bergman_fan(M)
+        assert len(set(fan.maximal_cones)) == len(fan.maximal_cones), name
+        # cone i is the tree cone of the i-th pair of enumerate_pairs over
+        # M.bases, which pins the order that source_pairs relies on
+        rebuilt = [
+            frozenset(cone_from_tree(build_tree(M, pair))) for pair in source_pairs(M)
+        ]
         got = [
             frozenset(fan.rays[i] for i in cone) for cone in fan.maximal_cones
         ]
         assert got == rebuilt, name
-        assert fan.source_pairs is not None
-        assert [pair_key(p) for p in fan.source_pairs] == [
-            pair_key(p)
-            for B in M.bases
-            for p in enumerate_pairs(M, B)
-        ], name
 
 
 def test_rays_sorted_lexicographically():
@@ -123,16 +120,16 @@ def test_dual_mode_fan_matches_kernel_fan():
         K = Matroid.from_matrix(integer_kernel_basis(A), strict=False)
         if D.loops or D.coloops:
             continue
-        dual_fan = cyclic_bergman_fan(D, keep_pairs=False)
-        direct_fan = cyclic_bergman_fan(K, keep_pairs=False)
+        dual_fan = cyclic_bergman_fan(D)
+        direct_fan = cyclic_bergman_fan(K)
         assert dual_fan.rays == direct_fan.rays
         assert dual_fan.maximal_cones == direct_fan.maximal_cones
 
 
 def test_threads_output_identical():
     M = Matroid.from_matrix(cube_matrix(3))
-    seq = cyclic_bergman_fan(M, keep_pairs=False)
-    par = cyclic_bergman_fan(M, threads=2, keep_pairs=False)
+    seq = cyclic_bergman_fan(M)
+    par = cyclic_bergman_fan(M, threads=2)
     assert seq == par
 
 
@@ -214,6 +211,12 @@ def test_induce_pair_demo():
     assert pair.order == (1, 4)
     with pytest.raises(OrderIncompatible):
         induce_pair(M, (1, 2, 3, 4), v, (2, 1, 3, 4))
+    fan = cyclic_bergman_fan(M)
+    for bad in ((0, 5), v + (0, 0)):
+        with pytest.raises(WrongSize):
+            induce_pair(M, (1, 2, 3, 4), bad, (1, 3, 4, 2))
+        with pytest.raises(WrongSize):
+            point_in_cone(fan, 0, bad)
 
 
 def test_induce_pair_forced_constant():
@@ -227,7 +230,9 @@ def test_round_trip_witness_reinduces_source_pair():
     for name, A in small_corpus():
         M = Matroid.from_matrix(A)
         fan = cyclic_bergman_fan(M)
-        for ci, pair in enumerate(fan.source_pairs):
+        pairs = source_pairs(M)
+        assert len(pairs) == len(fan.maximal_cones), name
+        for ci, pair in enumerate(pairs):
             v = interior_witness(fan, ci)
             J = tuple(sorted(pair.basis, key=lambda b: (v[b - 1], b)))
             again = induce_pair(M, pair.basis, v, J)
@@ -236,9 +241,7 @@ def test_round_trip_witness_reinduces_source_pair():
 
 def test_no_duplicate_cones_across_bases():
     for name, A in small_corpus():
-        fan = cyclic_bergman_fan(
-            Matroid.from_matrix(A), check_no_duplicates=True
-        )
+        fan = cyclic_bergman_fan(Matroid.from_matrix(A))
         assert len(set(fan.maximal_cones)) == len(fan.maximal_cones), name
 
 
@@ -299,7 +302,7 @@ def test_compare_graphic():
 
 def test_compare_cube3_trivial_partition():
     M = Matroid.from_matrix(cube_matrix(3))
-    fan = cyclic_bergman_fan(M, keep_pairs=False)
+    fan = cyclic_bergman_fan(M)
     classes = compare_with_bergman(fan, M)
     assert len(classes) == 80
     assert all(len(c) == 1 for c in classes)
@@ -308,7 +311,7 @@ def test_compare_cube3_trivial_partition():
 def test_compare_classes_partition_all_cones():
     for name, A in small_corpus():
         M = Matroid.from_matrix(A)
-        fan = cyclic_bergman_fan(M, keep_pairs=False)
+        fan = cyclic_bergman_fan(M)
         classes = compare_with_bergman(fan, M)
         flat = sorted(i for cls in classes for i in cls)
         assert flat == list(range(len(fan.maximal_cones))), name

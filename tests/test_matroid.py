@@ -27,6 +27,7 @@ from tropfan.errors import (
     WrongSize,
 )
 from tropfan.exact import IntMat, integer_kernel_basis
+from tropfan.fan import enumerate_pairs
 from tropfan.matroid import Matroid
 
 
@@ -71,6 +72,27 @@ def test_is_basis_graphic():
     assert not M.is_basis((1, 2, 5))
     with pytest.raises(WrongSize):
         M.is_basis((1, 2))
+
+
+def test_elements_outside_the_ground_set_are_rejected():
+    # 0 used to read the last column and n + 1 to raise IndexError
+    M = Matroid.from_matrix(GRAPHIC_3X6)
+    for handle in (M, M.dual()):
+        for e in (0, 7):
+            with pytest.raises(WrongSize):
+                handle.rank_of((e,))
+    for S in ((0, 1, 5), (1, 5, 7)):
+        with pytest.raises(WrongSize):
+            M.is_basis(S)
+        with pytest.raises(WrongSize):
+            M.fundamental_circuit_masks(S)
+        with pytest.raises(WrongSize):
+            next(enumerate_pairs(M, S))
+    for e in (0, 7):
+        with pytest.raises(WrongSize):
+            M.fundamental_circuit(e, (1, 5, 6))
+    assert M.is_basis((1, 5, 6))
+    assert M.rank_of((1, 6)) == 2
 
 
 def test_enumerate_bases_uniform():

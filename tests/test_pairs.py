@@ -1,12 +1,19 @@
-"""Compatible-pair enumeration, caterpillar trees, and single-cone construction."""
+"""Compatible-pair enumeration and the caterpillar-tree cone oracle."""
 
 import pytest
 
-from brute import brute_regressive_pairs, columns_of, literal_pairs, pair_key
+from brute import (
+    brute_regressive_pairs,
+    build_tree,
+    columns_of,
+    cone_from_tree,
+    literal_pairs,
+    pair_key,
+)
 from conftest import CHAIN_3X6, FORCED_2X4, random_fan_matrices, small_corpus
 from tropfan.data import DEMO_4X7, UNIFORM_2_3, cube_matrix
 from tropfan.errors import HasColoops, HasLoops
-from tropfan.fan import build_tree, cone_from_tree, enumerate_pairs
+from tropfan.fan import enumerate_pairs
 from tropfan.matroid import Matroid
 
 

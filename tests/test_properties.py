@@ -127,7 +127,7 @@ def test_circuits_are_minimal_dependent_sets(rows):
 def test_fan_cones_are_simplicial_distinct_and_supported(rows):
     M = _clean_matroid(rows)
     assume(M is not None)
-    fan = cyclic_bergman_fan(M, check_no_duplicates=True)
+    fan = cyclic_bergman_fan(M)
     ones = (1,) * M.n
     assert len(set(fan.maximal_cones)) == len(fan.maximal_cones)
     for ci, cone in enumerate(fan.maximal_cones):
