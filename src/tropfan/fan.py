@@ -8,14 +8,19 @@ ascending while growing the order, each pair yields a directed caterpillar
 tree on the blocks {b} + p^-1(b), and the tree's up-sets are the 0/1 rays of
 the cone; _cone_masks computes those up-sets as bitmasks without building the
 tree.  The union of these cones over all bases is the tropical linear
-space, each cone produced exactly once.
+space, each cone produced exactly once.  The rays (the proper flats that are
+cyclic or singletons) are computed before enumeration, so every cone is
+stored at once as sorted ray indices in one packed array.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 from .errors import (
     HasColoops,
@@ -48,9 +53,47 @@ class CompatiblePair:
         return dict(self.pref)
 
 
+class ConeArray(Sequence):
+    """Read-only sequence of maximal cones, packed into one array of ray indices.
+
+    Cone i is the sorted tuple data[i*width:(i+1)*width].  The count is kept
+    apart from the array because the cones of a rank-1 matroid have no rays.
+    """
+
+    __slots__ = ("_data", "_width", "_count")
+
+    def __init__(self, data: array, width: int, count: int):
+        self._data = data
+        self._width = width
+        self._count = count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, i) -> tuple:
+        i = range(self._count)[i]
+        w = self._width
+        return tuple(self._data[i * w : i * w + w])
+
+    def __iter__(self):
+        if self._width == 0:
+            return repeat((), self._count)
+        return zip(*[iter(self._data)] * self._width)
+
+    def __eq__(self, other):
+        if not isinstance(other, ConeArray):
+            return NotImplemented
+        return (self._count, self._width) == (other._count, other._width) and (
+            self._data == other._data
+        )
+
+    def __repr__(self) -> str:
+        return f"ConeArray(count={self._count}, width={self._width})"
+
+
 @dataclass(frozen=True)
 class Fan:
-    """Simplicial fan: deduplicated 0/1 rays plus maximal cones as ray-index sets.
+    """Simplicial fan: 0/1 rays plus maximal cones as ray-index sets.
 
     rays are sorted lexicographically as vectors; each cone is a sorted tuple
     of ray indices, cones listed by (basis, pair) enumeration order, which is
@@ -60,7 +103,7 @@ class Fan:
 
     n: int
     rays: tuple
-    maximal_cones: tuple
+    maximal_cones: ConeArray
 
     def ray_support(self, i: int) -> tuple:
         return tuple(j + 1 for j, x in enumerate(self.rays[i]) if x)
@@ -189,22 +232,68 @@ def enumerate_pairs(M: Matroid, B):
 # -- fan assembly -------------------------------------------------------------
 
 
-def _per_basis_cones(M: Matroid, B):
-    """Ray masks of every cone over one basis, in canonical pair order."""
-    fmask = M.fundamental_circuit_masks(B)
-    ks = tuple(sorted(fmask))
-    bmask = mask_of(B)
+def _ray_index(M: Matroid):
+    """The fan's rays, sorted as 0/1 vectors, and the index of each ray's bitmask.
+
+    The rays are the proper flats that are cyclic flats or singletons: every
+    proper nonempty cyclic flat, and {i} unless i lies in a rank-1 cyclic
+    flat (a parallel class, or E itself when the rank is 1).
+    """
+    masks = []
+    covered = 0
+    for Z, r in M.cyclic_flats().items():
+        if 0 < r < M.rank:
+            masks.append(Z)
+        if r == 1:
+            covered |= Z
+    masks += [1 << i for i in range(M.n) if not covered >> i & 1]
+    keyed = sorted((mask_to_vector(mask, M.n), mask) for mask in masks)
+    rays = tuple(vector for vector, _ in keyed)
+    return rays, {mask: i for i, (_, mask) in enumerate(keyed)}
+
+
+def _typecode(nrays: int) -> str:
+    """The smallest unsigned array typecode that holds every ray index."""
+    return next(t for t in "BHILQ" if nrays <= 1 << 8 * array(t).itemsize)
+
+
+def _append_cones(M: Matroid, bases, index, out: array, keep: bool) -> int:
+    """Append every cone over each basis to out as sorted ray indices; return the count.
+
+    Cones come in canonical pair order.  A cone ray missing from index is
+    not a cyclic flat or singleton, which the paper's theorem rules out, so
+    it raises InternalInvariant.  With keep false out is emptied after each
+    basis and only the count remains.
+    """
     n = M.n
-    return [
-        _cone_masks(n, bmask, ks, pvals, chain, fmask)
-        for pvals, chain in _regressive_pairs(ks, fmask)
-    ]
+    count = 0
+    for B in bases:
+        fmask = M.fundamental_circuit_masks(B)
+        ks = tuple(sorted(fmask))
+        bmask = mask_of(B)
+        pairs = _regressive_pairs(ks, fmask)
+        for pvals, chain in pairs:
+            masks = _cone_masks(n, bmask, ks, pvals, chain, fmask)
+            try:
+                cone = sorted([index[mask] for mask in masks])
+            except KeyError as exc:
+                raise InternalInvariant(
+                    f"cone ray {list(elements_of(exc.args[0]))} is not a cyclic flat "
+                    "or singleton"
+                ) from None
+            out.fromlist(cone)
+        count += len(pairs)
+        if not keep:
+            del out[:]
+    return count
 
 
 def _fan_worker(payload):
-    entries, dual_mode, bases = payload
+    entries, dual_mode, bases, index, typecode, keep = payload
     M = Matroid(IntMat.from_rows(entries), dual_mode=dual_mode, loops=(), coloops=())
-    return [_per_basis_cones(M, B) for B in bases]
+    out = array(typecode)
+    count = _append_cones(M, bases, index, out, keep)
+    return out, count
 
 
 def _chunks(seq, k):
@@ -212,64 +301,47 @@ def _chunks(seq, k):
     return [seq[i : i + step] for i in range(0, len(seq), step)]
 
 
-def _iter_basis_results(M: Matroid, threads: int):
-    """Per-basis cone masks in canonical basis order, optionally computed in parallel.
+def _collect_cones(M: Matroid, threads: int, index, out: array, keep: bool) -> int:
+    """Append every cone of the fan to out in canonical order; return the count.
 
-    Parallel chunks are merged back in basis order, so the stream is identical
-    to the sequential one.
+    threads > 0 hands chunks of bases to worker processes, each returning one
+    packed block; blocks are appended in basis order, so the result is
+    identical to the sequential one.
     """
     if threads <= 0:
-        for B in M.enumerate_bases():
-            yield _per_basis_cones(M, B)
-        return
-    bases = M.bases
+        return _append_cones(M, M.enumerate_bases(), index, out, keep)
     payloads = [
-        (M.A.entries, M.dual_mode, chunk) for chunk in _chunks(bases, threads * 4)
+        (M.A.entries, M.dual_mode, chunk, index, out.typecode, keep)
+        for chunk in _chunks(M.bases, threads * 4)
     ]
+    count = 0
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        for result in pool.map(_fan_worker, payloads):
-            yield from result
-
-
-def _finalize(n, ray_index, cones):
-    vectors = [mask_to_vector(mask, n) for mask in ray_index]
-    order = sorted(range(len(vectors)), key=vectors.__getitem__)
-    remap = [0] * len(order)
-    for new, old in enumerate(order):
-        remap[old] = new
-    rays = tuple(vectors[old] for old in order)
-    maximal = tuple(tuple(sorted(remap[i] for i in cone)) for cone in cones)
-    return Fan(n, rays, maximal)
+        for block, k in pool.map(_fan_worker, payloads):
+            out += block
+            count += k
+    return count
 
 
 def cyclic_bergman_fan(M: Matroid, *, threads: int = 0) -> Fan:
-    """Assemble the full fan: all cones over all bases, rays deduplicated.
+    """Assemble the full fan: the rays up front, then all cones over all bases.
 
     Distinct regressive pairs give distinct cones, so no deduplication of
     cones happens.  threads > 0 distributes per-basis work over processes;
     the output is byte-identical to the sequential run.
     """
     _require_no_loops_coloops(M)
-    ray_index: dict = {}
-    cones = []
-    for per_basis in _iter_basis_results(M, threads):
-        for masks in per_basis:
-            cones.append(
-                tuple([ray_index.setdefault(mask, len(ray_index)) for mask in masks])
-            )
-    return _finalize(M.n, ray_index, cones)
+    rays, index = _ray_index(M)
+    data = array(_typecode(len(rays)))
+    count = _collect_cones(M, threads, index, data, keep=True)
+    return Fan(M.n, rays, ConeArray(data, M.rank - 1, count))
 
 
 def fan_counts(M: Matroid, *, threads: int = 0) -> tuple:
     """(ray count, maximal cone count) without storing the cones."""
     _require_no_loops_coloops(M)
-    rays = set()
-    ncones = 0
-    for per_basis in _iter_basis_results(M, threads):
-        ncones += len(per_basis)
-        for masks in per_basis:
-            rays.update(masks)
-    return len(rays), ncones
+    rays, index = _ray_index(M)
+    scratch = array(_typecode(len(rays)))
+    return len(rays), _collect_cones(M, threads, index, scratch, keep=False)
 
 
 # -- membership and induced pairs ---------------------------------------------

@@ -26,6 +26,17 @@ from .exact import IntMat, gauss_jordan, rank_of_rows
 from .util import elements_of
 
 
+def _coloop_columns(rows) -> list:
+    """0-based coloops of the column matroid of integer rows (reduces rows in place).
+
+    Row operations keep the column matroid; a pivot column is a coloop iff no
+    free column has a nonzero entry in its row.
+    """
+    pivots, _ = gauss_jordan(rows)
+    free = [c for c in range(len(rows[0])) if c not in pivots]
+    return [c for r, c in enumerate(pivots) if not any(rows[r][f] for f in free)]
+
+
 @dataclass(frozen=True)
 class TuttePoly:
     """Tutte polynomial as a sparse map (i, j) -> coefficient of x^i y^j."""
@@ -82,12 +93,7 @@ class Matroid:
         if len(independent) < A.rows:
             A = IntMat.from_rows([A.entries[i] for i in independent])
         loops = tuple(j + 1 for j, col in enumerate(A.columns) if not any(col))
-        # Row operations keep the column matroid; a pivot column is a coloop
-        # iff no free column has a nonzero entry in its row.
-        m = A.row_lists()
-        pivots, _ = gauss_jordan(m)
-        free = [c for c in range(A.cols) if c not in pivots]
-        coloops = [c + 1 for r, c in enumerate(pivots) if not any(m[r][f] for f in free)]
+        coloops = [c + 1 for c in _coloop_columns(A.row_lists())]
         if strict:
             if loops:
                 raise HasLoops(loops)
@@ -183,7 +189,9 @@ class Matroid:
         the complement basis of the underlying matrix and the incidence is
         transposed, so the dual representation is never formed.
         """
-        B = self._require_basis(B)
+        B = self._subset(B)
+        if len(B) != self.rank:
+            raise NotABasis(f"{list(B)} is not a basis")
         bset = set(B)
         outside = [k for k in range(1, self.n + 1) if k not in bset]
         if not self.dual_mode:
@@ -195,8 +203,8 @@ class Matroid:
         m = self.A.row_lists()
         try:
             gauss_jordan(m, [b - 1 for b in pivot_elems])
-        except SingularBasis as exc:  # pragma: no cover - _require_basis screens this
-            raise NotABasis(str(exc)) from exc
+        except SingularBasis:
+            raise NotABasis(f"{list(B)} is not a basis") from None
         if not self.dual_mode:
             fk = {}
             for k in query_elems:
@@ -264,6 +272,64 @@ class Matroid:
             return False
         comp = tuple(i for i in range(1, self.n + 1) if i not in set(F))
         return self.dual().is_flat(comp)
+
+    def cyclic_flats(self) -> dict:
+        """Every cyclic flat (a flat that is a union of circuits), as bitmask -> rank.
+
+        The flats of M(A) are walked upward from cl(empty set), each reached
+        once, from its lexicographically first basis S: S + {e} with e > max S
+        is followed only if its closure gains no element below e.  Along the
+        walk every column is carried modulo span(S) by one fraction-free
+        elimination step per element of S (dividing by the previous pivot, so
+        entries stay minors of A), and x lies in cl(S) iff its image is zero.
+        A flat is cyclic iff its restriction has no coloop.  The cyclic flats
+        of the dual are the complements E - Z, of rank |E - Z| + r(Z) - m.
+        """
+        n, m = self.n, self.m
+        rows = self.A.entries
+        found = {}
+
+        def visit(flat, k, images, prev, last):
+            elems = [x for x in range(n) if flat >> x & 1]
+            # an independent flat (k elements) is cyclic only when it is empty
+            if (len(elems) > k or not elems) and not _coloop_columns(
+                [[row[x] for x in elems] for row in rows]
+            ):
+                found[flat] = k
+            if k == m - 1:
+                return
+            for e in range(last + 1, n):
+                if flat >> e & 1:
+                    continue
+                c = images[e]
+                j = next(i for i, v in enumerate(c) if v)
+                piv = c[j]
+                closure = flat
+                child = [()] * n
+                for x in range(n):
+                    if flat >> x & 1:
+                        continue
+                    p = images[x]
+                    px = p[j]
+                    img = tuple(
+                        (p[i] * piv - px * c[i]) // prev for i in range(len(c)) if i != j
+                    )
+                    if not any(img):
+                        if x < e:  # S + {e} is not the first basis of its closure
+                            break
+                        closure |= 1 << x
+                    child[x] = img
+                else:
+                    visit(closure, k + 1, child, piv, e)
+
+        cols = self.A.columns
+        visit(sum(1 << x for x in range(n) if not any(cols[x])), 0, cols, 1, -1)
+        full = (1 << n) - 1
+        if not _coloop_columns(self.A.row_lists()):
+            found[full] = m
+        if self.dual_mode:
+            return {full & ~Z: n - Z.bit_count() + r - m for Z, r in found.items()}
+        return found
 
     def tutte_polynomial(self) -> TuttePoly:
         """Tutte polynomial via internal/external activities over all bases."""

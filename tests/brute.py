@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from tropfan.errors import InternalInvariant
-from tropfan.fan import CompatiblePair
+from tropfan.fan import CompatiblePair, _cone_masks, _regressive_pairs
 from tropfan.matroid import Matroid
 from tropfan.util import mask_of, mask_to_vector
 
@@ -160,6 +160,22 @@ def fan_rays_are_cyclic_flats(fan, M) -> bool:
         if len(S) == 1 or M.is_cyclic_flat(S):
             expected.add(frozenset(S))
     return supports == expected
+
+
+def enumerated_ray_masks(M: Matroid) -> set:
+    """Every ray bitmask carried by a cone of the pair enumeration, deduplicated.
+
+    The ray set as enumeration alone finds it: _cone_masks over every
+    regressive pair of every basis, with no cyclic-flat computation.
+    """
+    out = set()
+    for B in M.bases:
+        fmask = M.fundamental_circuit_masks(B)
+        ks = tuple(sorted(fmask))
+        for pvals, chain in _regressive_pairs(ks, fmask):
+            out.update(_cone_masks(M.n, mask_of(B), ks, pvals, chain, fmask))
+    return out
+
 
 def _contract(e, rest):
     piv = next(i for i, x in enumerate(e) if x != 0)

@@ -1,26 +1,39 @@
 """Fan assembly, tropical membership, induced pairs, Bergman comparison."""
 
 import random
+import tracemalloc
+from array import array
 from fractions import Fraction
 
 import pytest
 
-from brute import build_tree, cone_from_tree, fan_rays_are_cyclic_flats, pair_key
+from brute import (
+    build_tree,
+    cone_from_tree,
+    enumerated_ray_masks,
+    fan_rays_are_cyclic_flats,
+    pair_key,
+)
 from conftest import random_fan_matrices, small_corpus, source_pairs
+from tropfan import fan as fan_module
 from tropfan.data import (
     DEMO_4X7,
     GRAPHIC_3X6,
+    TANGENT_CONIC_CUBIC_4X16,
     TANGENT_LINE_CUBIC_4X13,
+    TANGENT_LINE_CUBIC_GALE_9X13,
     UNIFORM_2_3,
     cube_matrix,
 )
 from tropfan.errors import (
+    InternalInvariant,
     NotMaxWeightBasis,
     OrderIncompatible,
     WrongSize,
 )
 from tropfan.exact import integer_kernel_basis, rank_of_rows
 from tropfan.fan import (
+    ConeArray,
     compare_with_bergman,
     cyclic_bergman_fan,
     enumerate_pairs,
@@ -33,6 +46,7 @@ from tropfan.fan import (
     point_in_cone,
 )
 from tropfan.matroid import Matroid
+from tropfan.util import mask_to_vector
 
 
 def support(vec):
@@ -131,6 +145,88 @@ def test_threads_output_identical():
     seq = cyclic_bergman_fan(M)
     par = cyclic_bergman_fan(M, threads=2)
     assert seq == par
+    assert fan_counts(M, threads=2) == fan_counts(M) == (20, 80)
+
+
+def test_precomputed_rays_equal_enumerated_masks():
+    cases = [(name, Matroid.from_matrix(A)) for name, A in small_corpus()]
+    cases += [(f"random{i}", M) for i, M in enumerate(random_fan_matrices(15, seed=40))]
+    cases += [
+        ("cube4", Matroid.from_matrix(cube_matrix(4))),
+        ("line/cubic", Matroid.from_matrix(TANGENT_LINE_CUBIC_4X13)),
+        ("conic/cubic", Matroid.from_matrix(TANGENT_CONIC_CUBIC_4X16)),
+        ("line/cubic gale", Matroid.from_matrix(TANGENT_LINE_CUBIC_GALE_9X13)),
+    ]
+    cases += [(f"{name} dual", M.dual()) for name, M in cases]
+    for name, M in cases:
+        rays, index = fan_module._ray_index(M)
+        assert set(index) == enumerated_ray_masks(M), name
+        assert sorted(index.values()) == list(range(len(rays))), name
+        for mask, i in index.items():
+            assert rays[i] == mask_to_vector(mask, M.n), name
+        assert list(rays) == sorted(rays), name
+
+
+def test_rank_one_fans_have_one_empty_cone():
+    handles = [
+        Matroid.from_matrix([[1, 2, 3]]),
+        Matroid.from_matrix([[1, 1, 1, 1]]),
+        Matroid.from_matrix(UNIFORM_2_3).dual(),
+        Matroid.from_matrix([[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]]).dual(),
+    ]
+    for M in handles:
+        fan = cyclic_bergman_fan(M)
+        assert fan.rays == ()
+        assert len(fan.maximal_cones) == 1
+        assert tuple(fan.maximal_cones) == ((),)
+        assert fan.maximal_cones[0] == fan.maximal_cones[-1] == ()
+        assert fan_counts(M) == (0, 1)
+
+
+def test_cone_array_is_a_sequence_of_sorted_tuples():
+    M = Matroid.from_matrix(cube_matrix(3))
+    fan = cyclic_bergman_fan(M)
+    cones = list(fan.maximal_cones)
+    assert cones == [fan.maximal_cones[i] for i in range(80)]
+    assert all(type(c) is tuple and list(c) == sorted(c) for c in cones)
+    assert fan.maximal_cones[-1] == cones[-1]
+    assert fan.maximal_cones.index(cones[7]) == 7 and cones[7] in fan.maximal_cones
+    with pytest.raises(IndexError):
+        fan.maximal_cones[80]
+    assert fan == cyclic_bergman_fan(M)
+    assert ConeArray(array("B", [0, 1]), 1, 2) != ConeArray(array("B", [1, 0]), 1, 2)
+    assert ConeArray(array("B"), 0, 1) != ConeArray(array("B"), 0, 2)
+
+
+def test_cone_ray_outside_the_precomputed_set_is_an_internal_invariant(monkeypatch):
+    real = fan_module._ray_index
+
+    def drop_one_ray(M):
+        rays, index = real(M)
+        index = dict(index)
+        index.pop(next(iter(index)))
+        return rays, index
+
+    monkeypatch.setattr(fan_module, "_ray_index", drop_one_ray)
+    M = Matroid.from_matrix(cube_matrix(3))
+    with pytest.raises(InternalInvariant):
+        cyclic_bergman_fan(M)
+    with pytest.raises(InternalInvariant):
+        fan_counts(M)
+
+
+def test_cube4_dual_fan_memory_per_cone():
+    # the parent, which kept every cone as Python tuples twice, peaked at
+    # about 255 bytes per cone here; one packed array needs about 10
+    M = Matroid.from_matrix(cube_matrix(4)).dual()
+    tracemalloc.start()
+    try:
+        fan = cyclic_bergman_fan(M)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(fan.maximal_cones) == 59608
+    assert peak <= 40 * 59608
 
 
 def test_ray_characterization_on_corpus():

@@ -29,6 +29,7 @@ from tropfan.errors import (
 from tropfan.exact import IntMat, integer_kernel_basis
 from tropfan.fan import enumerate_pairs
 from tropfan.matroid import Matroid
+from tropfan.util import elements_of
 
 
 def test_from_matrix_graphic_clean():
@@ -151,6 +152,18 @@ def test_fundamental_circuit_errors():
         M.fundamental_circuit(3, (1, 1))
 
 
+def test_fundamental_circuit_masks_rejects_dependent_sets():
+    # the right size but dependent: the elimination on the pivot columns
+    # rejects them, in the primal and in the dual reduction
+    M = Matroid.from_matrix(GRAPHIC_3X6)
+    for handle, S in ((M, (1, 2, 5)), (M.dual(), (4, 5, 6))):
+        assert len(S) == handle.rank and not handle.is_basis(S)
+        with pytest.raises(NotABasis):
+            handle.fundamental_circuit_masks(S)
+        with pytest.raises(NotABasis):
+            handle.fundamental_circuit_masks(S[:-1])
+
+
 def test_fundamental_circuit_against_exchange_oracle():
     for name, A in small_corpus():
         M = Matroid.from_matrix(A)
@@ -261,6 +274,23 @@ def test_cyclic_flats():
         cyclic = brute_cyclic_flats(cols)
         for F in brute_flats(cols):
             assert M.is_cyclic_flat(F) == (F in cyclic), (name, F)
+
+
+def test_cyclic_flats_match_brute_force():
+    cases = [A for _, A in small_corpus()]
+    cases += [M.A for M in random_fan_matrices(10, seed=13)]
+    # a loop (column 3), a coloop (column 2) and a parallel class; and rank 1
+    cases += [IntMat.from_rows([[1, 0, 0, 1, 2], [0, 1, 0, 0, 0]])]
+    cases += [IntMat.from_rows([[1, 2, 3]])]
+    for A in cases:
+        M = Matroid.from_matrix(A, strict=False)
+        for handle, cols in (
+            (M, columns_of(A)),
+            (M.dual(), columns_of(integer_kernel_basis(A))),
+        ):
+            got = {elements_of(Z): r for Z, r in handle.cyclic_flats().items()}
+            want = {F: brute_rank(cols, F) for F in brute_cyclic_flats(cols)}
+            assert got == want, (A.entries, handle.dual_mode)
 
 
 def test_tutte_uniform23():

@@ -67,5 +67,6 @@ def test_tracer_spans_cover_fan_setup_and_shooting(tmp_path):
     metrics = run["metrics"]
     # cube3 through cli.cyclic_bergman_fan, line/cubic through setup's binding
     assert metrics["fan.cones"] == 80 + 2466
+    assert metrics["fan.rays"] == 20 + 29
     assert metrics["discriminant.kappa_evals"] > 0
     assert metrics["discriminant.setup_fan_s"] > 0
