@@ -140,6 +140,8 @@ def build_config(argv) -> RunConfig:
             parser.error("--counts-only requires fan mode, not --random")
         if config.random_count < 0:
             parser.error("--random takes a nonnegative count")
+    if config.compare and config.counts_only:
+        parser.error("--compare needs the cones, which --counts-only does not store")
     if config.threads < 0:
         parser.error("--threads takes a nonnegative count")
     return config

@@ -46,9 +46,6 @@ class IntMat:
         """Mutable copy for elimination routines."""
         return [list(row) for row in self.entries]
 
-    def transpose(self) -> "IntMat":
-        return IntMat(self.cols, self.rows, self.columns)
-
     def __getitem__(self, pos):
         i, j = pos
         return self.entries[i][j]

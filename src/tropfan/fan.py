@@ -458,32 +458,32 @@ def point_in_cone(fan: Fan, cone_index: int, v) -> bool:
 def compare_with_bergman(fan: Fan, M: Matroid):
     """Group maximal cones into classes lying in one maximal Bergman cone each.
 
-    The Bergman fan is the normal fan of the matroid polytope, so two cones
-    coincide there iff their interior witnesses maximize weight on the same
-    set of bases.  Classes are ordered by their smallest cone index.
+    The Bergman fan is the normal fan of the matroid polytope (Feichtner and
+    Sturmfels 2005), so two cones coincide there iff their interior witnesses
+    w = sum of the cone's ray indicators 1_F maximize weight on the same set
+    of bases.  The polytope is cut out by x(F) <= r(F) (Edmonds 1970), so
+    weight(B) = sum_F |B & F| <= sum_F r(F), with equality iff B is tight on
+    every ray: |B & F| = r(F), the largest |B & F| over all bases.  Each ray
+    gets the bitset of its tight bases, and a cone's key is the AND of its
+    rays' bitsets, which is its set of max-weight bases whenever it is
+    nonempty; an empty AND raises InternalInvariant.  Classes are ordered by
+    their smallest cone index.
     """
-    import numpy as np
-
-    bases = M.bases
-    n = fan.n
-    if fan.rays:
-        rays = np.array(fan.rays, dtype=np.int64)
-    else:
-        rays = np.zeros((0, n), dtype=np.int64)
-    basis_idx = np.array([[b - 1 for b in B] for B in bases], dtype=np.intp)
+    bases = [mask_of(B) for B in M.bases]
+    tight = []
+    for i in range(len(fan.rays)):
+        F = mask_of(fan.ray_support(i))
+        sizes = [(b & F).bit_count() for b in bases]
+        top = max(sizes)
+        bits = "".join("1" if s == top else "0" for s in reversed(sizes))
+        tight.append(int(bits, 2))
+    full = (1 << len(bases)) - 1
     groups: dict = {}
-    order = []
     for ci, cone in enumerate(fan.maximal_cones):
-        if cone:
-            w = rays[list(cone)].sum(axis=0)
-        else:
-            w = np.zeros(n, dtype=np.int64)
-        weights = w[basis_idx].sum(axis=1)
-        key = (weights == weights.max()).tobytes()
-        bucket = groups.get(key)
-        if bucket is None:
-            groups[key] = [ci]
-            order.append(key)
-        else:
-            bucket.append(ci)
-    return tuple(tuple(groups[k]) for k in order)
+        key = full
+        for i in cone:
+            key &= tight[i]
+        if not key:
+            raise InternalInvariant(f"the rays of cone {ci} share no tight basis")
+        groups.setdefault(key, []).append(ci)
+    return tuple(map(tuple, groups.values()))

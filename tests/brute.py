@@ -5,8 +5,9 @@ code paths it checks: plain Gaussian elimination over Fraction instead of
 the fraction-free core, subset enumeration instead of incidence tricks,
 deletion-contraction instead of activities, total-order enumeration instead
 of the pair recursion, caterpillar trees instead of the fused ray masks, a
-phase-one simplex for cone membership, and per-cone dot products over every
-direction instead of packed lanes for ray shooting.
+phase-one simplex for cone membership, per-cone dot products over every
+direction instead of packed lanes for ray shooting, and every basis's weight
+at a cone's witness instead of tight-basis bitsets for Bergman classes.
 """
 
 from dataclasses import dataclass
@@ -175,6 +176,39 @@ def enumerated_ray_masks(M: Matroid) -> set:
         for pvals, chain in _regressive_pairs(ks, fmask):
             out.update(_cone_masks(M.n, mask_of(B), ks, pvals, chain, fmask))
     return out
+
+
+def bergman_classes_by_weight(fan, M: Matroid):
+    """Bergman classes by weight: cones grouped by their witness's max-weight bases.
+
+    The witness w of a cone is the sum of its ray vectors, and basis B weighs
+    sum(w[i - 1] for i in B) exactly; classes come in order of their first
+    cone.  All the weights of one witness are summed at once in byte lanes of
+    one big int: lane j of lanes[i] is 1 iff element i + 1 lies in basis j.
+    Each w[i] counts at most rank - 1 rays, so a weight is at most
+    rank * (rank - 1).
+    """
+    bases = M.bases
+    if M.rank * (M.rank - 1) > 255:
+        raise ValueError("basis weights would overflow a byte lane")
+    lanes = [
+        int.from_bytes(bytes(i in B for B in bases), "little")
+        for i in range(1, M.n + 1)
+    ]
+    groups = {}
+    for ci, cone in enumerate(fan.maximal_cones):
+        w = [0] * fan.n
+        for r in cone:
+            w = [a + b for a, b in zip(w, fan.rays[r])]
+        packed = sum(x * lane for x, lane in zip(w, lanes))
+        weights = packed.to_bytes(len(bases), "little")
+        top = max(weights)
+        key, j = [], weights.find(top)
+        while j >= 0:
+            key.append(j)
+            j = weights.find(top, j + 1)
+        groups.setdefault(tuple(key), []).append(ci)
+    return tuple(map(tuple, groups.values()))
 
 
 def _contract(e, rest):

@@ -159,6 +159,20 @@ def test_criterion_4_quadrics_counts(matrix_dir):
         assert elapsed < 600.0, f"took {elapsed:.2f}s"
 
 
+def test_bergman_class_counts(matrix_dir):
+    code, out, _ = cli_once(_FILES["line_cubic_gale"], "--compare")
+    assert code == 0
+    assert len(section(out, "BERGMAN")) == 2223
+    code, out, _ = cli_once(_FILES["conic_cubic"], "--dual", "--compare")
+    assert code == 0
+    assert len(section(out, "BERGMAN")) == 16827
+
+
+def test_quadrics_dual_bergman_class_count():
+    M = Matroid.from_matrix(TANGENT_QUADRICS_5X20).dual()
+    assert len(compare_with_bergman(cyclic_bergman_fan(M), M)) == 382446
+
+
 @pytest.fixture(scope="module")
 def conic_cubic_problem():
     t0 = time.perf_counter()

@@ -187,6 +187,9 @@ def test_flag_combination_rejected(tmp_path):
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         run_cli([str(path), "--random", "3", "--counts-only"])
+    with pytest.raises(SystemExit) as exc:
+        run_cli([str(path), "--compare", "--counts-only"])
+    assert exc.value.code == 2
 
 
 def test_discriminant_mode(tmp_path):

@@ -13,7 +13,8 @@ import pytest
 
 import tropfan
 from brute import scalar_ray_hits
-from tropfan.data import TANGENT_LINE_CUBIC_4X13
+from conftest import write_matrix_file
+from tropfan.data import TANGENT_LINE_CUBIC_4X13, cube_matrix
 from tropfan.discriminant import (
     _inner_products,
     _pack_cones,
@@ -260,8 +261,11 @@ def test_vertex_is_scale_invariant_past_the_lane_bound(line_cubic_problem):
     assert shoot_vertex(prob, e1).perturbed
 
 
-def test_shooting_never_imports_numpy():
+def test_shooting_never_imports_numpy(tmp_path):
+    # neither ray shooting nor the Bergman comparison (--compare) may load numpy
     src = str(Path(tropfan.__file__).resolve().parents[1])
+    matrix, fan_out = tmp_path / "cube3.txt", tmp_path / "fan.txt"
+    write_matrix_file(matrix, cube_matrix(3))
     code = (
         "import sys\n"
         "import tropfan\n"
@@ -269,6 +273,9 @@ def test_shooting_never_imports_numpy():
         "from tropfan.data import TANGENT_LINE_CUBIC_4X13\n"
         "prob = tropfan.setup(TANGENT_LINE_CUBIC_4X13)\n"
         "tropfan.random_vertices(prob, 3, seed=1)\n"
+        f"args = [{str(matrix)!r}, '--dual', '--compare',\n"
+        f"        '--output', {str(fan_out)!r}]\n"
+        "assert cli.main(args) == 0\n"
         "print('numpy' in sys.modules)\n"
     )
     proc = subprocess.run(
@@ -279,3 +286,4 @@ def test_shooting_never_imports_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+    assert "\nBERGMAN\n" in fan_out.read_text()

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from brute import (
+    bergman_classes_by_weight,
     build_tree,
     cone_from_tree,
     enumerated_ray_masks,
@@ -34,6 +35,7 @@ from tropfan.errors import (
 from tropfan.exact import integer_kernel_basis, rank_of_rows
 from tropfan.fan import (
     ConeArray,
+    Fan,
     compare_with_bergman,
     cyclic_bergman_fan,
     enumerate_pairs,
@@ -411,3 +413,30 @@ def test_compare_classes_partition_all_cones():
         classes = compare_with_bergman(fan, M)
         flat = sorted(i for cls in classes for i in cls)
         assert flat == list(range(len(fan.maximal_cones))), name
+
+
+def test_compare_with_bergman_matches_weight_oracle():
+    cases = [(name, Matroid.from_matrix(A)) for name, A in small_corpus()]
+    cases += [(f"random{i}", M) for i, M in enumerate(random_fan_matrices(15, seed=40))]
+    cases += [
+        ("cube4", Matroid.from_matrix(cube_matrix(4))),
+        ("line/cubic", Matroid.from_matrix(TANGENT_LINE_CUBIC_4X13)),
+        ("conic/cubic", Matroid.from_matrix(TANGENT_CONIC_CUBIC_4X16)),
+    ]
+    cases += [(f"{name} dual", M.dual()) for name, M in cases]
+    cases += [
+        ("U(1,3)", Matroid.from_matrix([[1, 2, 3]])),
+        ("U(2,3) dual", Matroid.from_matrix(UNIFORM_2_3).dual()),
+    ]
+    for name, M in cases:
+        fan = cyclic_bergman_fan(M)
+        assert compare_with_bergman(fan, M) == bergman_classes_by_weight(fan, M), name
+
+
+def test_cone_rays_without_a_common_tight_basis_are_an_internal_invariant():
+    # every basis of U(2,3) misses one of the three singleton rays
+    M = Matroid.from_matrix(UNIFORM_2_3)
+    rays = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+    fan = Fan(3, rays, ConeArray(array("B", [0, 1, 2]), 3, 1))
+    with pytest.raises(InternalInvariant):
+        compare_with_bergman(fan, M)
