@@ -11,7 +11,6 @@ from .discriminant import (
     DiscriminantProblem,
     NewtonVertex,
     random_vertices,
-    ray_hits_cone,
     setup,
     shoot_vertex,
 )
@@ -26,9 +25,7 @@ from .fan import (
     induce_pair,
     interior_witness,
     is_in_local_trop,
-    is_in_trop,
     local_trop_point,
-    point_in_cone,
 )
 from .matroid import Matroid, TuttePoly
 
@@ -44,19 +41,16 @@ __all__ = [
     "enumerate_pairs",
     "cyclic_bergman_fan",
     "fan_counts",
-    "is_in_trop",
     "is_in_local_trop",
     "local_trop_point",
     "induce_pair",
     "interior_witness",
-    "point_in_cone",
     "compare_with_bergman",
     "DiscriminantProblem",
     "NewtonVertex",
     "setup",
     "shoot_vertex",
     "random_vertices",
-    "ray_hits_cone",
 ]
 
 __version__ = "0.1.0"

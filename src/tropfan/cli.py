@@ -19,28 +19,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 from .discriminant import random_vertices, setup
 from .errors import ParseError, TropfanError
 from .exact import IntMat
 from .fan import compare_with_bergman, cyclic_bergman_fan, fan_counts
 from .matroid import Matroid
-
-
-@dataclass
-class RunConfig:
-    input_path: str
-    dual: bool = False
-    compare: bool = False
-    random_count: int | None = None
-    seed: int = 0
-    report_bases: bool = False
-    report_circuits: bool = False
-    report_tutte: bool = False
-    counts_only: bool = False
-    output: str | None = None
-    threads: int = 0
 
 
 def parse_matrix(text: str) -> IntMat:
@@ -79,7 +63,7 @@ def parse_matrix(text: str) -> IntMat:
     return IntMat.from_rows(rows)
 
 
-def build_config(argv) -> RunConfig:
+def build_config(argv) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="tropfan",
         description="Cyclic Bergman fans of integer matrices and "
@@ -117,54 +101,42 @@ def build_config(argv) -> RunConfig:
         "--threads",
         type=int,
         default=os.environ.get("TROPFAN_THREADS", "0"),
-        help="worker processes for per-basis work (0 = sequential canonical mode)",
+        help="worker processes for per-basis work, capped at the CPU count "
+        "(0 = sequential canonical mode)",
     )
     args = parser.parse_args(argv)
-    config = RunConfig(
-        input_path=args.matrix,
-        dual=args.dual,
-        compare=args.compare,
-        random_count=args.random,
-        seed=args.seed,
-        report_bases=args.bases,
-        report_circuits=args.circuits,
-        report_tutte=args.tutte,
-        counts_only=args.counts_only,
-        output=args.output,
-        threads=args.threads,
-    )
-    if config.random_count is not None:
-        if config.compare:
+    if args.random is not None:
+        if args.compare:
             parser.error("--compare requires fan mode, not --random")
-        if config.counts_only:
+        if args.counts_only:
             parser.error("--counts-only requires fan mode, not --random")
-        if config.random_count < 0:
+        if args.random < 0:
             parser.error("--random takes a nonnegative count")
-    if config.compare and config.counts_only:
+    if args.compare and args.counts_only:
         parser.error("--compare needs the cones, which --counts-only does not store")
-    if config.threads < 0:
+    if args.threads < 0:
         parser.error("--threads takes a nonnegative count")
-    return config
+    return args
 
 
-def _write_fan(out, config: RunConfig, M: Matroid):
-    if config.counts_only:
-        nrays, ncones = fan_counts(M, threads=config.threads)
+def _write_fan(out, args: argparse.Namespace, M: Matroid):
+    if args.counts_only:
+        nrays, ncones = fan_counts(M, threads=args.threads)
     else:
-        fan = cyclic_bergman_fan(M, threads=config.threads)
+        fan = cyclic_bergman_fan(M, threads=args.threads)
         nrays, ncones = len(fan.rays), len(fan.maximal_cones)
     out.write(f"n {M.n}\nm {M.rank}\nrays {nrays}\nmaxcones {ncones}\n")
-    if config.counts_only:
+    if args.counts_only:
         return
-    if config.report_bases:
+    if args.bases:
         out.write("BASES\n")
         for B in M.bases:
             out.write(" ".join(map(str, B)) + "\n")
-    if config.report_circuits:
+    if args.circuits:
         out.write("CIRCUITS\n")
         for C in M.circuits():
             out.write(" ".join(map(str, C)) + "\n")
-    if config.report_tutte:
+    if args.tutte:
         out.write("TUTTE\n")
         for (i, j), c in M.tutte_polynomial().monomials():
             out.write(f"x^{i} y^{j} : {c}\n")
@@ -174,16 +146,16 @@ def _write_fan(out, config: RunConfig, M: Matroid):
     out.write("MAXCONES\n")
     for cone in fan.maximal_cones:
         out.write(" ".join(map(str, cone)) + "\n")
-    if config.compare:
+    if args.compare:
         classes = compare_with_bergman(fan, M)
         out.write("BERGMAN\n")
         for cls in classes:
             out.write(" ".join(map(str, cls)) + "\n")
 
 
-def _write_discriminant(out, config: RunConfig, A: IntMat):
-    prob = setup(A, threads=config.threads)
-    vertices = random_vertices(prob, config.random_count, config.seed)
+def _write_discriminant(out, args: argparse.Namespace, A: IntMat):
+    prob = setup(A, threads=args.threads)
+    vertices = random_vertices(prob, args.random, args.seed)
     if vertices:
         a_degree = vertices[0].a_degree
         out.write("A-DEGREE " + " ".join(map(str, a_degree)) + "\n")
@@ -193,19 +165,19 @@ def _write_discriminant(out, config: RunConfig, A: IntMat):
         out.write(" ".join(map(str, v.u)) + "\n")
 
 
-def _write(out, config: RunConfig, A: IntMat):
-    if config.random_count is not None:
-        _write_discriminant(out, config, A)
+def _write(out, args: argparse.Namespace, A: IntMat):
+    if args.random is not None:
+        _write_discriminant(out, args, A)
     else:
         M = Matroid.from_matrix(A, strict=False)
-        if config.dual:
+        if args.dual:
             M = M.dual()
-        _write_fan(out, config, M)
+        _write_fan(out, args, M)
 
 
-def run(config: RunConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     try:
-        with open(config.input_path, "r", encoding="utf-8") as fh:
+        with open(args.matrix, "r", encoding="utf-8") as fh:
             A = parse_matrix(fh.read())
     except (OSError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -214,13 +186,13 @@ def run(config: RunConfig) -> int:
     # over it only on success, so a failed run never leaves a partial file.
     tmp = None
     try:
-        if config.output is None:
-            _write(sys.stdout, config, A)
+        if args.output is None:
+            _write(sys.stdout, args, A)
         else:
-            tmp = f"{config.output}.{os.getpid()}.tmp"
+            tmp = f"{args.output}.{os.getpid()}.tmp"
             with open(tmp, "w", encoding="utf-8") as out:
-                _write(out, config, A)
-            os.replace(tmp, config.output)
+                _write(out, args, A)
+            os.replace(tmp, args.output)
             tmp = None
     except TropfanError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -235,8 +207,7 @@ def run(config: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    config = build_config(argv if argv is not None else sys.argv[1:])
-    return run(config)
+    return run(build_config(argv if argv is not None else sys.argv[1:]))
 
 
 if __name__ == "__main__":

@@ -309,24 +309,6 @@ def _cone_hits(cone, directions, s0, a0, s1, a1):
     return hits
 
 
-def ray_hits_cone(prob: DiscriminantProblem, cone_pos: int, w, i: int, *, seed: int = 0) -> bool:
-    """Does the open ray w + t*e_i (t > 0) meet cone + rowspace(A)?
-
-    Exact ties are resolved by seeded symbolic perturbation, never by choice.
-    """
-    cone = prob.codim1_cones[cone_pos]
-    p0 = _dot_products((cone,), tuple(w))
-    p1 = [0] * len(p0)
-    rng = random.Random(seed)
-    for _ in range(64):
-        try:
-            return bool(_cone_hits(cone, (i - 1,), p0[0], p0[1:], p1[0], p1[1:]))
-        except _Unresolved:
-            r = tuple(rng.randint(-(10**6), 10**6) for _ in range(prob.n))
-            p1 = _dot_products((cone,), r)
-    raise InternalInvariant("tie unresolved after 64 perturbations")
-
-
 def _shoot(prob, w, r):
     u = [0] * prob.n
     width = prob.n - prob.m  # the normal and n - m - 1 rows of Q per cone

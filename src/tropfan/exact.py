@@ -46,10 +46,6 @@ class IntMat:
         """Mutable copy for elimination routines."""
         return [list(row) for row in self.entries]
 
-    def __getitem__(self, pos):
-        i, j = pos
-        return self.entries[i][j]
-
 
 def gauss_jordan(m: list[list[int]], pivot_cols=None) -> tuple[list[int], int]:
     """Destructive fraction-free Gauss-Jordan reduction of integer rows.

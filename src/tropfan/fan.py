@@ -15,11 +15,11 @@ stored at once as sorted ray indices in one packed array.
 
 from __future__ import annotations
 
+import os
 from array import array
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import repeat
 
 from .errors import (
@@ -31,7 +31,7 @@ from .errors import (
     OrderIncompatible,
     WrongSize,
 )
-from .exact import IntMat, solve_columns
+from .exact import IntMat
 from .matroid import Matroid
 from .util import elements_of, mask_of, mask_to_vector
 
@@ -71,6 +71,8 @@ class ConeArray(Sequence):
         return self._count
 
     def __getitem__(self, i) -> tuple:
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(self._count)[i])
         i = range(self._count)[i]
         w = self._width
         return tuple(self._data[i * w : i * w + w])
@@ -304,18 +306,19 @@ def _chunks(seq, k):
 def _collect_cones(M: Matroid, threads: int, index, out: array, keep: bool) -> int:
     """Append every cone of the fan to out in canonical order; return the count.
 
-    threads > 0 hands chunks of bases to worker processes, each returning one
-    packed block; blocks are appended in basis order, so the result is
-    identical to the sequential one.
+    threads > 0 hands chunks of bases to worker processes, at most one per
+    CPU, each returning one packed block; blocks are appended in basis order,
+    so the result is identical to the sequential one.
     """
     if threads <= 0:
         return _append_cones(M, M.enumerate_bases(), index, out, keep)
+    workers = min(threads, os.cpu_count() or 1)
     payloads = [
         (M.A.entries, M.dual_mode, chunk, index, out.typecode, keep)
-        for chunk in _chunks(M.bases, threads * 4)
+        for chunk in _chunks(M.bases, workers * 4)
     ]
     count = 0
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         for block, k in pool.map(_fan_worker, payloads):
             out += block
             count += k
@@ -345,18 +348,6 @@ def fan_counts(M: Matroid, *, threads: int = 0) -> tuple:
 
 
 # -- membership and induced pairs ---------------------------------------------
-
-
-def is_in_trop(M: Matroid, v) -> bool:
-    """True iff every circuit attains its coordinate minimum at least twice."""
-    if len(v) != M.n:
-        raise WrongSize(f"vector length {len(v)} != {M.n}")
-    for circuit in M.circuits():
-        values = [v[i - 1] for i in circuit]
-        lo = min(values)
-        if values.count(lo) < 2:
-            return False
-    return True
 
 
 def _basis_weight(B, v):
@@ -437,24 +428,6 @@ def interior_witness(fan: Fan, cone_index: int) -> tuple:
     return tuple(w)
 
 
-def point_in_cone(fan: Fan, cone_index: int, v) -> bool:
-    """Exact test v in cone + lineality, via the unique simplicial coordinates."""
-    if len(v) != fan.n:
-        raise WrongSize(f"vector length {len(v)} != {fan.n}")
-    cols = [fan.rays[i] for i in fan.maximal_cones[cone_index]]
-    cols.append((1,) * fan.n)
-    sol = solve_columns(cols, v)
-    if sol is None:
-        return False
-    residual = [
-        Fraction(v[r]) - sum(Fraction(cols[j][r]) * sol[j] for j in range(len(cols)))
-        for r in range(fan.n)
-    ]
-    if any(residual):
-        return False
-    return all(x >= 0 for x in sol[:-1])
-
-
 def compare_with_bergman(fan: Fan, M: Matroid):
     """Group maximal cones into classes lying in one maximal Bergman cone each.
 
@@ -467,7 +440,9 @@ def compare_with_bergman(fan: Fan, M: Matroid):
     gets the bitset of its tight bases, and a cone's key is the AND of its
     rays' bitsets, which is its set of max-weight bases whenever it is
     nonempty; an empty AND raises InternalInvariant.  Classes are ordered by
-    their smallest cone index.
+    their smallest cone index.  Only the hash of a key is stored; a class
+    with the same hash takes the cone only after its first cone's key,
+    recomputed, equals the cone's key.
     """
     bases = [mask_of(B) for B in M.bases]
     tight = []
@@ -478,12 +453,25 @@ def compare_with_bergman(fan: Fan, M: Matroid):
         bits = "".join("1" if s == top else "0" for s in reversed(sizes))
         tight.append(int(bits, 2))
     full = (1 << len(bases)) - 1
-    groups: dict = {}
-    for ci, cone in enumerate(fan.maximal_cones):
+
+    def key_of(cone):
         key = full
         for i in cone:
             key &= tight[i]
+        return key
+
+    classes = []
+    by_hash: dict = {}  # hash of a key -> the classes whose key has that hash
+    for ci, cone in enumerate(fan.maximal_cones):
+        key = key_of(cone)
         if not key:
             raise InternalInvariant(f"the rays of cone {ci} share no tight basis")
-        groups.setdefault(key, []).append(ci)
-    return tuple(map(tuple, groups.values()))
+        bucket = by_hash.setdefault(hash(key), [])
+        for cls in bucket:
+            if key_of(fan.maximal_cones[cls[0]]) == key:
+                cls.append(ci)
+                break
+        else:
+            bucket.append([ci])
+            classes.append(bucket[-1])
+    return tuple(map(tuple, classes))

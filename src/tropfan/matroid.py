@@ -50,10 +50,6 @@ class TuttePoly:
         """Sorted ((i, j), coeff) pairs."""
         return sorted(self.coeffs.items())
 
-    @property
-    def num_bases(self):
-        return self(1, 1)
-
 
 class Matroid:
     """Linear matroid M(A), or its dual when dual_mode is set.
@@ -117,13 +113,6 @@ class Matroid:
         """Rank of the represented matroid (n - m in dual mode)."""
         return self.n - self.m if self.dual_mode else self.m
 
-    def _matrix_rank_of(self, cols1) -> int:
-        cols = self.A.columns
-        rows = [[cols[c - 1][r] for c in cols1] for r in range(self.m)]
-        if not cols1:
-            return 0
-        return rank_of_rows(rows)
-
     def _subset(self, S) -> tuple:
         """S as a sorted tuple of distinct elements, each checked to lie in 1..n."""
         S = tuple(sorted(set(S)))
@@ -131,19 +120,14 @@ class Matroid:
             raise WrongSize(f"{list(S)} is not a subset of 1..{self.n}")
         return S
 
-    def rank_of(self, S) -> int:
-        """Rank of a subset of the ground set."""
-        S = self._subset(S)
-        if self.dual_mode:
-            comp = [i for i in range(1, self.n + 1) if i not in set(S)]
-            return len(S) + self._matrix_rank_of(comp) - self.m
-        return self._matrix_rank_of(S)
-
     def _basis_test(self, S) -> bool:
+        """Whether the columns of S (of its complement in dual mode) span Q^m."""
         if self.dual_mode:
-            comp = [i for i in range(1, self.n + 1) if i not in set(S)]
-            return self._matrix_rank_of(comp) == self.m
-        return self._matrix_rank_of(S) == self.m
+            inside = set(S)
+            S = [i for i in range(1, self.n + 1) if i not in inside]
+        cols = self.A.columns
+        rows = [[cols[c - 1][r] for c in S] for r in range(self.m)]
+        return rank_of_rows(rows) == self.m
 
     def is_basis(self, S) -> bool:
         S = self._subset(S)
@@ -169,10 +153,6 @@ class Matroid:
             for _ in self.enumerate_bases():
                 pass
         return self._bases
-
-    @property
-    def num_bases(self) -> int:
-        return len(self.bases)
 
     def _require_basis(self, B):
         B = self._subset(B)
@@ -256,23 +236,6 @@ class Matroid:
             self._circuits = tuple(sorted(elements_of(mask) for mask in minimal))
         return self._circuits
 
-    def closure(self, S) -> tuple:
-        S = tuple(sorted(set(S)))
-        r = self.rank_of(S)
-        out = [i for i in range(1, self.n + 1) if i in set(S) or self.rank_of(S + (i,)) == r]
-        return tuple(out)
-
-    def is_flat(self, F) -> bool:
-        return self.closure(F) == tuple(sorted(set(F)))
-
-    def is_cyclic_flat(self, F) -> bool:
-        """True iff F is a flat and its complement is a flat of the dual matroid."""
-        F = tuple(sorted(set(F)))
-        if not self.is_flat(F):
-            return False
-        comp = tuple(i for i in range(1, self.n + 1) if i not in set(F))
-        return self.dual().is_flat(comp)
-
     def cyclic_flats(self) -> dict:
         """Every cyclic flat (a flat that is a union of circuits), as bitmask -> rank.
 
@@ -332,28 +295,21 @@ class Matroid:
         return found
 
     def tutte_polynomial(self) -> TuttePoly:
-        """Tutte polynomial via internal/external activities over all bases."""
-        return self._tutte_with_positions({e: e for e in range(1, self.n + 1)})
+        """Tutte polynomial via internal/external activities over all bases.
 
-    def _tutte_with_positions(self, pos) -> TuttePoly:
-        """Activity computation with an arbitrary position map (order on [n]).
-
-        The Tutte polynomial does not depend on the order; exposing the map
-        lets tests assert exactly that.
+        Activities are taken in the natural order of the ground set: a
+        non-basis k is externally active iff it is the smallest element of
+        C(k, B), a basis element b internally active iff it is the smallest
+        element of its fundamental cocircuit {b} + {k : b in C(k, B)}.
         """
         coeffs = {}
         for B in self.enumerate_bases():
             fk = self.fundamental_circuit_masks(B)
-            outside = sorted(fk, key=lambda k: pos[k])
-            ext = 0
-            for k, mask in fk.items():
-                if all(pos[k] < pos[e] for e in elements_of(mask)):
-                    ext += 1
+            ext = sum(1 for k, mask in fk.items() if not mask & ((1 << k) - 1))
             internal = 0
             for b in B:
                 bbit = 1 << (b - 1)
-                hits = [k for k in outside if fk[k] & bbit]
-                if not hits or pos[b] < pos[hits[0]]:
+                if all(b < k for k, mask in fk.items() if mask & bbit):
                     internal += 1
             key = (internal, ext)
             coeffs[key] = coeffs.get(key, 0) + 1

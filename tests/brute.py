@@ -5,16 +5,18 @@ code paths it checks: plain Gaussian elimination over Fraction instead of
 the fraction-free core, subset enumeration instead of incidence tricks,
 deletion-contraction instead of activities, total-order enumeration instead
 of the pair recursion, caterpillar trees instead of the fused ray masks, a
-phase-one simplex for cone membership, per-cone dot products over every
-direction instead of packed lanes for ray shooting, and every basis's weight
-at a cone's witness instead of tight-basis bitsets for Bergman classes.
+scan over every circuit for tropical membership, a phase-one simplex for cone
+membership, per-cone dot products over every direction instead of packed
+lanes for ray shooting, and every basis's weight at a cone's witness instead
+of tight-basis bitsets for Bergman classes.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from tropfan.errors import InternalInvariant
+from tropfan.errors import InternalInvariant, WrongSize
+from tropfan.exact import integer_kernel_basis
 from tropfan.fan import CompatiblePair, _cone_masks, _regressive_pairs
 from tropfan.matroid import Matroid
 from tropfan.util import mask_of, mask_to_vector
@@ -65,6 +67,11 @@ def columns_of(A):
     """Column vectors of an IntMat (or row-list), 0-indexed list of tuples."""
     rows = A.entries if hasattr(A, "entries") else tuple(map(tuple, A))
     return list(zip(*rows))
+
+
+def handle_columns(M: Matroid):
+    """Columns representing the handle's matroid: of A, or of a Gale dual in dual mode."""
+    return columns_of(integer_kernel_basis(M.A) if M.dual_mode else M.A)
 
 
 def independent(cols, S):
@@ -150,17 +157,20 @@ def fan_rays_are_cyclic_flats(fan, M) -> bool:
     """Exact two-sided check: ray supports == proper nonempty flats that are cyclic or singletons."""
     if M.n > 14:
         raise ValueError("brute-force flat enumeration is limited to n <= 14")
-    supports = set()
-    for i in range(len(fan.rays)):
-        supports.add(frozenset(fan.ray_support(i)))
-    expected = set()
-    for mask in range(1, (1 << M.n) - 1):
-        S = tuple(i + 1 for i in range(M.n) if mask >> i & 1)
-        if not M.is_flat(S):
-            continue
-        if len(S) == 1 or M.is_cyclic_flat(S):
-            expected.add(frozenset(S))
-    return supports == expected
+    supports = {frozenset(fan.ray_support(i)) for i in range(len(fan.rays))}
+    return supports == expected_ray_supports(handle_columns(M))
+
+
+def is_in_trop(M: Matroid, v) -> bool:
+    """True iff every circuit attains its coordinate minimum at least twice."""
+    if len(v) != M.n:
+        raise WrongSize(f"vector length {len(v)} != {M.n}")
+    for circuit in M.circuits():
+        values = [v[i - 1] for i in circuit]
+        lo = min(values)
+        if values.count(lo) < 2:
+            return False
+    return True
 
 
 def enumerated_ray_masks(M: Matroid) -> set:

@@ -5,15 +5,21 @@ lines and timings.  CLI outputs are memoized so the determinism criterion can
 re-run each configuration once more and byte-compare.
 """
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from brute import (
     expected_ray_supports,
-    fan_rays_are_cyclic_flats,
+    is_in_trop,
     nonneg_combination_exists,
     pair_key,
 )
@@ -34,15 +40,17 @@ from tropfan.data import (
     cube_matrix,
 )
 from tropfan.discriminant import setup
+from tropfan.exact import rank_of_rows
 from tropfan.fan import (
     compare_with_bergman,
     cyclic_bergman_fan,
     induce_pair,
     interior_witness,
-    is_in_trop,
 )
 from tropfan.matroid import Matroid
 from tropfan.util import dot
+
+ROOT = Path(__file__).resolve().parents[1]
 
 _RUNS: dict = {}
 _FILES: dict = {}
@@ -139,7 +147,7 @@ def test_criterion_3_line_cubic_dual_paths(matrix_dir):
         3, "Gale dual: 430 bases; 29 rays, 2466 cones via both paths, < 10 s"
     ):
         t0 = time.perf_counter()
-        assert Matroid.from_matrix(TANGENT_LINE_CUBIC_GALE_9X13).num_bases == 430
+        assert len(Matroid.from_matrix(TANGENT_LINE_CUBIC_GALE_9X13).bases) == 430
         code_a, direct, e1 = cli_once(_FILES["line_cubic_gale"])
         code_b, dual, e2 = cli_once(_FILES["line_cubic"], "--dual")
         assert code_a == 0 and code_b == 0
@@ -168,9 +176,33 @@ def test_bergman_class_counts(matrix_dir):
     assert len(section(out, "BERGMAN")) == 16827
 
 
+QUADRICS_CLASSES = """
+import json
+from tropfan.data import TANGENT_QUADRICS_5X20
+from tropfan.fan import compare_with_bergman, cyclic_bergman_fan
+from tropfan.matroid import Matroid
+
+M = Matroid.from_matrix(TANGENT_QUADRICS_5X20).dual()
+count = len(compare_with_bergman(cyclic_bergman_fan(M), M))
+with open("/proc/self/status") as fh:
+    hwm_kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(json.dumps([count, hwm_kb]))
+"""
+
+
 def test_quadrics_dual_bergman_class_count():
-    M = Matroid.from_matrix(TANGENT_QUADRICS_5X20).dual()
-    assert len(compare_with_bergman(cyclic_bergman_fan(M), M)) == 382446
+    # in a fresh process, so that its peak RSS is the call's own; keeping
+    # every class key (about 870 bytes each) peaked at about 460 MB
+    proc = subprocess.run(
+        [sys.executable, "-c", QUADRICS_CLASSES],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert proc.returncode == 0, proc.stderr
+    count, hwm_kb = json.loads(proc.stdout)
+    assert count == 382446
+    assert hwm_kb < 200 * 1024, f"VmHWM {hwm_kb} kB"
 
 
 @pytest.fixture(scope="module")
@@ -269,7 +301,6 @@ def test_criterion_7_property_suite():
                 frozenset(fan.ray_support(i)) for i in range(len(fan.rays))
             }
             assert supports == expected_ray_supports(cols), name
-            assert fan_rays_are_cyclic_flats(fan, M), name
             # (b) interior witnesses satisfy the full circuit test
             witnesses = [
                 interior_witness(fan, ci) for ci in range(len(fan.maximal_cones))
@@ -296,12 +327,12 @@ def test_criterion_7_property_suite():
             # (f) Tutte specializations
             T = M.tutte_polynomial()
             n = M.n
-            assert T(1, 1) == M.num_bases, name
+            assert T(1, 1) == len(M.bases), name
             n_indep = 0
             n_span = 0
             for mask in range(1 << n):
                 S = tuple(i + 1 for i in range(n) if mask >> i & 1)
-                r = M.rank_of(S)
+                r = rank_of_rows([cols[i - 1] for i in S])
                 n_indep += r == len(S)
                 n_span += r == M.m
             assert T(2, 1) == n_indep, name
@@ -311,23 +342,55 @@ def test_criterion_7_property_suite():
         assert elapsed < 300.0, f"took {elapsed:.1f}s"
 
 
+#: sha256 of the stdout of each (input, flags) configuration, pinned so that
+#: a change to the CLI, fan, Tutte or shooting code that alters a byte fails
+PINNED_STDOUT = {
+    ("cube3", "--compare"): (
+        "5f63ff450979c4b3a750239ed520f4d7c8bd3643ae2f1200c729d902f3b5b204"
+    ),
+    ("cube4", "--compare"): (
+        "5684e58ebc27288f9afdd51ee2af6ae41cb18880d0b171ef85c8aa9a78836dc8"
+    ),
+    ("line_cubic_gale",): (
+        "845f053caca50d8e4e40bb449e09567c08ac989cb2cf0918eda6dd725a48313d"
+    ),
+    ("line_cubic", "--dual"): (
+        "845f053caca50d8e4e40bb449e09567c08ac989cb2cf0918eda6dd725a48313d"
+    ),
+    ("quadrics", "--dual", "--counts-only"): (
+        "64c46e78ff1d75a28e589b47433df9094089a9a827247b2e93d69d4466f7089c"
+    ),
+    ("conic_cubic", "--random", "100", "--seed", "1"): (
+        "412e0e5c70e8e928c881dd08572921dcd86193e16e7fa04e068fe54fa9623801"
+    ),
+    ("graphic", "--compare"): (
+        "2adb771decdcabb7de047074675c9d0ba0f023b1428bbefef925d736209360be"
+    ),
+    ("conic_cubic", "--dual", "--compare"): (
+        "b32c80e75d526cf02c1aaec007aa9eaae0cbc3de9f0fb4960d97b27e215508bc"
+    ),
+    ("cube4", "--bases", "--circuits", "--tutte"): (
+        "be40f358dbac07db9b931db411868178658deef66918209f632dc62e9223adbb"
+    ),
+    ("line_cubic", "--dual", "--bases", "--circuits", "--tutte"): (
+        "a3cc7359ae5789696e83a8b59b0e67bb2f54f3c4121d435c778461cf2b1afc36"
+    ),
+}
+
+
 def test_criterion_8_determinism(matrix_dir):
     with criterion(
-        8, "byte-identical reruns of criteria 1-6; --threads 4 equals --threads 0"
+        8,
+        "byte-identical reruns of criteria 1-6 and pinned output hashes; "
+        "--threads 4 equals --threads 0",
     ):
-        configs = [
-            (_FILES["cube3"], "--compare"),
-            (_FILES["cube4"], "--compare"),
-            (_FILES["line_cubic_gale"],),
-            (_FILES["line_cubic"], "--dual"),
-            (_FILES["quadrics"], "--dual", "--counts-only"),
-            (_FILES["conic_cubic"], "--random", "100", "--seed", "1"),
-            (_FILES["graphic"], "--compare"),
-        ]
-        for config in configs:
+        for (name, *flags), digest in PINNED_STDOUT.items():
+            config = (_FILES[name], *flags)
             first = cli_once(*config)
             code, out = run_cli(list(config))
             assert (code, out) == (first[0], first[1]), config
+            assert code == 0, config
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, config
         for config in [
             (_FILES["cube3"],),
             (_FILES["line_cubic"], "--dual"),

@@ -16,6 +16,8 @@ from brute import scalar_ray_hits
 from conftest import write_matrix_file
 from tropfan.data import TANGENT_LINE_CUBIC_4X13, cube_matrix
 from tropfan.discriminant import (
+    _cone_hits,
+    _dot_products,
     _inner_products,
     _pack_cones,
     _packed_cones,
@@ -24,7 +26,6 @@ from tropfan.discriminant import (
     _Unresolved,
     eq2_determinant,
     random_vertices,
-    ray_hits_cone,
     setup,
     shoot_vertex,
 )
@@ -172,11 +173,13 @@ def test_ray_hits_cone_basics(line_cubic_problem):
     rng = random.Random(31)
     w = tuple(rng.randint(-(10**6), 10**6) for _ in range(prob.n))
     hit_count = 0
-    for pos, cone in enumerate(prob.codim1_cones[:200]):
+    for cone in prob.codim1_cones[:200]:
         s = dot(cone.normal, w)
+        p0 = _dot_products((cone,), w)
+        hits = _cone_hits(cone, range(prob.n), p0[0], p0[1:], 0, [0] * len(cone.qrows))
         for i in range(1, prob.n + 1):
             g = cone.normal[i - 1]
-            hit = ray_hits_cone(prob, pos, w, i)
+            hit = i - 1 in hits
             if g == 0 or s * g > 0:
                 assert not hit  # parallel direction, or crossing at t < 0
             hit_count += hit

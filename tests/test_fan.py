@@ -1,5 +1,6 @@
-"""Fan assembly, tropical membership, induced pairs, Bergman comparison."""
+"""Fan assembly, local tropical membership, induced pairs, Bergman comparison."""
 
+import os
 import random
 import tracemalloc
 from array import array
@@ -12,7 +13,11 @@ from brute import (
     build_tree,
     cone_from_tree,
     enumerated_ray_masks,
+    expected_ray_supports,
     fan_rays_are_cyclic_flats,
+    handle_columns,
+    is_in_trop,
+    nonneg_combination_exists,
     pair_key,
 )
 from conftest import random_fan_matrices, small_corpus, source_pairs
@@ -43,9 +48,7 @@ from tropfan.fan import (
     induce_pair,
     interior_witness,
     is_in_local_trop,
-    is_in_trop,
     local_trop_point,
-    point_in_cone,
 )
 from tropfan.matroid import Matroid
 from tropfan.util import mask_to_vector
@@ -53,6 +56,12 @@ from tropfan.util import mask_to_vector
 
 def support(vec):
     return tuple(i + 1 for i, x in enumerate(vec) if x)
+
+
+def in_cone(fan, ci, v):
+    """Whether v lies in maximal cone ci plus the lineality space."""
+    rays = [fan.rays[i] for i in fan.maximal_cones[ci]]
+    return nonneg_combination_exists(rays, [(1,) * fan.n], v)
 
 
 def test_graphic_fan_rays_and_cones():
@@ -150,6 +159,33 @@ def test_threads_output_identical():
     assert fan_counts(M, threads=2) == fan_counts(M) == (20, 80)
 
 
+def test_threads_are_capped_at_the_cpu_count(monkeypatch):
+    # an in-process stand-in for the pool: no worker process is started
+    seen, chunks = [], []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            payloads = list(payloads)
+            chunks.append(len(payloads))
+            return map(fn, payloads)
+
+    monkeypatch.setattr(fan_module, "ProcessPoolExecutor", InlinePool)
+    M = Matroid.from_matrix(cube_matrix(3))
+    assert cyclic_bergman_fan(M, threads=10**6) == cyclic_bergman_fan(M)
+    assert fan_counts(M, threads=10**6) == (20, 80)
+    assert seen and all(1 <= k <= os.cpu_count() for k in seen)
+    assert all(k <= 4 * os.cpu_count() for k in chunks)
+
+
 def test_precomputed_rays_equal_enumerated_masks():
     cases = [(name, Matroid.from_matrix(A)) for name, A in small_corpus()]
     cases += [(f"random{i}", M) for i, M in enumerate(random_fan_matrices(15, seed=40))]
@@ -195,6 +231,9 @@ def test_cone_array_is_a_sequence_of_sorted_tuples():
     assert fan.maximal_cones.index(cones[7]) == 7 and cones[7] in fan.maximal_cones
     with pytest.raises(IndexError):
         fan.maximal_cones[80]
+    packed = tuple(cones)
+    for piece in (slice(1, 3), slice(None, None, -2), slice(5, 2)):
+        assert fan.maximal_cones[piece] == packed[piece], piece
     assert fan == cyclic_bergman_fan(M)
     assert ConeArray(array("B", [0, 1]), 1, 2) != ConeArray(array("B", [1, 0]), 1, 2)
     assert ConeArray(array("B"), 0, 1) != ConeArray(array("B"), 0, 2)
@@ -240,12 +279,7 @@ def test_ray_characterization_on_corpus():
 
 def test_cube3_has_20_admissible_flats():
     M = Matroid.from_matrix(cube_matrix(3))
-    count = 0
-    for mask in range(1, (1 << 8) - 1):
-        S = tuple(i + 1 for i in range(8) if mask >> i & 1)
-        if M.is_flat(S) and (len(S) == 1 or M.is_cyclic_flat(S)):
-            count += 1
-    assert count == 20
+    assert len(expected_ray_supports(handle_columns(M))) == 20
 
 
 def test_is_in_trop_examples():
@@ -309,12 +343,9 @@ def test_induce_pair_demo():
     assert pair.order == (1, 4)
     with pytest.raises(OrderIncompatible):
         induce_pair(M, (1, 2, 3, 4), v, (2, 1, 3, 4))
-    fan = cyclic_bergman_fan(M)
     for bad in ((0, 5), v + (0, 0)):
         with pytest.raises(WrongSize):
             induce_pair(M, (1, 2, 3, 4), bad, (1, 3, 4, 2))
-        with pytest.raises(WrongSize):
-            point_in_cone(fan, 0, bad)
 
 
 def test_induce_pair_forced_constant():
@@ -351,7 +382,7 @@ def test_interior_witness_membership_and_trop():
         for ci in range(len(fan.maximal_cones)):
             v = interior_witness(fan, ci)
             assert is_in_trop(M, v), (name, ci)
-            assert point_in_cone(fan, ci, v), (name, ci)
+            assert in_cone(fan, ci, v), (name, ci)
             for _ in range(50):
                 combo = [0] * M.n
                 for i in fan.maximal_cones[ci]:
@@ -382,7 +413,7 @@ def test_random_trop_points_covered_by_fan():
             idxs = tuple(sorted(fan.rays.index(r) for r in rays))
             assert idxs in cone_set, (name, v)
             ci = fan.maximal_cones.index(idxs)
-            assert point_in_cone(fan, ci, v), (name, v)
+            assert in_cone(fan, ci, v), (name, v)
 
 
 def test_compare_graphic():
@@ -431,6 +462,20 @@ def test_compare_with_bergman_matches_weight_oracle():
     for name, M in cases:
         fan = cyclic_bergman_fan(M)
         assert compare_with_bergman(fan, M) == bergman_classes_by_weight(fan, M), name
+
+
+def test_colliding_key_hashes_never_merge_classes(monkeypatch):
+    cases = [
+        Matroid.from_matrix(GRAPHIC_3X6),
+        Matroid.from_matrix(cube_matrix(3)),
+        Matroid.from_matrix(TANGENT_LINE_CUBIC_4X13),
+    ]
+    fans = [cyclic_bergman_fan(M) for M in cases]
+    want = [compare_with_bergman(fan, M) for fan, M in zip(fans, cases)]
+    # every key hashes alike, so each class is found by comparing keys
+    monkeypatch.setattr(fan_module, "hash", lambda key: 0, raising=False)
+    for fan, M, classes in zip(fans, cases, want):
+        assert compare_with_bergman(fan, M) == classes
 
 
 def test_cone_rays_without_a_common_tight_basis_are_an_internal_invariant():

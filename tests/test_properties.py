@@ -12,6 +12,7 @@ from brute import (
     fan_rays_are_cyclic_flats,
     frac_rank,
     frac_rref,
+    is_in_trop,
 )
 from tropfan.errors import TropfanError
 from tropfan.exact import (
@@ -23,7 +24,7 @@ from tropfan.exact import (
     rank,
     rank_of_rows,
 )
-from tropfan.fan import cyclic_bergman_fan, interior_witness, is_in_trop
+from tropfan.fan import cyclic_bergman_fan, interior_witness
 from tropfan.matroid import Matroid
 
 entry = st.integers(min_value=-3, max_value=3)
