@@ -144,8 +144,9 @@ def _write_fan(out, args: argparse.Namespace, M: Matroid):
     for ray in fan.rays:
         out.write(" ".join(map(str, ray)) + "\n")
     out.write("MAXCONES\n")
+    name = [str(i) for i in range(len(fan.rays))].__getitem__
     for cone in fan.maximal_cones:
-        out.write(" ".join(map(str, cone)) + "\n")
+        out.write(" ".join(map(name, cone)) + "\n")
     if args.compare:
         classes = compare_with_bergman(fan, M)
         out.write("BERGMAN\n")

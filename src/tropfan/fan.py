@@ -4,13 +4,14 @@ Maximal cones are in bijection with regressive compatible pairs (p, <·) over
 bases B: a preference function p mapping each non-basis element k to an
 element of F_k = C(k, B) - {k} with p(k) < k, together with a total order <·
 on the image of p.  Pairs are enumerated by a recursion that fixes p(k) for k
-ascending while growing the order, each pair yields a directed caterpillar
-tree on the blocks {b} + p^-1(b), and the tree's up-sets are the 0/1 rays of
-the cone; _cone_masks computes those up-sets as bitmasks without building the
-tree.  The union of these cones over all bases is the tropical linear
-space, each cone produced exactly once.  The rays (the proper flats that are
-cyclic or singletons) are computed before enumeration, so every cone is
-stored at once as sorted ray indices in one packed array.
+ascending while growing the order, carrying each pair as its chain of order
+slots: per image element b, the block {b} + p^-1(b) of the pair's directed
+caterpillar tree and the union of the F_k it covers.  The tree's up-sets are
+the 0/1 rays of the cone; _cone_masks reads them off the slots as bitmasks.
+The union of these cones over all bases is the tropical linear space, each
+cone produced exactly once.  The rays (the proper flats that are cyclic or
+singletons) are computed before enumeration, so every cone is stored at
+once as sorted ray indices in one packed array.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from array import array
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate, repeat
 
 from .errors import (
     HasColoops,
@@ -114,104 +115,89 @@ class Fan:
 # -- pair enumeration ---------------------------------------------------------
 
 
-def _regressive_pairs(ks, fmask):
-    """All regressive compatible pairs over one basis, as raw (pvals, chain) tuples.
+def _regressive_pairs(fmask):
+    """All regressive compatible pairs over one basis, each as its chain of slots.
 
-    ks is the ascending tuple of non-basis elements and fmask[k] the bitmask
-    of F_k.  The recursion processes k in order.  Reusing an imaged element is
-    only compatible with p(k) = the chain-minimal element of image & F_k.  A
-    new element b < k may be inserted at any chain slot that keeps it above
-    every p(l) of an earlier l with b in F_l (otherwise p(l) would not have
-    been minimal) and below every already-imaged element of F_k (otherwise
-    p(k) itself would not be minimal).  DFS order: reuse first, then new
-    elements ascending, insertion slots bottom-up.
+    fmask[k] is the bitmask of F_k for each non-basis element k.  A chain
+    lists one (block, cover) slot per image element b, from the bottom of
+    the order to the top: block is {b} + p^-1(b), whose lowest bit is b
+    because p is regressive, and cover is the union of F_k over k in
+    p^-1(b).  The recursion processes k ascending and touches one slot per
+    step.  Reusing an imaged element is only compatible with p(k) = the
+    chain-minimal element of image & F_k, whose slot takes k into its block
+    and F_k into its cover.  A new element b < k enters as the slot
+    ({b, k}, F_k) at any position above every cover holding b (an earlier l
+    with b in F_l sits there, and p(l) would not have been minimal) and at
+    or below the reused slot (otherwise p(k) itself would not be minimal);
+    so candidates in a cover at or above that slot drop at once.  The
+    recursion runs one level per k over all partial chains, extending each
+    in DFS order (reuse first, then new elements ascending, slots
+    bottom-up), so the chains come out in the DFS order of their choices.
     """
-    K = len(ks)
-    out = []
-    pvals = [0] * K
-
-    def rec(idx, chain, imask):
-        if idx == K:
-            out.append((tuple(pvals), chain))
-            return
-        k = ks[idx]
-        fk = fmask[k]
-        limit = len(chain)
-        reused = None
-        for j, c in enumerate(chain):
-            if fk >> (c - 1) & 1:
-                reused = c
-                limit = j
-                break
-        if reused is not None:
-            pvals[idx] = reused
-            rec(idx + 1, chain, imask)
-        cand = fk & ~imask & ((1 << (k - 1)) - 1)
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            b = low.bit_length()
-            lo = 0
-            for jdx in range(idx):
-                if fmask[ks[jdx]] >> (b - 1) & 1:
-                    pos = chain.index(pvals[jdx])
-                    if pos >= lo:
-                        lo = pos + 1
-            if lo > limit:
-                continue
-            pvals[idx] = b
-            for s in range(lo, limit + 1):
-                rec(idx + 1, chain[:s] + (b,) + chain[s:], imask | low)
-
-    rec(0, (), 0)
-    return out
+    chains, imasks = [()], [0]
+    for k, fk in sorted(fmask.items()):
+        kbit = 1 << (k - 1)
+        below = fk & (kbit - 1)
+        next_chains, next_imasks = [], []
+        add_chain, add_imask = next_chains.append, next_imasks.append
+        for chain, imask in zip(chains, imasks):
+            limit = len(chain)
+            hits = fk & imask
+            if hits:
+                for limit, (block, cover) in enumerate(chain):
+                    if block & -block & hits:
+                        break
+                reused = ((block | kbit, cover | fk),)
+                add_chain(chain[:limit] + reused + chain[limit + 1 :])
+                add_imask(imask)
+            cand = below & ~imask
+            for _, cover in chain[limit:]:
+                cand &= ~cover
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                lo = limit
+                while lo and not chain[lo - 1][1] & low:
+                    lo -= 1
+                slot = ((low | kbit, fk),)
+                for s in range(lo, limit + 1):
+                    add_chain(chain[:s] + slot + chain[s:])
+                    add_imask(imask | low)
+        chains, imasks = next_chains, next_imasks
+    return chains
 
 
-def _cone_masks(n, bmask, ks, pvals, chain, fmask):
-    """Ray bitmasks of the cone of one raw pair (fused tree construction).
+def _cone_masks(bmask, chain):
+    """Ray bitmasks of the cone of one pair, read off its chain of slots.
 
-    Spine block up-sets (all but the bottom one, whose up-set is everything)
-    plus one singleton ray per basis element outside the image.
+    The caterpillar tree's spine is the chain; a basis element outside the
+    image hangs off the topmost slot whose cover holds it.  The rays are the
+    up-sets of the spine slots but the bottom one, whose up-set is
+    everything, plus one singleton ray per basis element outside the image.
     """
-    block = {}
-    cover = {}
-    for c in chain:
-        block[c] = 1 << (c - 1)
-        cover[c] = 0
-    for idx, k in enumerate(ks):
-        b = pvals[idx]
-        block[b] |= 1 << (k - 1)
-        cover[b] |= fmask[k]
     imask = 0
-    for c in chain:
-        imask |= 1 << (c - 1)
-    leftovers = bmask & ~imask
-    r = len(chain)
-    attach = [0] * r
-    un = leftovers
-    for j in range(r - 1, -1, -1):
-        got = cover[chain[j]] & un
-        attach[j] = got
-        un &= ~got
+    for block, _ in chain:
+        imask |= block
+    leftovers = un = bmask & ~imask
+    rays = []
+    acc = 0
+    for block, cover in reversed(chain):
+        got = cover & un
+        un ^= got
+        acc |= block | got
+        rays.append(acc)
     if un:
         raise InternalInvariant(
             f"elements {list(elements_of(un))} attach to no block; matroid has a coloop"
         )
-    rays = []
-    acc = 0
-    suffix = [0] * r
-    for j in range(r - 1, -1, -1):
-        acc |= block[chain[j]] | attach[j]
-        suffix[j] = acc
-    rays.extend(suffix[1:])
-    lo = leftovers
-    while lo:
-        low = lo & -lo
+    rays.pop()  # the bottom slot's up-set is everything
+    while leftovers:
+        low = leftovers & -leftovers
         rays.append(low)
-        lo ^= low
+        leftovers ^= low
     if len(rays) != bmask.bit_count() - 1:
         raise InternalInvariant("cone does not have rank-1 rays")
-    return tuple(rays)
+    return rays
 
 
 def _require_no_loops_coloops(M: Matroid):
@@ -226,9 +212,11 @@ def enumerate_pairs(M: Matroid, B):
     _require_no_loops_coloops(M)
     B = M._require_basis(B)
     fmask = M.fundamental_circuit_masks(B)
-    ks = tuple(sorted(fmask))
-    for pvals, chain in _regressive_pairs(ks, fmask):
-        yield CompatiblePair(B, tuple(zip(ks, pvals)), chain)
+    ks = sorted(fmask)
+    for chain in _regressive_pairs(fmask):
+        order = tuple((block & -block).bit_length() for block, _ in chain)
+        p = {k: b for b, (block, _) in zip(order, chain) for k in elements_of(block)}
+        yield CompatiblePair(B, tuple((k, p[k]) for k in ks), order)
 
 
 # -- fan assembly -------------------------------------------------------------
@@ -267,17 +255,13 @@ def _append_cones(M: Matroid, bases, index, out: array, keep: bool) -> int:
     it raises InternalInvariant.  With keep false out is emptied after each
     basis and only the count remains.
     """
-    n = M.n
     count = 0
     for B in bases:
-        fmask = M.fundamental_circuit_masks(B)
-        ks = tuple(sorted(fmask))
         bmask = mask_of(B)
-        pairs = _regressive_pairs(ks, fmask)
-        for pvals, chain in pairs:
-            masks = _cone_masks(n, bmask, ks, pvals, chain, fmask)
+        pairs = _regressive_pairs(M.fundamental_circuit_masks(B))
+        for chain in pairs:
             try:
-                cone = sorted([index[mask] for mask in masks])
+                cone = sorted([index[mask] for mask in _cone_masks(bmask, chain)])
             except KeyError as exc:
                 raise InternalInvariant(
                     f"cone ray {list(elements_of(exc.args[0]))} is not a cyclic flat "
@@ -440,9 +424,10 @@ def compare_with_bergman(fan: Fan, M: Matroid):
     gets the bitset of its tight bases, and a cone's key is the AND of its
     rays' bitsets, which is its set of max-weight bases whenever it is
     nonempty; an empty AND raises InternalInvariant.  Classes are ordered by
-    their smallest cone index.  Only the hash of a key is stored; a class
-    with the same hash takes the cone only after its first cone's key,
-    recomputed, equals the cone's key.
+    their smallest cone index.  Only the hash of a key is stored, mapped to a
+    class number; a cone joins that class only after the class's first
+    cone's key, recomputed, equals its own, and a mismatch probes hash + 1.
+    Cones keep their class numbers in an array, grouped at the end.
     """
     bases = [mask_of(B) for B in M.bases]
     tight = []
@@ -460,18 +445,30 @@ def compare_with_bergman(fan: Fan, M: Matroid):
             key &= tight[i]
         return key
 
-    classes = []
-    by_hash: dict = {}  # hash of a key -> the classes whose key has that hash
-    for ci, cone in enumerate(fan.maximal_cones):
+    cones = fan.maximal_cones
+    class_of = array("I")  # cone index -> class number
+    first = array("I")  # class number -> its smallest cone index
+    by_hash: dict = {}  # hash of a key, probed upward on a mismatch -> class number
+    for ci, cone in enumerate(cones):
         key = key_of(cone)
         if not key:
             raise InternalInvariant(f"the rays of cone {ci} share no tight basis")
-        bucket = by_hash.setdefault(hash(key), [])
-        for cls in bucket:
-            if key_of(fan.maximal_cones[cls[0]]) == key:
-                cls.append(ci)
-                break
-        else:
-            bucket.append([ci])
-            classes.append(bucket[-1])
-    return tuple(map(tuple, classes))
+        h = hash(key)
+        while (c := by_hash.get(h)) is not None and key_of(cones[first[c]]) != key:
+            h += 1
+        if c is None:
+            c = by_hash[h] = len(first)
+            first.append(ci)
+        class_of.append(c)
+    del by_hash  # about 40 MB on the 5x20 dual, freed before the grouping arrays
+    # one counting pass: class c's cones fill members[start[c]:start[c + 1]]
+    start = array("I", [0]) * (len(first) + 1)
+    for c in class_of:
+        start[c + 1] += 1
+    start = array("I", accumulate(start))
+    fill = start[:-1]
+    members = array("I", [0]) * len(class_of)
+    for ci, c in enumerate(class_of):
+        members[fill[c]] = ci
+        fill[c] += 1
+    return tuple(tuple(members[a:b]) for a, b in zip(start, start[1:]))

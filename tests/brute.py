@@ -181,10 +181,8 @@ def enumerated_ray_masks(M: Matroid) -> set:
     """
     out = set()
     for B in M.bases:
-        fmask = M.fundamental_circuit_masks(B)
-        ks = tuple(sorted(fmask))
-        for pvals, chain in _regressive_pairs(ks, fmask):
-            out.update(_cone_masks(M.n, mask_of(B), ks, pvals, chain, fmask))
+        for chain in _regressive_pairs(M.fundamental_circuit_masks(B)):
+            out.update(_cone_masks(mask_of(B), chain))
     return out
 
 

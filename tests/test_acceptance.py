@@ -192,7 +192,8 @@ print(json.dumps([count, hwm_kb]))
 
 def test_quadrics_dual_bergman_class_count():
     # in a fresh process, so that its peak RSS is the call's own; keeping
-    # every class key (about 870 bytes each) peaked at about 460 MB
+    # every class key (about 870 bytes each) peaked at about 460 MB, and one
+    # list of cones per class plus a bucket list per hash at about 170 MB
     proc = subprocess.run(
         [sys.executable, "-c", QUADRICS_CLASSES],
         capture_output=True,
@@ -202,7 +203,7 @@ def test_quadrics_dual_bergman_class_count():
     assert proc.returncode == 0, proc.stderr
     count, hwm_kb = json.loads(proc.stdout)
     assert count == 382446
-    assert hwm_kb < 200 * 1024, f"VmHWM {hwm_kb} kB"
+    assert hwm_kb < 120 * 1024, f"VmHWM {hwm_kb} kB"
 
 
 @pytest.fixture(scope="module")

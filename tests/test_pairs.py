@@ -13,9 +13,10 @@ from brute import (
 )
 from conftest import CHAIN_3X6, FORCED_2X4, random_fan_matrices, small_corpus
 from tropfan.data import DEMO_4X7, UNIFORM_2_3, cube_matrix
-from tropfan.errors import HasColoops, HasLoops
-from tropfan.fan import enumerate_pairs
+from tropfan.errors import HasColoops, HasLoops, InternalInvariant
+from tropfan.fan import _cone_masks, _regressive_pairs, enumerate_pairs
 from tropfan.matroid import Matroid
+from tropfan.util import elements_of, mask_of
 
 
 def pairs_of(M, B):
@@ -51,6 +52,48 @@ def test_enumeration_matches_definition_and_literal_loops():
             shipped = pairs_of(M, B)
             assert shipped == brute_regressive_pairs(cols, B), (name, B)
             assert shipped == literal_pairs(cols, B), (name, B)
+
+
+def test_chains_are_slots_of_blocks_and_covers():
+    # each slot is (block, cover): block = {b} + p^-1(b), cover = the union
+    # of F_k over the non-basis members k of the block
+    matroids = [Matroid.from_matrix(A) for _, A in small_corpus()]
+    matroids += random_fan_matrices(15, seed=40)
+    matroids += [M.dual() for M in matroids]
+    for M in matroids:
+        for B in M.bases:
+            bmask = mask_of(B)
+            fmask = M.fundamental_circuit_masks(B)
+            nonbasis = mask_of(fmask)
+            for chain in _regressive_pairs(fmask):
+                seen = image = 0
+                for block, cover in chain:
+                    assert not block & seen, (B, chain)
+                    seen |= block
+                    low = block & -block
+                    image |= low
+                    assert low & bmask and not block & bmask & ~low, (B, chain)
+                    want = 0
+                    for k in elements_of(block & ~low):
+                        want |= fmask[k]
+                    assert cover == want, (B, chain)
+                assert seen == image | nonbasis, (B, chain)
+
+
+def test_cone_masks_reject_a_basis_element_attached_to_no_block():
+    # basis {1, 2, 3}; the one slot {1, 4} covers only 1, so 2 and 3 hang
+    # off nothing, as they would for a coloop
+    with pytest.raises(InternalInvariant):
+        _cone_masks(0b111, ((0b1001, 0b001),))
+
+
+def test_cone_masks_reject_a_cone_without_rank_minus_one_rays():
+    # basis {1, 2}; a third slot {5} adds a spine ray, giving 2 rays at rank 2
+    chain = ((0b00101, 0b11), (0b01010, 0b10), (0b10000, 0))
+    with pytest.raises(InternalInvariant):
+        _cone_masks(0b11, chain)
+    # without it the same slots give the one ray {2, 4}
+    assert _cone_masks(0b11, chain[:2]) == [0b01010]
 
 
 def test_chain_matrix_rejects_incompatible_order():
