@@ -4,7 +4,7 @@ Everything here is implemented from definitions, independently of the package
 code paths it checks: plain Gaussian elimination over Fraction instead of
 the fraction-free core, subset enumeration instead of incidence tricks,
 deletion-contraction instead of activities, total-order enumeration instead
-of the pair recursion, caterpillar trees instead of the fused ray masks, a
+of the pair recursion, caterpillar trees instead of the slot-read ray masks, a
 scan over every circuit for tropical membership, a phase-one simplex for cone
 membership, per-cone dot products over every direction instead of packed
 lanes for ray shooting, and every basis's weight at a cone's witness instead
