@@ -180,7 +180,7 @@ def run(args: argparse.Namespace) -> int:
     try:
         with open(args.matrix, "r", encoding="utf-8") as fh:
             A = parse_matrix(fh.read())
-    except (OSError, ParseError) as exc:
+    except (OSError, ParseError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     # --output is written to a temporary file beside the target and renamed

@@ -174,23 +174,25 @@ def _cone_masks(bmask, chain):
     image hangs off the topmost slot whose cover holds it.  The rays are the
     up-sets of the spine slots but the bottom one, whose up-set is
     everything, plus one singleton ray per basis element outside the image.
+    Every image element of a slot's cover sits in that slot or above (a
+    reused b is chain-minimal in image & F_k, a new slot goes in at or below
+    it, and a new image element goes in above every cover holding it), so
+    the up-set of a slot is the union of block | cover over it and the slots
+    above.
     """
-    imask = 0
-    for block, _ in chain:
-        imask |= block
-    leftovers = un = bmask & ~imask
     rays = []
-    acc = 0
+    acc = image = 0
     for block, cover in reversed(chain):
-        got = cover & un
-        un ^= got
-        acc |= block | got
+        acc |= block | cover
+        image |= block
         rays.append(acc)
+    un = bmask & ~acc
     if un:
         raise InternalInvariant(
             f"elements {list(elements_of(un))} attach to no block; matroid has a coloop"
         )
     rays.pop()  # the bottom slot's up-set is everything
+    leftovers = bmask & ~image
     while leftovers:
         low = leftovers & -leftovers
         rays.append(low)
@@ -210,7 +212,7 @@ def _require_no_loops_coloops(M: Matroid):
 def enumerate_pairs(M: Matroid, B):
     """Yield every regressive compatible pair with respect to B exactly once."""
     _require_no_loops_coloops(M)
-    B = M._require_basis(B)
+    B = M._subset(B)
     fmask = M.fundamental_circuit_masks(B)
     ks = sorted(fmask)
     for chain in _regressive_pairs(fmask):
@@ -344,13 +346,14 @@ def is_in_local_trop(M: Matroid, B, v) -> bool:
     Requires B to have maximal v-weight; then only the fundamental circuits
     over B need their minima attained twice.
     """
-    B = M._require_basis(B)
+    B = M._subset(B)
+    fmask = M.fundamental_circuit_masks(B)
     if len(v) != M.n:
         raise WrongSize(f"vector length {len(v)} != {M.n}")
     weight = _basis_weight(B, v)
     if any(_basis_weight(other, v) > weight for other in M.bases):
         raise NotMaxWeightBasis(f"{list(B)} does not have maximal weight")
-    for k, mask in M.fundamental_circuit_masks(B).items():
+    for k, mask in fmask.items():
         values = [v[k - 1]] + [v[i - 1] for i in elements_of(mask)]
         lo = min(values)
         if values.count(lo) < 2:
@@ -364,12 +367,12 @@ def local_trop_point(M: Matroid, B, x) -> tuple:
     Basis coordinates copy x (in sorted basis order); each non-basis
     coordinate is the minimum of x over F_k.
     """
-    B = M._require_basis(B)
+    B = M._subset(B)
+    fmask = M.fundamental_circuit_masks(B)
     if len(x) != len(B):
         raise WrongSize(f"expected {len(B)} coordinates, got {len(x)}")
     on_basis = dict(zip(B, x))
     out = list(range(M.n))
-    fmask = M.fundamental_circuit_masks(B)
     for i in range(1, M.n + 1):
         if i in on_basis:
             out[i - 1] = on_basis[i]
@@ -380,7 +383,8 @@ def local_trop_point(M: Matroid, B, x) -> tuple:
 
 def induce_pair(M: Matroid, B, v, J) -> CompatiblePair:
     """Pair induced by a total order J on B respecting v (v_a < v_b forces a before b)."""
-    B = M._require_basis(B)
+    B = M._subset(B)
+    fmask = M.fundamental_circuit_masks(B)
     if len(v) != M.n:
         raise WrongSize(f"vector length {len(v)} != {M.n}")
     J = tuple(J)
@@ -391,7 +395,6 @@ def induce_pair(M: Matroid, B, v, J) -> CompatiblePair:
             raise OrderIncompatible(f"J places {a} before {b} but v[{a}] > v[{b}]")
     if not is_in_local_trop(M, B, v):
         raise NotInLocalTrop("vector is not in the local tropical linear space")
-    fmask = M.fundamental_circuit_masks(B)
     pref = []
     image = set()
     for k in sorted(fmask):

@@ -23,18 +23,7 @@ from .errors import (
     WrongSize,
 )
 from .exact import IntMat, gauss_jordan, rank_of_rows
-from .util import elements_of
-
-
-def _coloop_columns(rows) -> list:
-    """0-based coloops of the column matroid of integer rows (reduces rows in place).
-
-    Row operations keep the column matroid; a pivot column is a coloop iff no
-    free column has a nonzero entry in its row.
-    """
-    pivots, _ = gauss_jordan(rows)
-    free = [c for c in range(len(rows[0])) if c not in pivots]
-    return [c for r, c in enumerate(pivots) if not any(rows[r][f] for f in free)]
+from .util import elements_of, primitive
 
 
 @dataclass(frozen=True)
@@ -54,10 +43,9 @@ class TuttePoly:
 class Matroid:
     """Linear matroid M(A), or its dual when dual_mode is set.
 
-    Handles are immutable after construction except for the basis and circuit
-    caches, which follow a single-writer discipline: populate them (by
-    exhausting enumerate_bases / calling circuits) before sharing the handle
-    across threads.
+    Handles are immutable after construction except for the basis cache,
+    which follows a single-writer discipline: populate it (by exhausting
+    enumerate_bases) before sharing the handle across threads.
     """
 
     def __init__(self, A: IntMat, *, dual_mode: bool, loops, coloops):
@@ -68,7 +56,6 @@ class Matroid:
         self.loops = tuple(loops)
         self.coloops = tuple(coloops)
         self._bases = None
-        self._circuits = None
 
     # -- construction -------------------------------------------------------
 
@@ -89,7 +76,14 @@ class Matroid:
         if len(independent) < A.rows:
             A = IntMat.from_rows([A.entries[i] for i in independent])
         loops = tuple(j + 1 for j, col in enumerate(A.columns) if not any(col))
-        coloops = [c + 1 for c in _coloop_columns(A.row_lists())]
+        # row operations keep the column matroid; a pivot column is a coloop
+        # iff no free column has a nonzero entry in its row
+        rows = A.row_lists()
+        pivots, _ = gauss_jordan(rows)
+        free = [c for c in range(A.cols) if c not in pivots]
+        coloops = [
+            c + 1 for r, c in enumerate(pivots) if not any(rows[r][f] for f in free)
+        ]
         if strict:
             if loops:
                 raise HasLoops(loops)
@@ -154,12 +148,6 @@ class Matroid:
                 pass
         return self._bases
 
-    def _require_basis(self, B):
-        B = self._subset(B)
-        if len(B) != self.rank or not self._basis_test(B):
-            raise NotABasis(f"{list(B)} is not a basis")
-        return B
-
     # -- fundamental circuits -----------------------------------------------
 
     def fundamental_circuit_masks(self, B) -> dict:
@@ -206,10 +194,10 @@ class Matroid:
 
     def fundamental_circuit(self, e: int, B) -> tuple:
         """The unique circuit inside B + {e}, as a sorted tuple containing e."""
-        B = self._require_basis(B)
+        B = self._subset(B)
+        masks = self.fundamental_circuit_masks(B)
         if e in set(B):
             raise ElementInBasis(f"{e} lies in the basis")
-        masks = self.fundamental_circuit_masks(B)
         if e not in masks:
             raise WrongSize(f"{e} is not in 1..{self.n}")
         return elements_of(masks[e] | (1 << (e - 1)))
@@ -219,79 +207,60 @@ class Matroid:
     def circuits(self):
         """All circuits, each a sorted tuple, the list in lexicographic order.
 
-        Every circuit is fundamental over some basis, so collecting C(e, B)
-        over all bases is complete; pruning supersets guards the minimality
-        invariant cheaply.
+        Every circuit is fundamental over some basis, and every fundamental
+        circuit is a circuit, so the fundamental circuits over all bases are
+        exactly the circuits.
         """
-        if self._circuits is None:
-            seen = set()
-            for B in self.enumerate_bases():
-                for k, mask in self.fundamental_circuit_masks(B).items():
-                    seen.add(mask | (1 << (k - 1)))
-            by_size = sorted(seen, key=lambda m: (m.bit_count(), m))
-            minimal = []
-            for mask in by_size:
-                if not any(prev & mask == prev for prev in minimal):
-                    minimal.append(mask)
-            self._circuits = tuple(sorted(elements_of(mask) for mask in minimal))
-        return self._circuits
+        seen = set()
+        for B in self.enumerate_bases():
+            for k, mask in self.fundamental_circuit_masks(B).items():
+                seen.add(mask | (1 << (k - 1)))
+        return tuple(sorted(elements_of(mask) for mask in seen))
 
     def cyclic_flats(self) -> dict:
         """Every cyclic flat (a flat that is a union of circuits), as bitmask -> rank.
 
-        The flats of M(A) are walked upward from cl(empty set), each reached
-        once, from its lexicographically first basis S: S + {e} with e > max S
-        is followed only if its closure gains no element below e.  Along the
-        walk every column is carried modulo span(S) by one fraction-free
-        elimination step per element of S (dividing by the previous pivot, so
-        entries stay minors of A), and x lies in cl(S) iff its image is zero.
-        A flat is cyclic iff its restriction has no coloop.  The cyclic flats
-        of the dual are the complements E - Z, of rank |E - Z| + r(Z) - m.
+        The flats of M(A) are walked upward from cl(empty set) to E, each
+        reached once, from its lexicographically first basis S: S + {e} with
+        e > max S is followed only if its closure gains no element below e.
+        Each flat is reduced once, by gauss_jordan pivoting on the columns of
+        S, and the walk reads what it needs off the reduced rows.  Below the
+        pivots, a column is zero iff it lies in cl(S), and cl(S + {e}) adds
+        the columns parallel to e's there; so grouping the columns outside
+        the flat by their primitive direction gives every child's closure,
+        and e must be the smallest element of its group.  Pivot row r holds
+        the coordinate on the r-th element of S of each column in the flat,
+        so that element is a coloop of the restriction iff the row is zero
+        on the flat's other elements; the flat is cyclic iff no pivot row is.
+        The cyclic flats of the dual are the complements E - Z, of rank
+        |E - Z| + r(Z) - m.
         """
-        n, m = self.n, self.m
-        rows = self.A.entries
+        n = self.n
         found = {}
 
-        def visit(flat, k, images, prev, last):
-            elems = [x for x in range(n) if flat >> x & 1]
-            # an independent flat (k elements) is cyclic only when it is empty
-            if (len(elems) > k or not elems) and not _coloop_columns(
-                [[row[x] for x in elems] for row in rows]
-            ):
+        def visit(flat, basis):
+            rows = self.A.row_lists()
+            gauss_jordan(rows, basis)
+            k = len(basis)
+            rest = [x for x in range(n) if flat >> x & 1 and x not in basis]
+            if all(any(row[x] for x in rest) for row in rows[:k]):
                 found[flat] = k
-            if k == m - 1:
-                return
-            for e in range(last + 1, n):
-                if flat >> e & 1:
-                    continue
-                c = images[e]
-                j = next(i for i, v in enumerate(c) if v)
-                piv = c[j]
-                closure = flat
-                child = [()] * n
-                for x in range(n):
-                    if flat >> x & 1:
-                        continue
-                    p = images[x]
-                    px = p[j]
-                    img = tuple(
-                        (p[i] * piv - px * c[i]) // prev for i in range(len(c)) if i != j
-                    )
-                    if not any(img):
-                        if x < e:  # S + {e} is not the first basis of its closure
-                            break
-                        closure |= 1 << x
-                    child[x] = img
-                else:
-                    visit(closure, k + 1, child, piv, e)
+            # the columns outside the flat, grouped by direction below the pivots
+            groups = {}
+            for x, col in enumerate(zip(*rows[k:])):
+                if not flat >> x & 1:
+                    key = primitive(col)
+                    groups[key] = groups.get(key, 0) | 1 << x
+            last = basis[-1] if basis else -1
+            for group in groups.values():
+                e = (group & -group).bit_length() - 1
+                if e > last:  # otherwise S + {e} is not the first basis of its closure
+                    visit(flat | group, basis + [e])
 
-        cols = self.A.columns
-        visit(sum(1 << x for x in range(n) if not any(cols[x])), 0, cols, 1, -1)
-        full = (1 << n) - 1
-        if not _coloop_columns(self.A.row_lists()):
-            found[full] = m
+        visit(sum(1 << x for x, col in enumerate(self.A.columns) if not any(col)), [])
         if self.dual_mode:
-            return {full & ~Z: n - Z.bit_count() + r - m for Z, r in found.items()}
+            full = (1 << n) - 1
+            return {full & ~Z: n - Z.bit_count() + r - self.m for Z, r in found.items()}
         return found
 
     def tutte_polynomial(self) -> TuttePoly:

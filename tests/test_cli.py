@@ -179,6 +179,22 @@ def test_exit_codes(tmp_path):
     assert code == 2
 
 
+def test_non_utf8_matrix_file_is_a_clean_error(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"2 3\n1 0 1\n0 1 \xff\n")
+    src = str(Path(tropfan.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "tropfan", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
 def test_flag_combination_rejected(tmp_path):
     path = tmp_path / "u23.txt"
     write_matrix_file(path, UNIFORM_2_3)

@@ -33,6 +33,7 @@ from tropfan.data import (
 )
 from tropfan.errors import (
     InternalInvariant,
+    NotABasis,
     NotMaxWeightBasis,
     OrderIncompatible,
     WrongSize,
@@ -353,6 +354,27 @@ def test_induce_pair_forced_constant():
     pair = induce_pair(M, (1, 2), (0, 1, 0), (1, 2))
     assert pair.pref_map == {3: 1}
     assert pair.order == (1,)
+
+
+def test_entry_points_reject_sets_that_are_not_bases():
+    # the dependent sets of test_fundamental_circuit_masks_rejects_dependent_sets
+    # and a set of the wrong size; each entry point's basis check is the
+    # elimination inside fundamental_circuit_masks
+    M = Matroid.from_matrix(GRAPHIC_3X6)
+    for handle, dependent in ((M, (1, 2, 5)), (M.dual(), (4, 5, 6))):
+        for S in (dependent, dependent[:-1]):
+            v = (0,) * handle.n
+            e = min(set(range(1, handle.n + 1)) - set(S))
+            with pytest.raises(NotABasis):
+                next(enumerate_pairs(handle, S))
+            with pytest.raises(NotABasis):
+                is_in_local_trop(handle, S, v)
+            with pytest.raises(NotABasis):
+                local_trop_point(handle, S, (0,) * len(S))
+            with pytest.raises(NotABasis):
+                induce_pair(handle, S, v, S)
+            with pytest.raises(NotABasis):
+                handle.fundamental_circuit(e, S)
 
 
 def test_round_trip_witness_reinduces_source_pair():

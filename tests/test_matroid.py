@@ -12,6 +12,7 @@ from brute import (
     brute_rank,
     brute_tutte,
     columns_of,
+    handle_columns,
     independent,
 )
 from conftest import CHAIN_3X6, UNIFORM_2_4, random_fan_matrices, small_corpus
@@ -229,7 +230,9 @@ def test_circuits_uniform_and_parallel():
 def test_circuits_against_minimal_dependent_oracle():
     for name, A in small_corpus():
         M = Matroid.from_matrix(A)
-        assert list(M.circuits()) == brute_circuits(columns_of(A)), name
+        for handle in (M, M.dual()):
+            want = brute_circuits(handle_columns(handle))
+            assert list(handle.circuits()) == want, (name, handle.dual_mode)
 
 
 def test_circuit_axioms():

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from brute import (
     brute_circuits,
     cofactor_det,
-    columns_of,
     fan_rays_are_cyclic_flats,
     frac_rank,
     frac_rref,
+    handle_columns,
     is_in_trop,
 )
 from tropfan.errors import TropfanError
@@ -120,7 +120,8 @@ def _clean_matroid(rows):
 def test_circuits_are_minimal_dependent_sets(rows):
     M = _clean_matroid(rows)
     assume(M is not None)
-    assert list(M.circuits()) == brute_circuits(columns_of(M.A))
+    for handle in (M, M.dual()):
+        assert list(handle.circuits()) == brute_circuits(handle_columns(handle))
 
 
 @common
