@@ -7,11 +7,12 @@ on the image of p.  Pairs are enumerated by a recursion that fixes p(k) for k
 ascending while growing the order, carrying each pair as its chain of order
 slots: per image element b, the block {b} + p^-1(b) of the pair's directed
 caterpillar tree and the union of the F_k it covers.  The tree's up-sets are
-the 0/1 rays of the cone; _cone_masks reads them off the slots as bitmasks.
-The union of these cones over all bases is the tropical linear space, each
-cone produced exactly once.  The rays (the proper flats that are cyclic or
-singletons) are computed before enumeration, so every cone is stored at
-once as sorted ray indices in one packed array.
+the 0/1 rays of the cone.  The union of these cones over all bases is the
+tropical linear space, each cone produced exactly once.  The rays (the
+proper flats that are cyclic or singletons) are computed before
+enumeration, so _append_cones reads each cone off its slots straight into
+sorted ray indices in one packed array: the spine up-sets through the ray
+index, the leftover singleton rays by per-byte table lookups.
 """
 
 from __future__ import annotations
@@ -167,41 +168,6 @@ def _regressive_pairs(fmask):
     return chains
 
 
-def _cone_masks(bmask, chain):
-    """Ray bitmasks of the cone of one pair, read off its chain of slots.
-
-    The caterpillar tree's spine is the chain; a basis element outside the
-    image hangs off the topmost slot whose cover holds it.  The rays are the
-    up-sets of the spine slots but the bottom one, whose up-set is
-    everything, plus one singleton ray per basis element outside the image.
-    Every image element of a slot's cover sits in that slot or above (a
-    reused b is chain-minimal in image & F_k, a new slot goes in at or below
-    it, and a new image element goes in above every cover holding it), so
-    the up-set of a slot is the union of block | cover over it and the slots
-    above.
-    """
-    rays = []
-    acc = image = 0
-    for block, cover in reversed(chain):
-        acc |= block | cover
-        image |= block
-        rays.append(acc)
-    un = bmask & ~acc
-    if un:
-        raise InternalInvariant(
-            f"elements {list(elements_of(un))} attach to no block; matroid has a coloop"
-        )
-    rays.pop()  # the bottom slot's up-set is everything
-    leftovers = bmask & ~image
-    while leftovers:
-        low = leftovers & -leftovers
-        rays.append(low)
-        leftovers ^= low
-    if len(rays) != bmask.bit_count() - 1:
-        raise InternalInvariant("cone does not have rank-1 rays")
-    return rays
-
-
 def _require_no_loops_coloops(M: Matroid):
     if M.loops:
         raise HasLoops(M.loops)
@@ -249,38 +215,67 @@ def _typecode(nrays: int) -> str:
     return next(t for t in "BHILQ" if nrays <= 1 << 8 * array(t).itemsize)
 
 
-def _append_cones(M: Matroid, bases, index, out: array, keep: bool) -> int:
+def _append_cones(M: Matroid, bases, index, out) -> int:
     """Append every cone over each basis to out as sorted ray indices; return the count.
 
-    Cones come in canonical pair order.  A cone ray missing from index is
-    not a cyclic flat or singleton, which the paper's theorem rules out, so
-    it raises InternalInvariant.  With keep false out is emptied after each
-    basis and only the count remains.
+    Cones come in canonical pair order.  A basis element outside the image
+    hangs off the topmost slot whose cover holds it, so a cone's rays are
+    the up-sets of its spine slots but the bottom one, plus the singletons
+    outside the image.  Every image element of a slot's cover sits in that
+    slot or above (a reused b is chain-minimal in image & F_k, a new slot
+    goes in at or below it, and a new image element above every cover
+    holding it), so an up-set is the union of block | cover over the slots
+    from the top down to it.  tables[j][v] holds the singleton rays among
+    the elements 8j + bits of v.  A ray missing from index (ruled out by
+    the paper's theorem), a basis element on no slot (a coloop) and a cone
+    without rank - 1 rays raise InternalInvariant.  With out None every
+    cone is checked but none is stored.
     """
+    nonray = ((1 << M.n) - 1) & ~sum(mask for mask in index if not mask & (mask - 1))
+    bits = [[1 << i for i in range(8) if v >> i & 1] for v in range(256)]
+    tables = [
+        (j, [[index[b << j] for b in bs if b << j in index] for bs in bits])
+        for j in range(0, M.n, 8)
+    ]
+    width = M.rank - 1
     count = 0
     for B in bases:
         bmask = mask_of(B)
         pairs = _regressive_pairs(M.fundamental_circuit_masks(B))
         for chain in pairs:
+            row = []
+            acc = image = 0
             try:
-                cone = sorted([index[mask] for mask in _cone_masks(bmask, chain)])
+                for block, cover in reversed(chain):
+                    if acc:  # the slot above's up-set; the bottom one's is E
+                        row.append(index[acc])
+                    acc |= block | cover
+                    image |= block
             except KeyError as exc:
                 raise InternalInvariant(
-                    f"cone ray {list(elements_of(exc.args[0]))} is not a cyclic flat "
-                    "or singleton"
+                    f"ray {elements_of(exc.args[0])} is not a cyclic flat or singleton"
                 ) from None
-            out.fromlist(cone)
+            if bmask & ~acc:
+                raise InternalInvariant(f"{elements_of(bmask & ~acc)} are coloops")
+            left = bmask & ~image
+            if left & nonray:
+                raise InternalInvariant(f"{elements_of(left & nonray)} are not rays")
+            for shift, table in tables:
+                row += table[left >> shift & 255]
+            if len(row) != width:
+                raise InternalInvariant("cone does not have rank-1 rays")
+            if out is not None:
+                row.sort()
+                out.fromlist(row)
         count += len(pairs)
-        if not keep:
-            del out[:]
     return count
 
 
 def _fan_worker(payload):
-    entries, dual_mode, bases, index, typecode, keep = payload
+    entries, dual_mode, bases, index, typecode = payload
     M = Matroid(IntMat.from_rows(entries), dual_mode=dual_mode, loops=(), coloops=())
-    out = array(typecode)
-    count = _append_cones(M, bases, index, out, keep)
+    out = None if typecode is None else array(typecode)
+    count = _append_cones(M, bases, index, out)
     return out, count
 
 
@@ -289,24 +284,25 @@ def _chunks(seq, k):
     return [seq[i : i + step] for i in range(0, len(seq), step)]
 
 
-def _collect_cones(M: Matroid, threads: int, index, out: array, keep: bool) -> int:
+def _collect_cones(M: Matroid, threads: int, index, out) -> int:
     """Append every cone of the fan to out in canonical order; return the count.
 
     threads > 0 hands chunks of bases to worker processes, at most one per
     CPU, each returning one packed block; blocks are appended in basis order,
-    so the result is identical to the sequential one.
+    so the result is identical to the sequential one.  out None only counts.
     """
     if threads <= 0:
-        return _append_cones(M, M.enumerate_bases(), index, out, keep)
+        return _append_cones(M, M.enumerate_bases(), index, out)
     workers = min(threads, os.cpu_count() or 1)
     payloads = [
-        (M.A.entries, M.dual_mode, chunk, index, out.typecode, keep)
+        (M.A.entries, M.dual_mode, chunk, index, getattr(out, "typecode", None))
         for chunk in _chunks(M.bases, workers * 4)
     ]
     count = 0
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for block, k in pool.map(_fan_worker, payloads):
-            out += block
+            if out is not None:
+                out += block
             count += k
     return count
 
@@ -321,7 +317,7 @@ def cyclic_bergman_fan(M: Matroid, *, threads: int = 0) -> Fan:
     _require_no_loops_coloops(M)
     rays, index = _ray_index(M)
     data = array(_typecode(len(rays)))
-    count = _collect_cones(M, threads, index, data, keep=True)
+    count = _collect_cones(M, threads, index, data)
     return Fan(M.n, rays, ConeArray(data, M.rank - 1, count))
 
 
@@ -329,8 +325,7 @@ def fan_counts(M: Matroid, *, threads: int = 0) -> tuple:
     """(ray count, maximal cone count) without storing the cones."""
     _require_no_loops_coloops(M)
     rays, index = _ray_index(M)
-    scratch = array(_typecode(len(rays)))
-    return len(rays), _collect_cones(M, threads, index, scratch, keep=False)
+    return len(rays), _collect_cones(M, threads, index, None)
 
 
 # -- membership and induced pairs ---------------------------------------------
@@ -350,6 +345,11 @@ def is_in_local_trop(M: Matroid, B, v) -> bool:
     fmask = M.fundamental_circuit_masks(B)
     if len(v) != M.n:
         raise WrongSize(f"vector length {len(v)} != {M.n}")
+    return _in_local_trop(M, B, fmask, v)
+
+
+def _in_local_trop(M: Matroid, B, fmask, v) -> bool:
+    """is_in_local_trop for a checked basis B with fundamental circuits fmask."""
     weight = _basis_weight(B, v)
     if any(_basis_weight(other, v) > weight for other in M.bases):
         raise NotMaxWeightBasis(f"{list(B)} does not have maximal weight")
@@ -393,7 +393,7 @@ def induce_pair(M: Matroid, B, v, J) -> CompatiblePair:
     for a, b in zip(J, J[1:]):
         if v[a - 1] > v[b - 1]:
             raise OrderIncompatible(f"J places {a} before {b} but v[{a}] > v[{b}]")
-    if not is_in_local_trop(M, B, v):
+    if not _in_local_trop(M, B, fmask, v):
         raise NotInLocalTrop("vector is not in the local tropical linear space")
     pref = []
     image = set()

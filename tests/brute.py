@@ -4,7 +4,8 @@ Everything here is implemented from definitions, independently of the package
 code paths it checks: plain Gaussian elimination over Fraction instead of
 the fraction-free core, subset enumeration instead of incidence tricks,
 deletion-contraction instead of activities, total-order enumeration instead
-of the pair recursion, caterpillar trees instead of the slot-read ray masks, a
+of the pair recursion, caterpillar trees and mask-by-mask ray lists instead
+of the table-built ray-index rows, a
 scan over every circuit for tropical membership, a phase-one simplex for cone
 membership, per-cone dot products over every direction instead of packed
 lanes for ray shooting, and every basis's weight at a cone's witness instead
@@ -17,9 +18,9 @@ from itertools import combinations, permutations
 
 from tropfan.errors import InternalInvariant, WrongSize
 from tropfan.exact import integer_kernel_basis
-from tropfan.fan import CompatiblePair, _cone_masks, _regressive_pairs
+from tropfan.fan import CompatiblePair, _regressive_pairs
 from tropfan.matroid import Matroid
-from tropfan.util import mask_of, mask_to_vector
+from tropfan.util import elements_of, mask_of, mask_to_vector
 
 
 def frac_rank(vectors):
@@ -171,6 +172,38 @@ def is_in_trop(M: Matroid, v) -> bool:
         if values.count(lo) < 2:
             return False
     return True
+
+
+def _cone_masks(bmask, chain):
+    """Ray bitmasks of the cone of one pair, read off its chain of slots.
+
+    The caterpillar tree's spine is the chain; a basis element outside the
+    image hangs off the topmost slot whose cover holds it.  The rays are the
+    up-sets of the spine slots but the bottom one, whose up-set is
+    everything, plus one singleton ray per basis element outside the image.
+    This is the mask-by-mask oracle for the ray-index rows that
+    tropfan.fan._append_cones builds.
+    """
+    rays = []
+    acc = image = 0
+    for block, cover in reversed(chain):
+        acc |= block | cover
+        image |= block
+        rays.append(acc)
+    un = bmask & ~acc
+    if un:
+        raise InternalInvariant(
+            f"elements {list(elements_of(un))} attach to no block; matroid has a coloop"
+        )
+    rays.pop()  # the bottom slot's up-set is everything
+    leftovers = bmask & ~image
+    while leftovers:
+        low = leftovers & -leftovers
+        rays.append(low)
+        leftovers ^= low
+    if len(rays) != bmask.bit_count() - 1:
+        raise InternalInvariant("cone does not have rank-1 rays")
+    return rays
 
 
 def enumerated_ray_masks(M: Matroid) -> set:
@@ -337,7 +370,8 @@ def pair_key(pair):
 # -- caterpillar trees --------------------------------------------------------
 #
 # The cone of a compatible pair built through its caterpillar tree, the
-# construction the paper states; the package's _cone_masks fuses these steps.
+# construction the paper states; _cone_masks above and the package's
+# _append_cones fuse these steps.
 
 
 @dataclass(frozen=True)

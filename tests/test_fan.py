@@ -241,20 +241,24 @@ def test_cone_array_is_a_sequence_of_sorted_tuples():
 
 
 def test_cone_ray_outside_the_precomputed_set_is_an_internal_invariant(monkeypatch):
+    # a singleton ray is checked by the leftover mask test, any other ray by
+    # the spine lookup, so each is dropped in turn
     real = fan_module._ray_index
-
-    def drop_one_ray(M):
-        rays, index = real(M)
-        index = dict(index)
-        index.pop(next(iter(index)))
-        return rays, index
-
-    monkeypatch.setattr(fan_module, "_ray_index", drop_one_ray)
     M = Matroid.from_matrix(cube_matrix(3))
-    with pytest.raises(InternalInvariant):
-        cyclic_bergman_fan(M)
-    with pytest.raises(InternalInvariant):
-        fan_counts(M)
+    for singleton, message in ((True, "are not rays"), (False, "not a cyclic flat")):
+
+        def drop_one_ray(M):
+            rays, index = real(M)
+            index = dict(index)
+            index.pop(next(m for m in index if (m & (m - 1) == 0) == singleton))
+            return rays, index
+
+        monkeypatch.setattr(fan_module, "_ray_index", drop_one_ray)
+        for threads in (0, 1):
+            with pytest.raises(InternalInvariant, match=message):
+                cyclic_bergman_fan(M, threads=threads)
+            with pytest.raises(InternalInvariant, match=message):
+                fan_counts(M, threads=threads)
 
 
 def test_cube4_dual_fan_memory_per_cone():
@@ -347,6 +351,20 @@ def test_induce_pair_demo():
     for bad in ((0, 5), v + (0, 0)):
         with pytest.raises(WrongSize):
             induce_pair(M, (1, 2, 3, 4), bad, (1, 3, 4, 2))
+
+
+def test_induce_pair_reduces_the_basis_once(monkeypatch):
+    M = Matroid.from_matrix(DEMO_4X7)
+    calls = []
+    real = M.fundamental_circuit_masks
+
+    def counted(B):
+        calls.append(B)
+        return real(B)
+
+    monkeypatch.setattr(M, "fundamental_circuit_masks", counted)
+    induce_pair(M, (1, 2, 3, 4), (0, 5, 2, 3, 3, 0, 0), (1, 3, 4, 2))
+    assert len(calls) == 1
 
 
 def test_induce_pair_forced_constant():

@@ -1,8 +1,12 @@
-"""Compatible-pair enumeration and the caterpillar-tree cone oracle."""
+"""Compatible-pair enumeration, cone rows, and the caterpillar-tree cone oracle."""
+
+from array import array
+from types import SimpleNamespace
 
 import pytest
 
 from brute import (
+    _cone_masks,
     brute_flats,
     brute_regressive_pairs,
     build_tree,
@@ -14,7 +18,9 @@ from brute import (
 from conftest import CHAIN_3X6, FORCED_2X4, random_fan_matrices, small_corpus
 from tropfan.data import DEMO_4X7, UNIFORM_2_3, cube_matrix
 from tropfan.errors import HasColoops, HasLoops, InternalInvariant
-from tropfan.fan import _cone_masks, _regressive_pairs, enumerate_pairs
+from tropfan import fan as fan_module
+from tropfan.exact import IntMat
+from tropfan.fan import ConeArray, _regressive_pairs, _typecode, enumerate_pairs
 from tropfan.matroid import Matroid
 from tropfan.util import elements_of, mask_of
 
@@ -80,20 +86,67 @@ def test_chains_are_slots_of_blocks_and_covers():
                 assert seen == image | nonbasis, (B, chain)
 
 
-def test_cone_masks_reject_a_basis_element_attached_to_no_block():
+def cone_rows(monkeypatch, n, basis, chain, index):
+    """The rows _append_cones builds when the one chain over basis is given."""
+    M = SimpleNamespace(n=n, rank=len(basis), fundamental_circuit_masks=lambda B: {})
+    monkeypatch.setattr(fan_module, "_regressive_pairs", lambda fmask: [chain])
+    out = array("B")
+    assert fan_module._append_cones(M, [basis], index, out) == 1
+    return list(out)
+
+
+def test_cone_masks_reject_a_basis_element_attached_to_no_block(monkeypatch):
     # basis {1, 2, 3}; the one slot {1, 4} covers only 1, so 2 and 3 hang
     # off nothing, as they would for a coloop
     with pytest.raises(InternalInvariant):
         _cone_masks(0b111, ((0b1001, 0b001),))
+    index = {1 << i: i for i in range(4)}
+    with pytest.raises(InternalInvariant, match="coloops"):
+        cone_rows(monkeypatch, 4, (1, 2, 3), ((0b1001, 0b001),), index)
 
 
-def test_cone_masks_reject_a_cone_without_rank_minus_one_rays():
+def test_cone_masks_reject_a_cone_without_rank_minus_one_rays(monkeypatch):
     # basis {1, 2}; a third slot {5} adds a spine ray, giving 2 rays at rank 2
     chain = ((0b00101, 0b11), (0b01010, 0b10), (0b10000, 0))
     with pytest.raises(InternalInvariant):
         _cone_masks(0b11, chain)
     # without it the same slots give the one ray {2, 4}
     assert _cone_masks(0b11, chain[:2]) == [0b01010]
+    # the row builder, with both spine up-sets in the index so that only
+    # the ray count is wrong
+    index = {0b01010: 0, 0b10000: 1, 0b11010: 2}
+    with pytest.raises(InternalInvariant, match="rank-1 rays"):
+        cone_rows(monkeypatch, 5, (1, 2), chain, index)
+    assert cone_rows(monkeypatch, 5, (1, 2), chain[:2], index) == [0]
+
+
+def test_cone_rows_equal_the_mask_oracle():
+    # a repeated column makes a parallel class: its singletons are no rays
+    parallel = IntMat.from_rows(
+        [
+            [1, 0, 0, 0, 0, 3, 1, 1],
+            [0, 1, 0, 0, 1, 1, 2, 2],
+            [0, 0, 1, 0, 0, 0, 1, 1],
+            [0, 0, 0, 1, 2, 1, 0, 0],
+        ]
+    )
+    matroids = [Matroid.from_matrix(A) for _, A in small_corpus()]
+    matroids += random_fan_matrices(15, seed=40)
+    matroids.append(Matroid.from_matrix(parallel))
+    matroids += [M.dual() for M in matroids]
+    for M in matroids:
+        rays, index = fan_module._ray_index(M)
+        want = [
+            tuple(sorted(index[mask] for mask in _cone_masks(mask_of(B), chain)))
+            for B in M.bases
+            for chain in _regressive_pairs(M.fundamental_circuit_masks(B))
+        ]
+        out = array(_typecode(len(rays)))
+        count = fan_module._append_cones(M, M.bases, index, out)
+        assert list(ConeArray(out, M.rank - 1, count)) == want, M.A.entries
+        assert fan_module._append_cones(M, M.bases, index, None) == count
+    M = Matroid.from_matrix(parallel)
+    assert not {1 << 6, 1 << 7} & set(fan_module._ray_index(M)[1])
 
 
 def test_chain_matrix_rejects_incompatible_order():
