@@ -225,11 +225,11 @@ def _append_cones(M: Matroid, bases, index, out) -> int:
     slot or above (a reused b is chain-minimal in image & F_k, a new slot
     goes in at or below it, and a new image element above every cover
     holding it), so an up-set is the union of block | cover over the slots
-    from the top down to it.  tables[j][v] holds the singleton rays among
-    the elements 8j + bits of v.  A ray missing from index (ruled out by
-    the paper's theorem), a basis element on no slot (a coloop) and a cone
-    without rank - 1 rays raise InternalInvariant.  With out None every
-    cone is checked but none is stored.
+    from the top down to it.  The table of byte j maps v to the singleton
+    rays among the elements 8j + bits of v.  A ray missing from index
+    (ruled out by the paper's theorem), a basis element in no block or
+    cover (a coloop) and a cone without rank - 1 rays raise
+    InternalInvariant.  With out None every cone is checked, none stored.
     """
     nonray = ((1 << M.n) - 1) & ~sum(mask for mask in index if not mask & (mask - 1))
     bits = [[1 << i for i in range(8) if v >> i & 1] for v in range(256)]

@@ -5,11 +5,11 @@ code paths it checks: plain Gaussian elimination over Fraction instead of
 the fraction-free core, subset enumeration instead of incidence tricks,
 deletion-contraction instead of activities, total-order enumeration instead
 of the pair recursion, caterpillar trees and mask-by-mask ray lists instead
-of the table-built ray-index rows, a
-scan over every circuit for tropical membership, a phase-one simplex for cone
-membership, per-cone dot products over every direction instead of packed
-lanes for ray shooting, and every basis's weight at a cone's witness instead
-of tight-basis bitsets for Bergman classes.
+of the table-built ray-index rows, a scan over every circuit for tropical
+membership, a phase-one simplex for cone membership, per-cone dot products
+over every direction instead of packed lanes for ray shooting, and every
+basis's weight at a cone's witness instead of tight-basis bitsets for
+Bergman classes.
 """
 
 from dataclasses import dataclass

@@ -16,9 +16,9 @@ from brute import (
     pair_key,
 )
 from conftest import CHAIN_3X6, FORCED_2X4, random_fan_matrices, small_corpus
+from tropfan import fan as fan_module
 from tropfan.data import DEMO_4X7, UNIFORM_2_3, cube_matrix
 from tropfan.errors import HasColoops, HasLoops, InternalInvariant
-from tropfan import fan as fan_module
 from tropfan.exact import IntMat
 from tropfan.fan import ConeArray, _regressive_pairs, _typecode, enumerate_pairs
 from tropfan.matroid import Matroid
