@@ -145,8 +145,12 @@ def _write_fan(out, args: argparse.Namespace, M: Matroid):
         out.write(" ".join(map(str, ray)) + "\n")
     out.write("MAXCONES\n")
     name = [str(i) for i in range(len(fan.rays))].__getitem__
-    for cone in fan.maximal_cones:
-        out.write(" ".join(map(name, cone)) + "\n")
+    width = M.rank - 1
+    # one join and one write per block, not the whole body as one string;
+    # zip() of no iterators yields nothing, so rank-1 cones are written apart
+    for count, data in fan.maximal_cones.blocks(1024):
+        text = "".join(" ".join(t) + "\n" for t in zip(*[map(name, data)] * width))
+        out.write(text if width else "\n" * count)
     if args.compare:
         classes = compare_with_bergman(fan, M)
         out.write("BERGMAN\n")

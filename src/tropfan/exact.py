@@ -6,7 +6,7 @@ few lines over one elimination core, `gauss_jordan`: Montante's fraction-free
 Gauss-Jordan scheme (Bareiss 1968, applied to the rows above the pivot as
 well as below), where cross-multiplication is followed by an exact division
 by the previous pivot, so every intermediate entry is an integer minor of the
-input.
+input.  Its step, `pivot_step`, also drives `Matroid.enumerate_bases`.
 """
 
 from __future__ import annotations
@@ -47,6 +47,32 @@ class IntMat:
         return [list(row) for row in self.entries]
 
 
+def pivot_step(m: list[list[int]], r: int, c: int, prev: int) -> int:
+    """One fraction-free Gauss-Jordan step: pivot on column c in row r.
+
+    The first row from r on that is nonzero in column c is swapped into row
+    r; every other row i becomes (p * m[i] - m[i][c] * m[r]) / prev, in
+    place, with p = m[r][c] and prev the previous pivot.  Returns -1 after a
+    swap, else 1 (the determinant's sign), or 0 if column c is zero from r on.
+    """
+    pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
+    if pivot_row is None:
+        return 0
+    m[r], m[pivot_row] = m[pivot_row], m[r]
+    row_r = m[r]
+    piv = row_r[c]
+    ncols = len(row_r)
+    for i, row_i in enumerate(m):
+        mic = row_i[c]
+        if i != r and mic:
+            for j in range(ncols):
+                row_i[j] = (row_i[j] * piv - mic * row_r[j]) // prev
+        elif i != r and piv != prev:  # otherwise the update leaves the row as it is
+            for j in range(ncols):
+                row_i[j] = row_i[j] * piv // prev
+    return -1 if pivot_row != r else 1
+
+
 def gauss_jordan(m: list[list[int]], pivot_cols=None) -> tuple[list[int], int]:
     """Destructive fraction-free Gauss-Jordan reduction of integer rows.
 
@@ -61,34 +87,17 @@ def gauss_jordan(m: list[list[int]], pivot_cols=None) -> tuple[list[int], int]:
     there is none), and row r is p times row r of the reduced row echelon
     form; the remaining rows are zero.
     """
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
     pivots = []
     prev = sign = 1
-    for c in range(ncols) if pivot_cols is None else pivot_cols:
+    for c in range(len(m[0]) if m else 0) if pivot_cols is None else pivot_cols:
         r = len(pivots)
-        pivot_row = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pivot_row is None:
+        step = pivot_step(m, r, c, prev)
+        if not step:
             if pivot_cols is None:
                 continue
             raise SingularBasis(f"columns {list(pivot_cols)} are linearly dependent")
-        if pivot_row != r:
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            sign = -sign
-        row_r = m[r]
-        piv = row_r[c]
-        for i in range(nrows):
-            if i == r:
-                continue
-            row_i = m[i]
-            mic = row_i[c]
-            if mic:
-                for j in range(ncols):
-                    row_i[j] = (row_i[j] * piv - mic * row_r[j]) // prev
-            elif piv != prev:  # otherwise the update leaves the row as it is
-                for j in range(ncols):
-                    row_i[j] = row_i[j] * piv // prev
-        prev = piv
+        sign *= step
+        prev = m[r][c]
         pivots.append(c)
     return pivots, sign * prev
 

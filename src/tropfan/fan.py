@@ -84,6 +84,12 @@ class ConeArray(Sequence):
             return repeat((), self._count)
         return zip(*[iter(self._data)] * self._width)
 
+    def blocks(self, size: int):
+        """(count, packed ray indices) of each run of at most size cones, in order."""
+        w = self._width
+        for i in range(0, self._count, size):
+            yield min(size, self._count - i), self._data[i * w : (i + size) * w]
+
     def __eq__(self, other):
         if not isinstance(other, ConeArray):
             return NotImplemented
@@ -272,31 +278,26 @@ def _append_cones(M: Matroid, bases, index, out) -> int:
 
 
 def _fan_worker(payload):
-    entries, dual_mode, bases, index, typecode = payload
+    entries, dual_mode, prefixes, index, typecode = payload
     M = Matroid(IntMat.from_rows(entries), dual_mode=dual_mode, loops=(), coloops=())
     out = None if typecode is None else array(typecode)
-    count = _append_cones(M, bases, index, out)
-    return out, count
-
-
-def _chunks(seq, k):
-    step = max(1, -(-len(seq) // k))
-    return [seq[i : i + step] for i in range(0, len(seq), step)]
+    return out, _append_cones(M, M.enumerate_bases(prefixes), index, out)
 
 
 def _collect_cones(M: Matroid, threads: int, index, out) -> int:
     """Append every cone of the fan to out in canonical order; return the count.
 
-    threads > 0 hands chunks of bases to worker processes, at most one per
-    CPU, each returning one packed block; blocks are appended in basis order,
-    so the result is identical to the sequential one.  out None only counts.
+    threads > 0 hands runs of the basis walk (Matroid.basis_shards) to
+    worker processes, at most one per CPU; each walks its run and returns one
+    packed block, appended in run order, so the result is identical to the
+    sequential one and the parent lists no bases.  out None only counts.
     """
     if threads <= 0:
         return _append_cones(M, M.enumerate_bases(), index, out)
     workers = min(threads, os.cpu_count() or 1)
     payloads = [
-        (M.A.entries, M.dual_mode, chunk, index, getattr(out, "typecode", None))
-        for chunk in _chunks(M.bases, workers * 4)
+        (M.A.entries, M.dual_mode, run, index, getattr(out, "typecode", None))
+        for run in M.basis_shards(workers * 4)
     ]
     count = 0
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -4,7 +4,9 @@ A handle is built either directly from a matrix A (column dependences over Q)
 or in dual mode, where it answers queries about the dual matroid of M(A)
 without ever materializing a Gale dual: bases are complements, and dual
 fundamental circuits come from the incidence flip
-j in C*(k, B)  iff  k in C(j, complement of B).
+j in C*(k, B)  iff  k in C(j, complement of B).  Bases come from one walk
+over the column subsets of A, one pivot step per subset, that hands each
+basis's reduced rows to fundamental_circuit_masks.
 Ground-set indices are 1-based throughout.
 """
 
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .errors import (
     ElementInBasis,
@@ -22,7 +25,7 @@ from .errors import (
     SingularBasis,
     WrongSize,
 )
-from .exact import IntMat, gauss_jordan, rank_of_rows
+from .exact import IntMat, gauss_jordan, pivot_step
 from .util import elements_of, primitive
 
 
@@ -44,8 +47,9 @@ class Matroid:
     """Linear matroid M(A), or its dual when dual_mode is set.
 
     Handles are immutable after construction except for the basis cache,
-    which follows a single-writer discipline: populate it (by exhausting
-    enumerate_bases) before sharing the handle across threads.
+    which follows a single-writer discipline: populate it (by reading
+    bases) before sharing the handle across threads.  The walk's last rows
+    are stored with their basis as one tuple, read once per lookup.
     """
 
     def __init__(self, A: IntMat, *, dual_mode: bool, loops, coloops):
@@ -56,6 +60,7 @@ class Matroid:
         self.loops = tuple(loops)
         self.coloops = tuple(coloops)
         self._bases = None
+        self._last = None  # (basis, reduced rows) of the walk's last yield
 
     # -- construction -------------------------------------------------------
 
@@ -114,38 +119,65 @@ class Matroid:
             raise WrongSize(f"{list(S)} is not a subset of 1..{self.n}")
         return S
 
-    def _basis_test(self, S) -> bool:
-        """Whether the columns of S (of its complement in dual mode) span Q^m."""
-        if self.dual_mode:
-            inside = set(S)
-            S = [i for i in range(1, self.n + 1) if i not in inside]
-        cols = self.A.columns
-        rows = [[cols[c - 1][r] for c in S] for r in range(self.m)]
-        return rank_of_rows(rows) == self.m
-
     def is_basis(self, S) -> bool:
+        """Whether the columns of S (of its complement in dual mode) span Q^m."""
         S = self._subset(S)
         if len(S) != self.rank:
             raise WrongSize(f"expected {self.rank} elements, got {len(S)}")
-        return self._basis_test(S)
+        if self.dual_mode:
+            S = sorted(set(range(1, self.n + 1)) - set(S))
+        return len(gauss_jordan([list(self.A.columns[c - 1]) for c in S])[0]) == self.m
 
-    def enumerate_bases(self):
-        """Yield every basis exactly once, in lexicographic order of subsets."""
-        if self._bases is not None:
-            yield from self._bases
-            return
-        found = []
-        for comb in combinations(range(1, self.n + 1), self.rank):
-            if self._basis_test(comb):
-                found.append(comb)
-                yield comb
-        self._bases = tuple(found)
+    def enumerate_bases(self, prefixes=None):
+        """Yield every basis exactly once, in lexicographic order of subsets.
+
+        A depth-first walk over the increasing column subsets of A: a node
+        applies one pivot_step to a copy of its parent's rows, a column zero
+        in the unused rows is skipped, and a leaf leaves the rows of
+        gauss_jordan(A.row_lists(), chosen) on the handle with its basis for
+        fundamental_circuit_masks.  Dual bases in lexicographic order are the
+        complements of M(A)'s in reverse order, so dual children descend.
+        With prefixes, a run of basis_shards, only the bases below them come.
+        """
+        n, m, dual = self.n, self.m, self.dual_mode
+
+        def below(rows, chosen, prev, prefix):
+            k = len(chosen)
+            if k == m:
+                elems = [e for e in range(n) if e not in chosen] if dual else chosen
+                B = tuple([e + 1 for e in elems])
+                self._last = (B, rows)
+                yield B
+                return
+            cols = range(chosen[-1] + 1 if chosen else 0, n - m + k + 1)
+            # inside the prefix, its next column is the only child
+            for c in prefix[k : k + 1] or (reversed(cols) if dual else cols):
+                child = [row[:] for row in rows]
+                if pivot_step(child, k, c, prev):
+                    yield from below(child, chosen + (c,), child[k][c], prefix)
+
+        for prefix in [()] if prefixes is None else prefixes:
+            yield from below(self.A.row_lists(), (), 1, prefix)
+
+    def basis_shards(self, k: int) -> list:
+        """Runs of the walk's top-level prefixes, for workers to walk in turn.
+
+        A prefix is the walk's first min(2, m) pivot columns; the at most k
+        runs, in walk order, span about equal numbers of column subsets."""
+        d = min(2, self.m)
+        prefixes = list(combinations(range(self.n - self.m + d), d))
+        runs, done, total = [], 0, comb(self.n, self.m)
+        for p in prefixes[::-1] if self.dual_mode else prefixes:
+            if not runs or done * k >= total * len(runs):
+                runs.append([])
+            runs[-1].append(p)
+            done += comb(self.n - 1 - p[-1], self.m - d)
+        return runs
 
     @property
     def bases(self):
         if self._bases is None:
-            for _ in self.enumerate_bases():
-                pass
+            self._bases = tuple(self.enumerate_bases())
         return self._bases
 
     # -- fundamental circuits -----------------------------------------------
@@ -153,44 +185,33 @@ class Matroid:
     def fundamental_circuit_masks(self, B) -> dict:
         """Bitmasks of F_k = C(k, B) - {k} for every non-basis element k.
 
-        One row reduction serves all k; in dual mode the reduction happens on
-        the complement basis of the underlying matrix and the incidence is
-        transposed, so the dual representation is never formed.
+        One row reduction serves all k: the walk's, if B is the basis it
+        yielded last, else a fresh one.  In dual mode it pivots on the
+        complement basis of A and the incidence is transposed.
         """
         B = self._subset(B)
         if len(B) != self.rank:
             raise NotABasis(f"{list(B)} is not a basis")
         bset = set(B)
         outside = [k for k in range(1, self.n + 1) if k not in bset]
-        if not self.dual_mode:
-            pivot_elems = B
-            query_elems = outside
+        pivot_elems = outside if self.dual_mode else B  # a basis of M(A)
+        if (last := self._last) is not None and last[0] == B:
+            m = last[1]
         else:
-            pivot_elems = tuple(outside)  # basis of the underlying matroid
-            query_elems = B
-        m = self.A.row_lists()
-        try:
-            gauss_jordan(m, [b - 1 for b in pivot_elems])
-        except SingularBasis:
-            raise NotABasis(f"{list(B)} is not a basis") from None
-        if not self.dual_mode:
-            fk = {}
-            for k in query_elems:
-                mask = 0
-                c = k - 1
-                for r in range(self.m):
-                    if m[r][c]:
-                        mask |= 1 << (pivot_elems[r] - 1)
-                fk[k] = mask
-            return fk
-        fk = {k: 0 for k in pivot_elems}
-        for j in query_elems:
-            jbit = 1 << (j - 1)
-            c = j - 1
-            for r in range(self.m):
-                if m[r][c]:
-                    fk[pivot_elems[r]] |= jbit
-        return fk
+            m = self.A.row_lists()
+            try:
+                gauss_jordan(m, [b - 1 for b in pivot_elems])
+            except SingularBasis:
+                raise NotABasis(f"{list(B)} is not a basis") from None
+        # bit x of nz[r] marks element x + 1 if pivot row r is nonzero there:
+        # the row's own pivot and each other element whose circuit holds it
+        nz = [sum(1 << x for x, a in enumerate(row) if a) for row in m[: self.m]]
+        if self.dual_mode:
+            return {p: mask & ~(1 << (p - 1)) for p, mask in zip(outside, nz)}
+        return {
+            k: sum(1 << (p - 1) for p, mask in zip(B, nz) if mask >> (k - 1) & 1)
+            for k in outside
+        }
 
     def fundamental_circuit(self, e: int, B) -> tuple:
         """The unique circuit inside B + {e}, as a sorted tuple containing e."""

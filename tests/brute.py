@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from tropfan.errors import InternalInvariant, WrongSize
-from tropfan.exact import integer_kernel_basis
+from tropfan.exact import gauss_jordan, integer_kernel_basis, rank_of_rows
 from tropfan.fan import CompatiblePair, _regressive_pairs
 from tropfan.matroid import Matroid
 from tropfan.util import elements_of, mask_of, mask_to_vector
@@ -92,6 +92,31 @@ def brute_fundamental_circuit(cols, e, B):
         if independent(cols, T):
             out.append(i)
     return tuple(sorted(out))
+
+
+def lex_bases_and_masks(M: Matroid):
+    """(B, fundamental_circuit_masks(B)) over every basis, as computed before the walk.
+
+    Every rank-subset S in lexicographic order is kept iff the columns of S
+    (of its complement U in dual mode) have rank m, and each basis gets one
+    fresh gauss_jordan on the pivot columns U, read off row by row.
+    """
+    out = []
+    cols = M.A.columns
+    for S in combinations(range(1, M.n + 1), M.rank):
+        U = tuple(i for i in range(1, M.n + 1) if i not in S) if M.dual_mode else S
+        if rank_of_rows([cols[c - 1] for c in U]) != M.m:
+            continue
+        rows = M.A.row_lists()
+        gauss_jordan(rows, [c - 1 for c in U])
+        query = S if M.dual_mode else [k for k in range(1, M.n + 1) if k not in S]
+        incidence = {(k, U[r]) for k in query for r in range(M.m) if rows[r][k - 1]}
+        if M.dual_mode:
+            masks = {b: sum(1 << (k - 1) for k, u in incidence if u == b) for b in U}
+        else:
+            masks = {k: sum(1 << (u - 1) for j, u in incidence if j == k) for k in query}
+        out.append((S, masks))
+    return out
 
 
 def brute_circuits(cols):

@@ -22,6 +22,7 @@ from brute import (
 )
 from conftest import random_fan_matrices, small_corpus, source_pairs
 from tropfan import fan as fan_module
+from tropfan import matroid as matroid_module
 from tropfan.data import (
     DEMO_4X7,
     GRAPHIC_3X6,
@@ -158,6 +159,55 @@ def test_threads_output_identical():
     par = cyclic_bergman_fan(M, threads=2)
     assert seq == par
     assert fan_counts(M, threads=2) == fan_counts(M) == (20, 80)
+
+
+def test_sharded_threads_match_sequential_and_list_no_bases():
+    for A in (cube_matrix(4), TANGENT_LINE_CUBIC_4X13):
+        seq = cyclic_bergman_fan(Matroid.from_matrix(A).dual())
+        M = Matroid.from_matrix(A).dual()
+        assert cyclic_bergman_fan(M, threads=2) == seq
+        assert fan_counts(M, threads=2) == (len(seq.rays), len(seq.maximal_cones))
+        # each worker walks its own run of prefixes; the parent lists no bases
+        assert M._bases is None
+
+
+def test_more_shards_than_top_level_subtrees():
+    # U(2,3) has three top-level prefixes and the rank-1 U(1,3) three; two
+    # workers ask for eight runs
+    for A in (UNIFORM_2_3, [[1, 2, -1]]):
+        M = Matroid.from_matrix(A)
+        for H in (M, M.dual()):
+            runs = H.basis_shards(8)
+            assert len(runs) == 3 and all(runs)
+            assert [B for run in runs for B in H.enumerate_bases(run)] == list(H.bases)
+        assert cyclic_bergman_fan(M, threads=2) == cyclic_bergman_fan(M)
+        assert fan_counts(M, threads=2) == fan_counts(M)
+
+
+def test_shards_are_balanced_by_subtree_size():
+    M = Matroid.from_matrix(cube_matrix(4)).dual()
+    sizes = [sum(1 for _ in M.enumerate_bases(run)) for run in M.basis_shards(4)]
+    assert sum(sizes) == len(M.bases) and len(sizes) == 4
+    assert max(sizes) < 2 * min(sizes)
+
+
+def test_worker_reduces_no_basis_afresh(monkeypatch):
+    M = Matroid.from_matrix(TANGENT_LINE_CUBIC_4X13).dual()
+    fan = cyclic_bergman_fan(M)
+    rays, index = fan_module._ray_index(M)
+    typecode = fan_module._typecode(len(rays))
+    calls = []
+    real = matroid_module.gauss_jordan
+    monkeypatch.setattr(
+        matroid_module, "gauss_jordan", lambda *a: calls.append(a) or real(*a)
+    )
+    data, count = array(typecode), 0
+    for run in M.basis_shards(3):
+        block, k = fan_module._fan_worker((M.A.entries, True, run, index, typecode))
+        data += block
+        count += k
+    assert calls == []
+    assert ConeArray(data, M.rank - 1, count) == fan.maximal_cones
 
 
 def test_threads_are_capped_at_the_cpu_count(monkeypatch):

@@ -14,9 +14,19 @@ from brute import (
     columns_of,
     handle_columns,
     independent,
+    lex_bases_and_masks,
 )
 from conftest import CHAIN_3X6, UNIFORM_2_4, random_fan_matrices, small_corpus
-from tropfan.data import DEMO_4X7, GRAPHIC_3X6, TANGENT_LINE_CUBIC_GALE_9X13, UNIFORM_2_3
+from tropfan import matroid as matroid_module
+from tropfan.data import (
+    DEMO_4X7,
+    GRAPHIC_3X6,
+    TANGENT_CONIC_CUBIC_4X16,
+    TANGENT_LINE_CUBIC_4X13,
+    TANGENT_LINE_CUBIC_GALE_9X13,
+    UNIFORM_2_3,
+    cube_matrix,
+)
 from tropfan.errors import (
     ElementInBasis,
     HasColoops,
@@ -26,7 +36,7 @@ from tropfan.errors import (
     WrongSize,
 )
 from tropfan.exact import IntMat, integer_kernel_basis
-from tropfan.fan import enumerate_pairs
+from tropfan.fan import cyclic_bergman_fan, enumerate_pairs
 from tropfan.matroid import Matroid
 from tropfan.util import elements_of
 
@@ -120,6 +130,66 @@ def test_dual_bases_are_complements():
         full = set(range(1, M.n + 1))
         expected = sorted(tuple(sorted(full - set(B))) for B in M.bases)
         assert list(D.bases) == expected, name
+
+
+def walk_handles():
+    """Primal and dual handles of the corpora the basis walk is checked on."""
+    handles = [Matroid.from_matrix(A) for _, A in small_corpus()]
+    handles += random_fan_matrices(15, seed=40)
+    handles += [
+        Matroid.from_matrix(A)
+        for A in (cube_matrix(4), TANGENT_LINE_CUBIC_4X13, TANGENT_CONIC_CUBIC_4X16)
+    ]
+    handles += [
+        Matroid.from_matrix(rows, strict=False)
+        for rows in (
+            [[1, 1, 0, 2], [0, 0, 1, 1]],  # columns 1 and 2 repeated
+            [[1, 0, 0, 1], [0, 0, 1, 1]],  # column 2 zero: a loop
+            [[1, 2, -1]],  # rank 1
+            [[1, 0, 3], [0, 1, 0], [2, 0, 1]],  # rank 3 on 3 elements
+        )
+    ]
+    return [H for M in handles for H in (M, M.dual())]
+
+
+def test_basis_walk_matches_lex_enumeration_and_fresh_reductions():
+    # bases, their order and every fundamental_circuit_masks result, against
+    # a rank test per rank-subset and a gauss_jordan per basis
+    handles = walk_handles()
+    for H in handles:
+        got = [(B, H.fundamental_circuit_masks(B)) for B in H.enumerate_bases()]
+        assert got == lex_bases_and_masks(H), (H.A, H.dual_mode)
+    rank1, _, _, rank0 = handles[-4:]
+    assert rank1.bases == ((1,), (2,), (3,))
+    assert rank0.rank == 0 and rank0.bases == ((),)
+
+
+def test_interleaved_walks_hand_off_only_their_own_rows(monkeypatch):
+    M = Matroid.from_matrix(DEMO_4X7).dual()
+    expected = dict(lex_bases_and_masks(M))
+    calls = []
+    real = matroid_module.gauss_jordan
+    monkeypatch.setattr(
+        matroid_module, "gauss_jordan", lambda *a: calls.append(a) or real(*a)
+    )
+    first, second = M.enumerate_bases(), M.enumerate_bases()
+    next(second)
+    for step, (B, C) in enumerate(zip(first, second), start=1):
+        # C was yielded last, so only B is reduced afresh
+        assert B != C
+        assert M.fundamental_circuit_masks(B) == expected[B]
+        assert M.fundamental_circuit_masks(C) == expected[C]
+        assert len(calls) == step
+
+
+def test_masks_after_the_basis_cache_was_filled():
+    M = Matroid.from_matrix(cube_matrix(3))
+    expected = lex_bases_and_masks(M)
+    assert M.bases == tuple(B for B, _ in expected)
+    # the cached enumeration hands off no rows but the last basis's
+    got = [(B, M.fundamental_circuit_masks(B)) for B in M.enumerate_bases()]
+    assert got == expected
+    assert cyclic_bergman_fan(M) == cyclic_bergman_fan(Matroid.from_matrix(cube_matrix(3)))
 
 
 def test_gale_dual_has_430_bases():
