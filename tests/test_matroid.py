@@ -183,13 +183,14 @@ def test_interleaved_walks_hand_off_only_their_own_rows(monkeypatch):
 
 
 def test_masks_after_the_basis_cache_was_filled():
+    # masks asked over the cached tuple are reduced afresh, all but the last
+    # basis's; the fan then walks the bases again
     M = Matroid.from_matrix(cube_matrix(3))
     expected = lex_bases_and_masks(M)
     assert M.bases == tuple(B for B, _ in expected)
-    # the cached enumeration hands off no rows but the last basis's
-    got = [(B, M.fundamental_circuit_masks(B)) for B in M.enumerate_bases()]
-    assert got == expected
-    assert cyclic_bergman_fan(M) == cyclic_bergman_fan(Matroid.from_matrix(cube_matrix(3)))
+    assert [(B, M.fundamental_circuit_masks(B)) for B in M.bases] == expected
+    fresh = Matroid.from_matrix(cube_matrix(3))
+    assert cyclic_bergman_fan(M) == cyclic_bergman_fan(fresh)
 
 
 def test_gale_dual_has_430_bases():
