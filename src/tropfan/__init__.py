@@ -15,18 +15,7 @@ from .discriminant import (
     shoot_vertex,
 )
 from .exact import IntMat, det, integer_kernel_basis, rank
-from .fan import (
-    CompatiblePair,
-    Fan,
-    compare_with_bergman,
-    cyclic_bergman_fan,
-    enumerate_pairs,
-    fan_counts,
-    induce_pair,
-    interior_witness,
-    is_in_local_trop,
-    local_trop_point,
-)
+from .fan import Fan, compare_with_bergman, cyclic_bergman_fan, fan_counts
 from .matroid import Matroid, TuttePoly
 
 __all__ = [
@@ -36,15 +25,9 @@ __all__ = [
     "integer_kernel_basis",
     "Matroid",
     "TuttePoly",
-    "CompatiblePair",
     "Fan",
-    "enumerate_pairs",
     "cyclic_bergman_fan",
     "fan_counts",
-    "is_in_local_trop",
-    "local_trop_point",
-    "induce_pair",
-    "interior_witness",
     "compare_with_bergman",
     "DiscriminantProblem",
     "NewtonVertex",

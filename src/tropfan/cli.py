@@ -106,10 +106,9 @@ def build_config(argv) -> argparse.Namespace:
     )
     args = parser.parse_args(argv)
     if args.random is not None:
-        if args.compare:
-            parser.error("--compare requires fan mode, not --random")
-        if args.counts_only:
-            parser.error("--counts-only requires fan mode, not --random")
+        for flag in ("dual", "compare", "bases", "circuits", "tutte", "counts_only"):
+            if getattr(args, flag):
+                parser.error(f"--{flag.replace('_', '-')} requires fan mode, not --random")
         if args.random < 0:
             parser.error("--random takes a nonnegative count")
     if args.compare and args.counts_only:

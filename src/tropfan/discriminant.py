@@ -187,21 +187,16 @@ def setup(A, *, threads: int = 0) -> DiscriminantProblem:
     return DiscriminantProblem(A, m, n, Aperp, M, fan, codim1, lattice_spanned)
 
 
-def eq2_determinant(prob: DiscriminantProblem, cone: Codim1Cone, i: int) -> int:
-    """|det| of (A^T columns, the cone's rays, e_i), computed directly."""
-    cols = [row for row in prob.A.entries]
-    cols += [prob.fan.rays[j] for j in prob.fan.maximal_cones[cone.cone_index]]
-    e = [0] * prob.n
-    e[i] = 1
-    cols.append(tuple(e))
-    return abs(det_of_columns(cols))
-
-
 def _kappa_abs(prob: DiscriminantProblem, cone: Codim1Cone) -> int:
+    """|det(A^T columns, the cone's rays, e_i)| / |normal_i|, one i serving all."""
     if cone.kappa_abs is None:
         i0 = next(i for i, x in enumerate(cone.normal) if x != 0)
-        d = eq2_determinant(prob, cone, i0)
-        k, rem = divmod(d, abs(cone.normal[i0]))
+        cols = list(prob.A.entries)
+        cols += [prob.fan.rays[j] for j in prob.fan.maximal_cones[cone.cone_index]]
+        e = [0] * prob.n
+        e[i0] = 1
+        cols.append(tuple(e))
+        k, rem = divmod(abs(det_of_columns(cols)), abs(cone.normal[i0]))
         if rem or k == 0:
             raise InternalInvariant("determinant does not factor through the normal")
         cone.kappa_abs = k

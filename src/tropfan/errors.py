@@ -33,24 +33,8 @@ class NotABasis(TropfanError):
     """The given index set is not a basis of the matroid."""
 
 
-class ElementInBasis(TropfanError):
-    """A fundamental circuit was requested for an element of the basis itself."""
-
-
 class WrongSize(TropfanError):
     """An index set or vector has the wrong size, or an index lies outside 1..n."""
-
-
-class NotInLocalTrop(TropfanError):
-    """The vector is not in the local tropical linear space of the given basis."""
-
-
-class NotMaxWeightBasis(NotInLocalTrop):
-    """The basis does not have maximal weight for the given vector."""
-
-
-class OrderIncompatible(TropfanError):
-    """The supplied total order contradicts the coordinate values of the vector."""
 
 
 class InternalInvariant(TropfanError):

@@ -24,35 +24,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 
-from .errors import (
-    HasColoops,
-    HasLoops,
-    InternalInvariant,
-    NotInLocalTrop,
-    NotMaxWeightBasis,
-    OrderIncompatible,
-    WrongSize,
-)
+from .errors import HasColoops, HasLoops, InternalInvariant
 from .exact import IntMat
 from .matroid import Matroid
 from .util import elements_of, mask_of, mask_to_vector
-
-
-@dataclass(frozen=True)
-class CompatiblePair:
-    """A basis, a regressive preference function, and a total order on its image.
-
-    pref lists (k, p(k)) with k ascending over the non-basis elements; order
-    lists the image of p from smallest to largest.
-    """
-
-    basis: tuple
-    pref: tuple
-    order: tuple
-
-    @property
-    def pref_map(self) -> dict:
-        return dict(self.pref)
 
 
 class ConeArray(Sequence):
@@ -106,9 +81,9 @@ class Fan:
     """Simplicial fan: 0/1 rays plus maximal cones as ray-index sets.
 
     rays are sorted lexicographically as vectors; each cone is a sorted tuple
-    of ray indices, cones listed by (basis, pair) enumeration order, which is
-    the order of enumerate_pairs over M.bases.  The lineality space, spanned
-    by the all-ones vector, is implicit.
+    of ray indices, cones listed basis by basis in the order of M.bases and,
+    over one basis, in the order _regressive_pairs yields its chains.  The
+    lineality space, spanned by the all-ones vector, is implicit.
     """
 
     n: int
@@ -174,26 +149,14 @@ def _regressive_pairs(fmask):
     return chains
 
 
+# -- fan assembly -------------------------------------------------------------
+
+
 def _require_no_loops_coloops(M: Matroid):
     if M.loops:
         raise HasLoops(M.loops)
     if M.coloops:
         raise HasColoops(M.coloops)
-
-
-def enumerate_pairs(M: Matroid, B):
-    """Yield every regressive compatible pair with respect to B exactly once."""
-    _require_no_loops_coloops(M)
-    B = M._subset(B)
-    fmask = M.fundamental_circuit_masks(B)
-    ks = sorted(fmask)
-    for chain in _regressive_pairs(fmask):
-        order = tuple((block & -block).bit_length() for block, _ in chain)
-        p = {k: b for b, (block, _) in zip(order, chain) for k in elements_of(block)}
-        yield CompatiblePair(B, tuple((k, p[k]) for k in ks), order)
-
-
-# -- fan assembly -------------------------------------------------------------
 
 
 def _ray_index(M: Matroid):
@@ -327,93 +290,6 @@ def fan_counts(M: Matroid, *, threads: int = 0) -> tuple:
     _require_no_loops_coloops(M)
     rays, index = _ray_index(M)
     return len(rays), _collect_cones(M, threads, index, None)
-
-
-# -- membership and induced pairs ---------------------------------------------
-
-
-def _basis_weight(B, v):
-    return sum(v[i - 1] for i in B)
-
-
-def is_in_local_trop(M: Matroid, B, v) -> bool:
-    """Membership in the local tropical linear space around B.
-
-    Requires B to have maximal v-weight; then only the fundamental circuits
-    over B need their minima attained twice.
-    """
-    B = M._subset(B)
-    fmask = M.fundamental_circuit_masks(B)
-    if len(v) != M.n:
-        raise WrongSize(f"vector length {len(v)} != {M.n}")
-    return _in_local_trop(M, B, fmask, v)
-
-
-def _in_local_trop(M: Matroid, B, fmask, v) -> bool:
-    """is_in_local_trop for a checked basis B with fundamental circuits fmask."""
-    weight = _basis_weight(B, v)
-    if any(_basis_weight(other, v) > weight for other in M.bases):
-        raise NotMaxWeightBasis(f"{list(B)} does not have maximal weight")
-    for k, mask in fmask.items():
-        values = [v[k - 1]] + [v[i - 1] for i in elements_of(mask)]
-        lo = min(values)
-        if values.count(lo) < 2:
-            return False
-    return True
-
-
-def local_trop_point(M: Matroid, B, x) -> tuple:
-    """Image of x under the piecewise-linear parametrization of the local space.
-
-    Basis coordinates copy x (in sorted basis order); each non-basis
-    coordinate is the minimum of x over F_k.
-    """
-    B = M._subset(B)
-    fmask = M.fundamental_circuit_masks(B)
-    if len(x) != len(B):
-        raise WrongSize(f"expected {len(B)} coordinates, got {len(x)}")
-    on_basis = dict(zip(B, x))
-    out = list(range(M.n))
-    for i in range(1, M.n + 1):
-        if i in on_basis:
-            out[i - 1] = on_basis[i]
-        else:
-            out[i - 1] = min(on_basis[b] for b in elements_of(fmask[i]))
-    return tuple(out)
-
-
-def induce_pair(M: Matroid, B, v, J) -> CompatiblePair:
-    """Pair induced by a total order J on B respecting v (v_a < v_b forces a before b)."""
-    B = M._subset(B)
-    fmask = M.fundamental_circuit_masks(B)
-    if len(v) != M.n:
-        raise WrongSize(f"vector length {len(v)} != {M.n}")
-    J = tuple(J)
-    if sorted(J) != list(B):
-        raise WrongSize("J must be a total order on the basis")
-    for a, b in zip(J, J[1:]):
-        if v[a - 1] > v[b - 1]:
-            raise OrderIncompatible(f"J places {a} before {b} but v[{a}] > v[{b}]")
-    if not _in_local_trop(M, B, fmask, v):
-        raise NotInLocalTrop("vector is not in the local tropical linear space")
-    pref = []
-    image = set()
-    for k in sorted(fmask):
-        fk = fmask[k]
-        p = next(b for b in J if fk >> (b - 1) & 1)
-        pref.append((k, p))
-        image.add(p)
-    order = tuple(b for b in J if b in image)
-    return CompatiblePair(B, tuple(pref), order)
-
-
-def interior_witness(fan: Fan, cone_index: int) -> tuple:
-    """Sum of the cone's ray vectors: a relative-interior point."""
-    w = [0] * fan.n
-    for i in fan.maximal_cones[cone_index]:
-        for j, x in enumerate(fan.rays[i]):
-            w[j] += x
-    return tuple(w)
 
 
 def compare_with_bergman(fan: Fan, M: Matroid):

@@ -17,7 +17,6 @@ from itertools import combinations
 from math import comb
 
 from .errors import (
-    ElementInBasis,
     HasColoops,
     HasLoops,
     NotABasis,
@@ -119,15 +118,6 @@ class Matroid:
             raise WrongSize(f"{list(S)} is not a subset of 1..{self.n}")
         return S
 
-    def is_basis(self, S) -> bool:
-        """Whether the columns of S (of its complement in dual mode) span Q^m."""
-        S = self._subset(S)
-        if len(S) != self.rank:
-            raise WrongSize(f"expected {self.rank} elements, got {len(S)}")
-        if self.dual_mode:
-            S = sorted(set(range(1, self.n + 1)) - set(S))
-        return len(gauss_jordan([list(self.A.columns[c - 1]) for c in S])[0]) == self.m
-
     def enumerate_bases(self, prefixes=None):
         """Yield every basis exactly once, in lexicographic order of subsets.
 
@@ -212,16 +202,6 @@ class Matroid:
             k: sum(1 << (p - 1) for p, mask in zip(B, nz) if mask >> (k - 1) & 1)
             for k in outside
         }
-
-    def fundamental_circuit(self, e: int, B) -> tuple:
-        """The unique circuit inside B + {e}, as a sorted tuple containing e."""
-        B = self._subset(B)
-        masks = self.fundamental_circuit_masks(B)
-        if e in set(B):
-            raise ElementInBasis(f"{e} lies in the basis")
-        if e not in masks:
-            raise WrongSize(f"{e} is not in 1..{self.n}")
-        return elements_of(masks[e] | (1 << (e - 1)))
 
     # -- global structure ----------------------------------------------------
 

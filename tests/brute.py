@@ -9,16 +9,24 @@ of the table-built ray-index rows, a scan over every circuit for tropical
 membership, a phase-one simplex for cone membership, per-cone dot products
 over every direction instead of packed lanes for ray shooting, and every
 basis's weight at a cone's witness instead of tight-basis bitsets for
-Bergman classes.
+Bergman classes.  The paper's proof that the cones cover trop(M) once each
+is here too: compatible pairs as plain tuples, the local tropical linear
+space around a basis, and the pair a point induces.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
+from typing import NamedTuple
 
 from tropfan.errors import InternalInvariant, WrongSize
-from tropfan.exact import gauss_jordan, integer_kernel_basis, rank_of_rows
-from tropfan.fan import CompatiblePair, _regressive_pairs
+from tropfan.exact import (
+    det_of_columns,
+    gauss_jordan,
+    integer_kernel_basis,
+    rank_of_rows,
+)
+from tropfan.fan import _regressive_pairs
 from tropfan.matroid import Matroid
 from tropfan.util import elements_of, mask_of, mask_to_vector
 
@@ -199,6 +207,86 @@ def is_in_trop(M: Matroid, v) -> bool:
     return True
 
 
+# -- compatible pairs and the local criterion ---------------------------------
+
+
+class Pair(NamedTuple):
+    """A basis, a regressive preference function, and a total order on its image.
+
+    pref lists (k, p(k)) with k ascending over the non-basis elements; order
+    lists the image of p from smallest to largest.
+    """
+
+    basis: tuple
+    pref: tuple
+    order: tuple
+
+
+def chain_pair(B, chain) -> Pair:
+    """The pair a chain of (block, cover) slots over basis B stands for.
+
+    Slot b's block is {b} + p^-1(b), b its lowest bit, and the slots run up
+    the order.
+    """
+    order = tuple((block & -block).bit_length() for block, _ in chain)
+    pref = [
+        (k, b)
+        for b, (block, _) in zip(order, chain)
+        for k in elements_of(block & (block - 1))
+    ]
+    return Pair(tuple(B), tuple(sorted(pref)), order)
+
+
+def interior_witness(fan, ci) -> tuple:
+    """Sum of the ray vectors of cone ci: a point of its relative interior."""
+    rays = [fan.rays[i] for i in fan.maximal_cones[ci]]
+    return tuple(map(sum, zip((0,) * fan.n, *rays)))
+
+
+def is_in_local_trop(M: Matroid, B, v) -> bool:
+    """Whether B has maximal v-weight and v is in the local tropical space around B.
+
+    For such a B, v lies in trop(M) iff every fundamental circuit over B
+    attains its minimum of v at least twice.
+    """
+    weight = sum(v[i - 1] for i in B)
+    if any(sum(v[i - 1] for i in other) > weight for other in M.bases):
+        return False
+    for k, mask in M.fundamental_circuit_masks(B).items():
+        values = [v[k - 1]] + [v[i - 1] for i in elements_of(mask)]
+        if values.count(min(values)) < 2:
+            return False
+    return True
+
+
+def local_trop_point(M: Matroid, B, x) -> tuple:
+    """x on the basis (B sorted), and the minimum of x over F_k at each non-basis k.
+
+    The piecewise-linear parametrization of the local tropical space around B.
+    """
+    on_basis = dict(zip(B, x))
+    fmask = M.fundamental_circuit_masks(B)
+    return tuple(
+        on_basis[i] if i in on_basis else min(map(on_basis.get, elements_of(fmask[i])))
+        for i in range(1, M.n + 1)
+    )
+
+
+def induce_pair(M: Matroid, B, v) -> Pair:
+    """The pair v induces over B, ordered by v with ties by index.
+
+    p(k) is the first element of F_k in that order, and the pair's order is
+    that order on the image of p.
+    """
+    J = sorted(B, key=lambda b: (v[b - 1], b))
+    fmask = M.fundamental_circuit_masks(B)
+    pref = tuple(
+        (k, next(b for b in J if fk >> (b - 1) & 1)) for k, fk in sorted(fmask.items())
+    )
+    image = {b for _, b in pref}
+    return Pair(tuple(B), pref, tuple(b for b in J if b in image))
+
+
 def _cone_masks(bmask, chain):
     """Ray bitmasks of the cone of one pair, read off its chain of slots.
 
@@ -262,10 +350,8 @@ def bergman_classes_by_weight(fan, M: Matroid):
         for i in range(1, M.n + 1)
     ]
     groups = {}
-    for ci, cone in enumerate(fan.maximal_cones):
-        w = [0] * fan.n
-        for r in cone:
-            w = [a + b for a, b in zip(w, fan.rays[r])]
+    for ci in range(len(fan.maximal_cones)):
+        w = interior_witness(fan, ci)
         packed = sum(x * lane for x, lane in zip(w, lanes))
         weights = packed.to_bytes(len(bases), "little")
         top = max(weights)
@@ -306,6 +392,16 @@ def brute_tutte(cols):
         return out
 
     return rec(tuple(map(tuple, cols)))
+
+
+def eq2_determinant(prob, cone, i) -> int:
+    """|det| of (A^T columns, the cone's rays, e_i), computed directly for one i."""
+    cols = list(prob.A.entries)
+    cols += [prob.fan.rays[j] for j in prob.fan.maximal_cones[cone.cone_index]]
+    e = [0] * prob.n
+    e[i] = 1
+    cols.append(tuple(e))
+    return abs(det_of_columns(cols))
 
 
 def cofactor_det(rows):
@@ -388,7 +484,7 @@ def literal_pairs(cols, B):
 
 
 def pair_key(pair):
-    """Canonical (pref, order) key of a CompatiblePair for set comparison."""
+    """Canonical (pref, order) key of a Pair for set comparison."""
     return (tuple(sorted(pair.pref)), pair.order)
 
 
@@ -415,7 +511,7 @@ class CaterpillarTree:
     leaf_parent: tuple
 
 
-def build_tree(M: Matroid, pair: CompatiblePair) -> CaterpillarTree:
+def build_tree(M: Matroid, pair: Pair) -> CaterpillarTree:
     """Caterpillar tree of a compatible pair.
 
     Each singleton block {c} attaches to the order-largest image element b

@@ -6,10 +6,11 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from brute import chain_pair
 from tropfan.data import DEMO_4X7, GRAPHIC_3X6, UNIFORM_2_3, cube_matrix
 from tropfan.errors import TropfanError
 from tropfan.exact import IntMat
-from tropfan.fan import enumerate_pairs
+from tropfan.fan import _regressive_pairs
 from tropfan.matroid import Matroid
 
 #: Rank-2 uniform matroid on four elements (all column pairs independent).
@@ -64,7 +65,11 @@ def random_fan_matrices(count, seed, max_m=4, max_n=8):
 
 def source_pairs(M):
     """The compatible pair of every maximal cone, in the fan's cone order."""
-    return [pair for B in M.bases for pair in enumerate_pairs(M, B)]
+    return [
+        chain_pair(B, chain)
+        for B in M.bases
+        for chain in _regressive_pairs(M.fundamental_circuit_masks(B))
+    ]
 
 
 @pytest.fixture(scope="session")

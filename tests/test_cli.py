@@ -206,6 +206,11 @@ def test_flag_combination_rejected(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli([str(path), "--compare", "--counts-only"])
     assert exc.value.code == 2
+    # fan-mode flags that --random used to ignore silently
+    for flag in ("--dual", "--bases", "--circuits", "--tutte"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([str(path), "--random", "3", flag])
+        assert exc.value.code == 2, flag
 
 
 def test_discriminant_mode(tmp_path):

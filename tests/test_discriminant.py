@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 import tropfan
-from brute import scalar_ray_hits
+from brute import eq2_determinant, scalar_ray_hits
 from conftest import write_matrix_file
 from tropfan.data import TANGENT_LINE_CUBIC_4X13, cube_matrix
 from tropfan.discriminant import (
@@ -24,7 +24,6 @@ from tropfan.discriminant import (
     _packed_products,
     _shoot,
     _Unresolved,
-    eq2_determinant,
     random_vertices,
     setup,
     shoot_vertex,

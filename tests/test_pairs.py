@@ -10,6 +10,7 @@ from brute import (
     brute_flats,
     brute_regressive_pairs,
     build_tree,
+    chain_pair,
     columns_of,
     cone_from_tree,
     literal_pairs,
@@ -18,15 +19,20 @@ from brute import (
 from conftest import CHAIN_3X6, FORCED_2X4, random_fan_matrices, small_corpus
 from tropfan import fan as fan_module
 from tropfan.data import DEMO_4X7, UNIFORM_2_3, cube_matrix
-from tropfan.errors import HasColoops, HasLoops, InternalInvariant
+from tropfan.errors import InternalInvariant
 from tropfan.exact import IntMat
-from tropfan.fan import ConeArray, _regressive_pairs, _typecode, enumerate_pairs
+from tropfan.fan import ConeArray, _regressive_pairs, _typecode
 from tropfan.matroid import Matroid
 from tropfan.util import elements_of, mask_of
 
 
+def pairs_over(M, B):
+    """The pairs over basis B, in the order the recursion yields their chains."""
+    return [chain_pair(B, c) for c in _regressive_pairs(M.fundamental_circuit_masks(B))]
+
+
 def pairs_of(M, B):
-    return {pair_key(p) for p in enumerate_pairs(M, B)}
+    return {pair_key(p) for p in pairs_over(M, B)}
 
 
 def test_demo_pair_is_enumerated():
@@ -161,21 +167,12 @@ def test_chain_matrix_rejects_incompatible_order():
     assert (((4, 1), (5, 2), (6, 2)), (2, 1)) in got
 
 
-def test_enumerate_pairs_refuses_loops_and_coloops():
-    M = Matroid.from_matrix([[1, 0, 1], [0, 0, 1]], strict=False)
-    with pytest.raises(HasLoops):
-        next(enumerate_pairs(M, (1, 3)))
-    M = Matroid.from_matrix([[1, 0, 1], [0, 1, 0]], strict=False)
-    with pytest.raises(HasColoops):
-        next(enumerate_pairs(M, (1, 2)))
-
-
 def test_pairs_are_regressive_and_orders_cover_images():
     for name, A in small_corpus():
         M = Matroid.from_matrix(A)
         for B in M.bases:
-            for pair in enumerate_pairs(M, B):
-                pm = pair.pref_map
+            for pair in pairs_over(M, B):
+                pm = dict(pair.pref)
                 assert all(pm[k] < k for k in pm), name
                 assert sorted(pair.order) == sorted(set(pm.values())), name
 
@@ -184,7 +181,7 @@ def test_demo_tree_structure():
     M = Matroid.from_matrix(DEMO_4X7)
     pair = next(
         p
-        for p in enumerate_pairs(M, (1, 2, 3, 4))
+        for p in pairs_over(M, (1, 2, 3, 4))
         if pair_key(p) == (((5, 4), (6, 1), (7, 1)), (1, 4))
     )
     tree = build_tree(M, pair)
@@ -197,7 +194,7 @@ def test_demo_cone_rays():
     M = Matroid.from_matrix(DEMO_4X7)
     pair = next(
         p
-        for p in enumerate_pairs(M, (1, 2, 3, 4))
+        for p in pairs_over(M, (1, 2, 3, 4))
         if pair_key(p) == (((5, 4), (6, 1), (7, 1)), (1, 4))
     )
     rays = set(cone_from_tree(build_tree(M, pair)))
@@ -210,7 +207,7 @@ def test_demo_cone_rays():
 
 def test_full_image_gives_pure_path():
     M = Matroid.from_matrix(FORCED_2X4)
-    for pair in enumerate_pairs(M, (1, 2)):
+    for pair in pairs_over(M, (1, 2)):
         tree = build_tree(M, pair)
         assert tree.leaf_parent == ()
         assert len(tree.spine) == 2
@@ -218,7 +215,7 @@ def test_full_image_gives_pure_path():
 
 def test_uniform23_tree_and_cone():
     M = Matroid.from_matrix(UNIFORM_2_3)
-    pair = next(p for p in enumerate_pairs(M, (1, 2)) if p.pref_map == {3: 1})
+    pair = next(p for p in pairs_over(M, (1, 2)) if dict(p.pref) == {3: 1})
     tree = build_tree(M, pair)
     assert set(tree.blocks) == {(1, 3), (2,)}
     assert tree.spine == (1,)
@@ -232,7 +229,7 @@ def test_cone_rays_count_and_supports():
         M = Matroid.from_matrix(A)
         flats = brute_flats(columns_of(A))
         for B in M.bases:
-            for pair in enumerate_pairs(M, B):
+            for pair in pairs_over(M, B):
                 rays = cone_from_tree(build_tree(M, pair))
                 assert len(rays) == M.m - 1, name
                 for ray in rays:

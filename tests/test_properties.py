@@ -12,6 +12,7 @@ from brute import (
     frac_rank,
     frac_rref,
     handle_columns,
+    interior_witness,
     is_in_trop,
 )
 from tropfan.errors import TropfanError
@@ -24,7 +25,7 @@ from tropfan.exact import (
     rank,
     rank_of_rows,
 )
-from tropfan.fan import cyclic_bergman_fan, interior_witness
+from tropfan.fan import cyclic_bergman_fan
 from tropfan.matroid import Matroid
 
 entry = st.integers(min_value=-3, max_value=3)
