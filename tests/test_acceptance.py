@@ -403,7 +403,11 @@ def test_criterion_8_determinism(matrix_dir):
 
 @pytest.mark.stress
 def test_stress_three_quadrics_counts():
-    """154 million cones; hours of runtime.  Run with `pytest -m stress`."""
+    """154 million cones; `pytest -m stress` runs it.
+
+    Sequential fan_counts took 699 s wall, 689 s CPU and 45 MB peak RSS on a
+    2-core Intel Xeon VM with Python 3.11.7 (one timed run, outside pytest).
+    """
     M = Matroid.from_matrix(TANGENT_THREE_QUADRICS_6X30).dual()
     from tropfan.fan import fan_counts
 

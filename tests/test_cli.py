@@ -206,7 +206,7 @@ def test_flag_combination_rejected(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli([str(path), "--compare", "--counts-only"])
     assert exc.value.code == 2
-    # fan-mode flags that --random used to ignore silently
+    # every fan-mode flag is a usage error with --random
     for flag in ("--dual", "--bases", "--circuits", "--tutte"):
         with pytest.raises(SystemExit) as exc:
             run_cli([str(path), "--random", "3", flag])
