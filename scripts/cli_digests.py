@@ -5,8 +5,10 @@ Usage: PYTHONPATH=src python scripts/cli_digests.py MATDIR
 
 MATDIR holds the files written by scripts/write_example_matrices.py.  Every
 one of them but three_quadrics_6x30.txt (the stress case: minutes even with
---counts-only --threads 2) is run in each fan mode below, and line/cubic and
-conic/cubic also with --random 100 --seed 1.  Each line gives the input, the flags, the exit code
+--counts-only --threads 2) is run in each fan mode below, and the inputs of
+RANDOM_INPUTS also with --random 100 --seed 1: line/cubic, conic/cubic,
+graphic_3x6, cube3 and cube4 print vertices, demo_4x7 and uniform_2_3 exit 2
+with an error.  Each line gives the input, the flags, the exit code
 and the sha256 of stdout and of stderr.  The CLI runs as `python -m tropfan`
 with the caller's environment, so the PYTHONPATH picks the code under test:
 the digests of two source trees are equal iff the CLI behaves byte-identically
@@ -35,7 +37,15 @@ FAN_MODES = [
     ["--dual", "--threads", "2"],
     ["--dual", "--counts-only", "--threads", "2"],
 ]
-RANDOM_INPUTS = ["line_cubic_4x13.txt", "conic_cubic_4x16.txt"]
+RANDOM_INPUTS = [
+    "line_cubic_4x13.txt",
+    "conic_cubic_4x16.txt",
+    "graphic_3x6.txt",
+    "cube3.txt",
+    "cube4.txt",
+    "demo_4x7.txt",
+    "uniform_2_3.txt",
+]
 RANDOM_FLAGS = ["--random", "100", "--seed", "1"]
 
 

@@ -11,7 +11,11 @@ Three exactness devices keep this fast:
 * membership of the crossing point in a cone reduces, after applying the
   Gale-dual projection (whose kernel is exactly the rowspace of A), to a
   unique rational solve against the projected rays, precomputed per cone as
-  an integer matrix Q and denominator D;
+  an integer matrix Q and denominator D.  One walk over the trie of the
+  cones' sorted ray tuples finds the codim-1 cones with their normals, Q and
+  D: each trie node pivots one more projected ray into a fraction-free
+  transform shared by every cone below it, and a dependent prefix drops
+  its whole subtree;
 * the determinant in the vertex formula factors through the cone's hyperplane
   normal: det(A^T, rays, e_i) = kappa * normal_i for a per-cone integer
   kappa, so one determinant per cone serves all sixteen directions;
@@ -37,9 +41,9 @@ import sys
 import warnings
 from array import array
 from dataclasses import dataclass, field, replace
-from itertools import combinations
+from itertools import chain, combinations, compress
 from math import gcd
-from operator import mul
+from operator import index, mul
 
 from .errors import (
     DegenerateDual,
@@ -47,16 +51,13 @@ from .errors import (
     LatticeNotSpanned,
     NoAllOnesRow,
     RankError,
-    SingularBasis,
 )
 from .exact import (
     IntMat,
-    adjugate,
     det,  # unused here; bound for tracing by module attribute (perfbench/tracer.py)
     det_of_columns,
-    gauss_jordan,
     integer_kernel_basis,
-    kernel_rows,
+    pivot_step,
     rank,
     rank_of_rows,  # unused here; bound for tracing by module attribute (perfbench/tracer.py)
     solve_columns,
@@ -96,7 +97,7 @@ class DiscriminantProblem:
     Aperp: IntMat
     matroid: Matroid
     fan: Fan
-    codim1_cones: list
+    codim1_cones: list  # Codim1Cone, ordered by the cones' sorted ray tuples
     lattice_spanned: bool
     a_degree: tuple | None = None
     _packed: _PackedCones | None = field(default=None, compare=False, repr=False)
@@ -131,7 +132,11 @@ def setup(A, *, threads: int = 0) -> DiscriminantProblem:
 
     Checks: full row rank, the all-ones vector in the rowspace, and (warning
     only) that the maximal minors of A are coprime so the vertex formula is
-    valid.  The fan itself is computed in dual mode straight from A.
+    valid.  The fan itself is computed in dual mode straight from A.  Its
+    codimension-1 cones come from one walk over the trie of the cones' sorted
+    ray tuples, one `pivot_step` per shared prefix (`_codim1_cones`), and are
+    listed in the walk's order, by sorted ray tuple.  Shooting reads them in
+    that order, which is also the order they were allocated in.
     """
     if not isinstance(A, IntMat):
         A = IntMat.from_rows(A)
@@ -159,32 +164,58 @@ def setup(A, *, threads: int = 0) -> DiscriminantProblem:
     Aperp = integer_kernel_basis(A)
     M = Matroid.from_matrix(A, strict=False).dual()
     fan = cyclic_bergman_fan(M, threads=threads)
-    q = n - m
-    phi = [tuple(dot(row, ray) for row in Aperp.entries) for ray in fan.rays]
-    aperp_cols = list(zip(*Aperp.entries))
-    codim1 = []
-    for ci, cone in enumerate(fan.maximal_cones):
-        proj = [list(phi[i]) for i in cone]
-        sel, _ = gauss_jordan(proj)  # greedy independent coordinates of the projected rays
-        if len(sel) != q - 1:
+    codim1 = _codim1_cones(A, Aperp, fan)
+    return DiscriminantProblem(A, m, n, Aperp, M, fan, codim1, lattice_spanned)
+
+
+def _codim1_cones(A: IntMat, Aperp: IntMat, fan: Fan) -> list:
+    """The codim-1 cones, found by one walk over the trie of their sorted ray tuples.
+
+    A node at depth d stands for the first d rays r_0..r_{d-1} of the cones
+    below it.  It holds the rows of R = T . Aperp plus a spare column n,
+    where T is the q x q fraction-free transform (q = n - m) that takes each
+    projected ray phi(r_k) = Aperp . r_k of the prefix to p e_k, p the last
+    pivot.  A child puts R . r = T . phi(r) in column n and pivots it into
+    row d with one `pivot_step`; a zero step means the prefix's projected
+    rays are dependent, and every cone below it is dropped.  At a leaf, row
+    q - 1 of T is orthogonal to the cone's q - 1 projected rays, so row q - 1
+    of R is normal to the cone's span plus the rowspace of A; rows 0..q-2 of
+    R are Q, with Q . r_k = p e_k and Q . a = 0 for each row a of A.
+    Returns the cones in trie order, i.e. by sorted ray tuple.
+    """
+    n = Aperp.cols
+    width = Aperp.rows - 1  # rays per cone
+    flat = array("I", chain.from_iterable(fan.maximal_cones))  # ray indices, cone by cone
+    out = []
+    # (cones below a node, its depth, its rows, its last pivot); children are
+    # pushed in descending ray order, so nodes are popped in trie order
+    stack = [(range(len(fan.maximal_cones)), 0, [[*row, 0] for row in Aperp.entries], 1)]
+    while stack:
+        group, depth, rows, prev = stack.pop()
+        if depth < width:
+            children = {}
+            for ci in group:
+                children.setdefault(flat[ci * width + depth], []).append(ci)
+            for ray in sorted(children, reverse=True):
+                vec = fan.rays[ray]
+                m = [row[:] for row in rows]
+                for row in m:  # entry n held the previous step's column; compress() stops at n
+                    row[n] = sum(compress(row, vec))
+                if pivot_step(m, depth, n, prev):
+                    stack.append((children[ray], depth + 1, m, m[depth][n]))
             continue
-        y = kernel_rows(proj, sel)[0]
-        normal = primitive([sum(map(mul, y, col)) for col in aperp_cols])
-        for i in cone:
+        (ci,) = group
+        normal = primitive(rows[-1][:n])
+        for i in flat[ci * width : ci * width + width]:
             if dot(normal, fan.rays[i]) != 0:
                 raise InternalInvariant("normal not orthogonal to a cone ray")
         for row in A.entries:
             if dot(normal, row) != 0:
                 raise InternalInvariant("normal not orthogonal to the rowspace")
-        w_rows = [[phi[i][t] for i in cone] for t in sel]
-        try:
-            nmat, d = adjugate(w_rows)
-        except SingularBasis:
-            raise InternalInvariant("membership matrix is singular") from None
-        cols = list(zip(*(Aperp.entries[t] for t in sel)))
-        qrows = tuple(tuple(sum(map(mul, nrow, col)) for col in cols) for nrow in nmat)
-        codim1.append(Codim1Cone(ci, normal, qrows, d))
-    return DiscriminantProblem(A, m, n, Aperp, M, fan, codim1, lattice_spanned)
+        if prev == 0:
+            raise InternalInvariant("membership denominator is zero")
+        out.append(Codim1Cone(ci, normal, tuple(tuple(row[:n]) for row in rows[:-1]), prev))
+    return out
 
 
 def _kappa_abs(prob: DiscriminantProblem, cone: Codim1Cone) -> int:
@@ -333,7 +364,7 @@ def shoot_vertex(prob: DiscriminantProblem, w, *, seed: int = 0) -> NewtonVertex
     """
     if not prob.lattice_spanned:
         raise LatticeNotSpanned("vertex formula requires coprime maximal minors")
-    w = tuple(int(x) for x in w)
+    w = tuple(map(index, w))  # TypeError on a float or Fraction, never a truncation
     rng = random.Random(seed)
     r = None
     perturbed = False

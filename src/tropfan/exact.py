@@ -6,7 +6,8 @@ few lines over one elimination core, `gauss_jordan`: Montante's fraction-free
 Gauss-Jordan scheme (Bareiss 1968, applied to the rows above the pivot as
 well as below), where cross-multiplication is followed by an exact division
 by the previous pivot, so every intermediate entry is an integer minor of the
-input.  Its step, `pivot_step`, also drives `Matroid.enumerate_bases`.
+input.  Its step, `pivot_step`, also drives the trie walks of
+`Matroid.enumerate_bases` and `discriminant.setup`.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import index
 
 from .errors import SingularBasis
 from .util import primitive
@@ -29,7 +31,8 @@ class IntMat:
 
     @classmethod
     def from_rows(cls, rows) -> "IntMat":
-        data = tuple(tuple(int(x) for x in row) for row in rows)
+        """Raises TypeError on an entry that is not an integer (a float, a Fraction)."""
+        data = tuple(tuple(map(index, row)) for row in rows)
         if not data or not data[0]:
             raise ValueError("matrix must have at least one row and one column")
         width = len(data[0])
@@ -123,21 +126,6 @@ def det(A: IntMat) -> int:
 def det_of_columns(cols) -> int:
     """Determinant of a square matrix given by its columns (det(M^T) = det(M))."""
     return det(IntMat.from_rows(cols))
-
-
-def adjugate(rows) -> tuple[list[list[int]], int]:
-    """(adj(W), det(W)) of a nonsingular square integer matrix W.
-
-    One reduction of [W | I] leaves p * W^-1 in the right block, and
-    adj(W) = det(W) * W^-1 with det(W) = +-p.
-    """
-    k = len(rows)
-    m = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(rows)]
-    pivots, d = gauss_jordan(m)
-    if pivots != list(range(k)):
-        raise SingularBasis("matrix is singular")
-    s = 1 if d == m[0][0] else -1
-    return [[s * x for x in row[k:]] for row in m], d
 
 
 def kernel_rows(m: list[list[int]], pivots) -> list[tuple[int, ...]]:

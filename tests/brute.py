@@ -9,7 +9,8 @@ of the table-built ray-index rows, a scan over every circuit for tropical
 membership, a phase-one simplex for cone membership, per-cone dot products
 over every direction instead of packed lanes for ray shooting, and every
 basis's weight at a cone's witness instead of tight-basis bitsets for
-Bergman classes.  The paper's proof that the cones cover trop(M) once each
+Bergman classes, and a reduction plus an adjugate per cone instead of the
+trie walk for the codim-1 cones.  The paper's proof that the cones cover trop(M) once each
 is here too: compatible pairs as plain tuples, the local tropical linear
 space around a basis, and the pair a point induces.
 """
@@ -19,16 +20,17 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from typing import NamedTuple
 
-from tropfan.errors import InternalInvariant, WrongSize
+from tropfan.errors import InternalInvariant, SingularBasis, WrongSize
 from tropfan.exact import (
     det_of_columns,
     gauss_jordan,
     integer_kernel_basis,
+    kernel_rows,
     rank_of_rows,
 )
 from tropfan.fan import _regressive_pairs
 from tropfan.matroid import Matroid
-from tropfan.util import elements_of, mask_of, mask_to_vector
+from tropfan.util import elements_of, mask_of, mask_to_vector, primitive
 
 
 def frac_rank(vectors):
@@ -402,6 +404,47 @@ def eq2_determinant(prob, cone, i) -> int:
     e[i] = 1
     cols.append(tuple(e))
     return abs(det_of_columns(cols))
+
+
+def adjugate(rows) -> tuple[list[list[int]], int]:
+    """(adj(W), det(W)) of a nonsingular square integer matrix W.
+
+    One reduction of [W | I] leaves p * W^-1 in the right block, and
+    adj(W) = det(W) * W^-1 with det(W) = +-p.
+    """
+    k = len(rows)
+    m = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(rows)]
+    pivots, d = gauss_jordan(m)
+    if pivots != list(range(k)):
+        raise SingularBasis("matrix is singular")
+    s = 1 if d == m[0][0] else -1
+    return [[s * x for x in row[k:]] for row in m], d
+
+
+def codim1_oracle(prob) -> list:
+    """(cone index, normal, Q, denominator) of each codim-1 cone, cone by cone.
+
+    Each maximal cone's projected rays get one full reduction; a cone whose
+    rays stay independent takes its normal from a kernel vector of that
+    reduction, and Q = adj(W) . Aperp restricted to the reduction's pivot
+    coordinates, W being the projected rays on those coordinates.
+    """
+    q = prob.n - prob.m
+    phi = [tuple(_dot(row, ray) for row in prob.Aperp.entries) for ray in prob.fan.rays]
+    aperp_cols = list(zip(*prob.Aperp.entries))
+    out = []
+    for ci, cone in enumerate(prob.fan.maximal_cones):
+        proj = [list(phi[i]) for i in cone]
+        sel, _ = gauss_jordan(proj)
+        if len(sel) != q - 1:
+            continue
+        y = kernel_rows(proj, sel)[0]
+        normal = primitive([_dot(y, col) for col in aperp_cols])
+        adj, d = adjugate([[phi[i][t] for i in cone] for t in sel])
+        cols = list(zip(*(prob.Aperp.entries[t] for t in sel)))
+        qrows = tuple(tuple(_dot(row, col) for col in cols) for row in adj)
+        out.append((ci, normal, qrows, d))
+    return out
 
 
 def cofactor_det(rows):

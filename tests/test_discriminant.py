@@ -6,15 +6,16 @@ import random
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 import tropfan
-from brute import eq2_determinant, scalar_ray_hits
+from brute import codim1_oracle, eq2_determinant, scalar_ray_hits
 from conftest import write_matrix_file
-from tropfan.data import TANGENT_LINE_CUBIC_4X13, cube_matrix
+from tropfan.data import GRAPHIC_3X6, TANGENT_LINE_CUBIC_4X13, cube_matrix
 from tropfan.discriminant import (
     _cone_hits,
     _dot_products,
@@ -46,8 +47,33 @@ def line_cubic_problem():
 def test_setup_counts(line_cubic_problem):
     prob = line_cubic_problem
     assert len(prob.fan.maximal_cones) == 2466
+    assert len(prob.codim1_cones) == 852
     assert prob.lattice_spanned
     assert all(len(c.qrows) == prob.n - prob.m - 1 for c in prob.codim1_cones)
+
+
+@pytest.mark.parametrize(
+    "A",
+    [TANGENT_LINE_CUBIC_4X13, GRAPHIC_3X6, cube_matrix(3)],
+    ids=["line_cubic", "graphic_3x6", "cube3"],
+)
+def test_codim1_walk_matches_per_cone_oracle(A):
+    prob = setup(A)
+    oracle = codim1_oracle(prob)
+    assert sorted((c.cone_index, c.normal) for c in prob.codim1_cones) == [o[:2] for o in oracle]
+    # listed in the walk's order: strictly increasing ray tuples
+    keys = [prob.fan.maximal_cones[c.cone_index] for c in prob.codim1_cones]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    # Q may be another left inverse than the oracle's; both must satisfy these
+    ours = [(c.cone_index, c.qrows, c.denom) for c in prob.codim1_cones]
+    theirs = [(ci, qrows, denom) for ci, _, qrows, denom in oracle]
+    for ci, qrows, denom in ours + theirs:
+        rays = [prob.fan.rays[i] for i in prob.fan.maximal_cones[ci]]
+        assert len(qrows) == len(rays) and denom != 0
+        for k, ray in enumerate(rays):
+            assert [dot(q, ray) for q in qrows] == [denom * (j == k) for j in range(len(rays))]
+        for row in prob.A.entries:
+            assert not any(dot(q, row) for q in qrows)
 
 
 def test_setup_rejects_rank_deficient():
@@ -143,6 +169,15 @@ def test_perturbed_agrees_with_clean_run(line_cubic_problem):
     clean = _shoot(prob, w, None)
     r = tuple(rng.randint(-(10**6), 10**6) for _ in range(prob.n))
     assert _shoot(prob, w, r) == clean
+
+
+@pytest.mark.parametrize("x", [0.9, 3.0, Fraction(7, 2), Fraction(4, 1), "5"])
+def test_shoot_vertex_rejects_non_integer_objectives(line_cubic_problem, x):
+    # int() would truncate 0.9 to 0 and shoot the zero objective's vertex
+    with pytest.raises(TypeError):
+        shoot_vertex(line_cubic_problem, (x,) * line_cubic_problem.n)
+    with pytest.raises(TypeError):
+        shoot_vertex(line_cubic_problem, (1,) * (line_cubic_problem.n - 1) + (x,))
 
 
 def test_nongeneric_objective_resolved_by_perturbation(line_cubic_problem):

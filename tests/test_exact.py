@@ -155,3 +155,11 @@ def test_no_floats_anywhere():
     assert all(isinstance(x, int) for row in K.entries for x in row)
     assert isinstance(det(IntMat.from_rows([[3, 1], [1, 2]])), int)
     assert all(isinstance(x, Fraction) for x in solve_columns([(2, 0), (0, 3)], (1, 1)))
+
+
+@pytest.mark.parametrize("x", [0.9, 2.0, Fraction(7, 2), Fraction(4, 1), "3"])
+def test_from_rows_rejects_non_integer_entries(x):
+    # int() would read 0.9 as 0 and Fraction(7, 2) as 3 without a word
+    with pytest.raises(TypeError):
+        IntMat.from_rows([[1, 2], [3, x]])
+    assert IntMat.from_rows([[1, 2], [3, True]]).entries == ((1, 2), (3, 1))

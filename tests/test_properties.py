@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from brute import (
+    adjugate,
     brute_circuits,
     cofactor_det,
     fan_rays_are_cyclic_flats,
@@ -18,7 +19,6 @@ from brute import (
 from tropfan.errors import TropfanError
 from tropfan.exact import (
     IntMat,
-    adjugate,
     det,
     gauss_jordan,
     integer_kernel_basis,
