@@ -16,7 +16,7 @@ from .discriminant import (
 )
 from .exact import IntMat, det, integer_kernel_basis, rank
 from .fan import Fan, compare_with_bergman, cyclic_bergman_fan, fan_counts
-from .matroid import Matroid, TuttePoly
+from .matroid import Matroid
 
 __all__ = [
     "IntMat",
@@ -24,7 +24,6 @@ __all__ = [
     "det",
     "integer_kernel_basis",
     "Matroid",
-    "TuttePoly",
     "Fan",
     "cyclic_bergman_fan",
     "fan_counts",

@@ -137,7 +137,7 @@ def _write_fan(out, args: argparse.Namespace, M: Matroid):
             out.write(" ".join(map(str, C)) + "\n")
     if args.tutte:
         out.write("TUTTE\n")
-        for (i, j), c in M.tutte_polynomial().monomials():
+        for (i, j), c in sorted(M.tutte_polynomial().items()):
             out.write(f"x^{i} y^{j} : {c}\n")
     out.write("RAYS\n")
     for ray in fan.rays:
@@ -145,11 +145,15 @@ def _write_fan(out, args: argparse.Namespace, M: Matroid):
     out.write("MAXCONES\n")
     name = [str(i) for i in range(len(fan.rays))].__getitem__
     width = M.rank - 1
-    # one join and one write per block, not the whole body as one string;
-    # zip() of no iterators yields nothing, so rank-1 cones are written apart
-    for count, data in fan.maximal_cones.blocks(1024):
-        text = "".join(" ".join(t) + "\n" for t in zip(*[map(name, data)] * width))
-        out.write(text if width else "\n" * count)
+    flat = fan.maximal_cones.flat
+    # one join and one write per 1,024 cones, not the whole body as one string;
+    # rank-1 cones have no rays (width 0), so their empty lines are written apart
+    if not width:
+        out.write("\n" * ncones)
+    else:
+        for i in range(0, len(flat), 1024 * width):
+            block = map(name, flat[i : i + 1024 * width])
+            out.write("".join(" ".join(t) + "\n" for t in zip(*[block] * width)))
     if args.compare:
         classes = compare_with_bergman(fan, M)
         out.write("BERGMAN\n")

@@ -38,12 +38,12 @@ from __future__ import annotations
 
 import random
 import sys
-import warnings
 from array import array
-from dataclasses import dataclass, field, replace
-from itertools import chain, combinations, compress
+from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import combinations, compress
 from math import gcd
-from operator import index, mul
+from operator import index
 
 from .errors import (
     DegenerateDual,
@@ -51,6 +51,7 @@ from .errors import (
     LatticeNotSpanned,
     NoAllOnesRow,
     RankError,
+    WrongSize,
 )
 from .exact import (
     IntMat,
@@ -100,7 +101,10 @@ class DiscriminantProblem:
     codim1_cones: list  # Codim1Cone, ordered by the cones' sorted ray tuples
     lattice_spanned: bool
     a_degree: tuple | None = None
-    _packed: _PackedCones | None = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def _packed(self) -> _PackedCones:
+        return _pack_cones(self)
 
 
 _LANE_BIAS = 1 << 63  # added to every lane of a packed sum, so no lane borrows
@@ -130,13 +134,14 @@ class _Unresolved(Exception):
 def setup(A, *, threads: int = 0) -> DiscriminantProblem:
     """Build the fan of the Gale-dual matroid and index its codimension-1 cones.
 
-    Checks: full row rank, the all-ones vector in the rowspace, and (warning
-    only) that the maximal minors of A are coprime so the vertex formula is
-    valid.  The fan itself is computed in dual mode straight from A.  Its
-    codimension-1 cones come from one walk over the trie of the cones' sorted
-    ray tuples, one `pivot_step` per shared prefix (`_codim1_cones`), and are
-    listed in the walk's order, by sorted ray tuple.  Shooting reads them in
-    that order, which is also the order they were allocated in.
+    Checks full row rank and the all-ones vector in the rowspace, and records
+    in lattice_spanned whether the maximal minors of A are coprime, which the
+    vertex formula needs (shoot_vertex raises otherwise).  The fan itself is
+    computed in dual mode straight from A.  Its codimension-1 cones come from
+    one walk over the trie of the cones' sorted ray tuples, one `pivot_step`
+    per shared prefix (`_codim1_cones`), and are listed in the walk's order,
+    by sorted ray tuple.  Shooting reads them in that order, which is also
+    the order they were allocated in.
     """
     if not isinstance(A, IntMat):
         A = IntMat.from_rows(A)
@@ -147,25 +152,16 @@ def setup(A, *, threads: int = 0) -> DiscriminantProblem:
         raise DegenerateDual("Gale dual has rank <= 1; the fan is lineality only")
     if solve_columns(A.entries, [1] * n) is None:
         raise NoAllOnesRow("the all-ones vector is not in the rowspace")
-    lattice_spanned = False
     g = 0
     for comb in combinations(range(n), m):
         g = gcd(g, det_of_columns([A.columns[c] for c in comb]))
         if g == 1:
-            lattice_spanned = True
             break
-    if not lattice_spanned:
-        warnings.warn(
-            f"maximal minors of A have gcd {g} != 1; the columns do not span the "
-            "integer lattice and vertex coordinates would be invalid",
-            UserWarning,
-            stacklevel=2,
-        )
     Aperp = integer_kernel_basis(A)
     M = Matroid.from_matrix(A, strict=False).dual()
     fan = cyclic_bergman_fan(M, threads=threads)
     codim1 = _codim1_cones(A, Aperp, fan)
-    return DiscriminantProblem(A, m, n, Aperp, M, fan, codim1, lattice_spanned)
+    return DiscriminantProblem(A, m, n, Aperp, M, fan, codim1, g == 1)
 
 
 def _codim1_cones(A: IntMat, Aperp: IntMat, fan: Fan) -> list:
@@ -185,7 +181,7 @@ def _codim1_cones(A: IntMat, Aperp: IntMat, fan: Fan) -> list:
     """
     n = Aperp.cols
     width = Aperp.rows - 1  # rays per cone
-    flat = array("I", chain.from_iterable(fan.maximal_cones))  # ray indices, cone by cone
+    flat = fan.maximal_cones.flat  # ray indices, cone by cone
     out = []
     # (cones below a node, its depth, its rows, its last pivot); children are
     # pushed in descending ray order, so nodes are popped in trie order
@@ -262,12 +258,6 @@ def _pack_cones(prob: DiscriminantProblem) -> _PackedCones:
     return _PackedCones(cols, bias, nbytes, wmax, supports)
 
 
-def _packed_cones(prob: DiscriminantProblem) -> _PackedCones:
-    if prob._packed is None:
-        prob._packed = _pack_cones(prob)
-    return prob._packed
-
-
 def _packed_products(packed: _PackedCones, v) -> list:
     acc = packed.bias
     for x, col in zip(v, packed.cols):
@@ -284,7 +274,7 @@ def _dot_products(cones, v) -> list:
 
 def _inner_products(prob: DiscriminantProblem, v) -> list:
     """normal . v, then Q . v, for every codim-1 cone, concatenated in cone order."""
-    packed = _packed_cones(prob)
+    packed = prob._packed
     if max(map(abs, v)) > packed.wmax:
         return _dot_products(prob.codim1_cones, v)
     return _packed_products(packed, v)
@@ -293,9 +283,10 @@ def _inner_products(prob: DiscriminantProblem, v) -> list:
 def _cone_hits(cone, directions, s0, a0, s1, a1):
     """Directions i in `directions` whose open ray from w + eps*r crosses the cone.
 
-    s0 = normal . w and a0 = Q . w; s1 and a1 are the same products with the
-    perturbation vector r, all zero when there is none.  Raises _Unresolved on
-    any exact tie of the (constant, eps) pair.
+    Each i must have normal_i != 0.  s0 = normal . w and a0 = Q . w; s1 and
+    a1 are the same products with the perturbation vector r, all zero when
+    there is none.  Raises _Unresolved on any exact tie of the (constant, eps)
+    pair.
     """
     nv = cone.normal
     Q = cone.qrows
@@ -303,10 +294,6 @@ def _cone_hits(cone, directions, s0, a0, s1, a1):
     hits = []
     for i in directions:
         g = nv[i]
-        if g == 0:
-            if s0 == 0 and s1 == 0:
-                raise _Unresolved  # the ray lies inside the hyperplane
-            continue
         c0 = -s0 * g
         c1 = -s1 * g
         if c0 < 0 or (c0 == 0 and c1 < 0):
@@ -343,7 +330,7 @@ def _shoot(prob, w, r):
     # Only directions with normal_i != 0 can cross a cone.  Skipping the
     # others loses no tie: they raise only when s0 = s1 = 0, and then every
     # remaining direction raises as well.
-    supports = _packed_cones(prob).supports
+    supports = prob._packed.supports
     for b, cone, directions in zip(range(0, len(p0), width), prob.codim1_cones, supports):
         hits = _cone_hits(
             cone, directions, p0[b], p0[b + 1 : b + width], p1[b], p1[b + 1 : b + width]
@@ -365,6 +352,8 @@ def shoot_vertex(prob: DiscriminantProblem, w, *, seed: int = 0) -> NewtonVertex
     if not prob.lattice_spanned:
         raise LatticeNotSpanned("vertex formula requires coprime maximal minors")
     w = tuple(map(index, w))  # TypeError on a float or Fraction, never a truncation
+    if len(w) != prob.n:
+        raise WrongSize(f"objective has {len(w)} entries, not {prob.n}")
     rng = random.Random(seed)
     r = None
     perturbed = False

@@ -33,43 +33,35 @@ from .util import elements_of, mask_of, mask_to_vector
 class ConeArray(Sequence):
     """Read-only sequence of maximal cones, packed into one array of ray indices.
 
-    Cone i is the sorted tuple data[i*width:(i+1)*width].  The count is kept
+    Cone i is the sorted tuple flat[i*width:(i+1)*width].  The count is kept
     apart from the array because the cones of a rank-1 matroid have no rays.
     """
 
-    __slots__ = ("_data", "_width", "_count")
+    __slots__ = ("flat", "_width", "_count")
 
     def __init__(self, data: array, width: int, count: int):
-        self._data = data
+        self.flat = memoryview(data).toreadonly()  # every ray index, cone by cone
         self._width = width
         self._count = count
 
     def __len__(self) -> int:
         return self._count
 
-    def __getitem__(self, i) -> tuple:
-        if isinstance(i, slice):
-            return tuple(self[j] for j in range(self._count)[i])
+    def __getitem__(self, i: int) -> tuple:
         i = range(self._count)[i]
         w = self._width
-        return tuple(self._data[i * w : i * w + w])
+        return tuple(self.flat[i * w : i * w + w])
 
     def __iter__(self):
         if self._width == 0:
             return repeat((), self._count)
-        return zip(*[iter(self._data)] * self._width)
-
-    def blocks(self, size: int):
-        """(count, packed ray indices) of each run of at most size cones, in order."""
-        w = self._width
-        for i in range(0, self._count, size):
-            yield min(size, self._count - i), self._data[i * w : (i + size) * w]
+        return zip(*[iter(self.flat)] * self._width)
 
     def __eq__(self, other):
         if not isinstance(other, ConeArray):
             return NotImplemented
         return (self._count, self._width) == (other._count, other._width) and (
-            self._data == other._data
+            self.flat == other.flat
         )
 
     def __repr__(self) -> str:

@@ -12,7 +12,7 @@ Ground-set indices are 1-based throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
@@ -28,27 +28,12 @@ from .exact import IntMat, gauss_jordan, pivot_step
 from .util import elements_of, primitive
 
 
-@dataclass(frozen=True)
-class TuttePoly:
-    """Tutte polynomial as a sparse map (i, j) -> coefficient of x^i y^j."""
-
-    coeffs: dict
-
-    def __call__(self, x, y):
-        return sum(c * x**i * y**j for (i, j), c in self.coeffs.items())
-
-    def monomials(self):
-        """Sorted ((i, j), coeff) pairs."""
-        return sorted(self.coeffs.items())
-
-
 class Matroid:
     """Linear matroid M(A), or its dual when dual_mode is set.
 
-    Handles are immutable after construction except for the basis cache,
-    which follows a single-writer discipline: populate it (by reading
-    bases) before sharing the handle across threads.  The walk's last rows
-    are stored with their basis as one tuple, read once per lookup.
+    Handles are immutable after construction except for the cached bases
+    and the walk's last rows, stored with their basis as one tuple, read
+    once per lookup.
     """
 
     def __init__(self, A: IntMat, *, dual_mode: bool, loops, coloops):
@@ -58,14 +43,13 @@ class Matroid:
         self.dual_mode = dual_mode
         self.loops = tuple(loops)
         self.coloops = tuple(coloops)
-        self._bases = None
         self._last = None  # (basis, reduced rows) of the walk's last yield
 
     # -- construction -------------------------------------------------------
 
     @classmethod
     def from_matrix(cls, A, *, strict: bool = True) -> "Matroid":
-        """Build M(A).  Rank-deficient rows are dropped silently.
+        """Build M(A).  A rank-deficient A gives way to its nonzero reduced rows.
 
         With strict=True (the default) the constructor refuses matroids with
         loops or coloops, which the fan computation cannot handle anyway;
@@ -74,16 +58,15 @@ class Matroid:
         """
         if not isinstance(A, IntMat):
             A = IntMat.from_rows(A)
-        independent, _ = gauss_jordan([list(col) for col in A.columns])
-        if not independent:
-            raise RankDeficient("matrix has rank 0")
-        if len(independent) < A.rows:
-            A = IntMat.from_rows([A.entries[i] for i in independent])
-        loops = tuple(j + 1 for j, col in enumerate(A.columns) if not any(col))
         # row operations keep the column matroid; a pivot column is a coloop
         # iff no free column has a nonzero entry in its row
         rows = A.row_lists()
         pivots, _ = gauss_jordan(rows)
+        if not pivots:
+            raise RankDeficient("matrix has rank 0")
+        if len(pivots) < A.rows:
+            A = IntMat.from_rows(rows[: len(pivots)])
+        loops = tuple(j + 1 for j, col in enumerate(A.columns) if not any(col))
         free = [c for c in range(A.cols) if c not in pivots]
         coloops = [
             c + 1 for r, c in enumerate(pivots) if not any(rows[r][f] for f in free)
@@ -164,11 +147,9 @@ class Matroid:
             done += comb(self.n - 1 - p[-1], self.m - d)
         return runs
 
-    @property
-    def bases(self):
-        if self._bases is None:
-            self._bases = tuple(self.enumerate_bases())
-        return self._bases
+    @cached_property
+    def bases(self) -> tuple:
+        return tuple(self.enumerate_bases())
 
     # -- fundamental circuits -----------------------------------------------
 
@@ -264,13 +245,14 @@ class Matroid:
             return {full & ~Z: n - Z.bit_count() + r - self.m for Z, r in found.items()}
         return found
 
-    def tutte_polynomial(self) -> TuttePoly:
+    def tutte_polynomial(self) -> dict:
         """Tutte polynomial via internal/external activities over all bases.
 
         Activities are taken in the natural order of the ground set: a
         non-basis k is externally active iff it is the smallest element of
         C(k, B), a basis element b internally active iff it is the smallest
         element of its fundamental cocircuit {b} + {k : b in C(k, B)}.
+        Returns the coefficient of x^i y^j under each key (i, j).
         """
         coeffs = {}
         for B in self.enumerate_bases():
@@ -283,4 +265,4 @@ class Matroid:
                     internal += 1
             key = (internal, ext)
             coeffs[key] = coeffs.get(key, 0) + 1
-        return TuttePoly(coeffs)
+        return coeffs

@@ -396,6 +396,11 @@ def brute_tutte(cols):
     return rec(tuple(map(tuple, cols)))
 
 
+def tutte_eval(coeffs, x, y):
+    """The Tutte polynomial {(i, j): coeff} evaluated at (x, y)."""
+    return sum(c * x**i * y**j for (i, j), c in coeffs.items())
+
+
 def eq2_determinant(prob, cone, i) -> int:
     """|det| of (A^T columns, the cone's rays, e_i), computed directly for one i."""
     cols = list(prob.A.entries)

@@ -90,6 +90,12 @@ def test_output_file(tmp_path):
     code, out = run_cli([str(path), "--output", str(target)])
     assert code == 0 and out == ""
     assert target.read_text().startswith("n 3\nm 2\nrays 3\nmaxcones 3\n")
+    # the rank-1 dual has one cone and no rays: its MAXCONES line is empty
+    rank1 = "n 3\nm 1\nrays 0\nmaxcones 1\nRAYS\nMAXCONES\n\n"
+    assert run_cli([str(path), "--dual"]) == (0, rank1)
+    assert run_cli([str(path), "--dual", "--threads", "2"]) == (0, rank1)
+    assert run_cli([str(path), "--dual", "--output", str(target)]) == (0, "")
+    assert target.read_text() == rank1
 
 
 def test_failed_run_leaves_output_untouched(tmp_path):
@@ -234,6 +240,23 @@ def test_discriminant_mode(tmp_path):
     assert again == (code, out)
     other = run_cli([str(path), "--random", "4", "--seed", "2"])
     assert other[0] == 0
+
+
+def test_unspanned_lattice_is_one_error_line(tmp_path):
+    # the columns span a sublattice of index 2; setup records that without a
+    # warning, and the first shot stops the run with one error line
+    path = tmp_path / "even.txt"
+    write_matrix_file(path, IntMat.from_rows([[1, 1, 1, 1], [0, 2, 4, 6]]))
+    src = str(Path(tropfan.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "tropfan", str(path), "--random", "3"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: vertex formula requires coprime maximal minors\n"
 
 
 def test_discriminant_mode_zero_vertices(tmp_path):

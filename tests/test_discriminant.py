@@ -21,7 +21,6 @@ from tropfan.discriminant import (
     _dot_products,
     _inner_products,
     _pack_cones,
-    _packed_cones,
     _packed_products,
     _shoot,
     _Unresolved,
@@ -34,6 +33,7 @@ from tropfan.errors import (
     LatticeNotSpanned,
     NoAllOnesRow,
     RankError,
+    WrongSize,
 )
 from tropfan.exact import IntMat
 from tropfan.util import dot
@@ -91,12 +91,11 @@ def test_setup_rejects_missing_all_ones_row():
         setup(IntMat.from_rows([[1, 0, 0, 0], [0, 1, 2, 3]]))
 
 
-def test_setup_warns_when_lattice_not_spanned():
+def test_setup_flags_unspanned_lattice_without_warning():
     A = IntMat.from_rows([[1, 1, 1, 1], [0, 2, 0, 2]])
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         prob = setup(A)
-    assert any("gcd" in str(w.message) for w in caught)
     assert not prob.lattice_spanned
     with pytest.raises(LatticeNotSpanned):
         shoot_vertex(prob, (1, 2, 3, 4))
@@ -180,6 +179,14 @@ def test_shoot_vertex_rejects_non_integer_objectives(line_cubic_problem, x):
         shoot_vertex(line_cubic_problem, (1,) * (line_cubic_problem.n - 1) + (x,))
 
 
+def test_shoot_vertex_rejects_objectives_of_the_wrong_length(line_cubic_problem):
+    # zip() would shoot a short w padded with zeros and drop a long w's tail
+    w = tuple(range(1, line_cubic_problem.n + 1))
+    for bad in (w[:5], w + (14, 15)):
+        with pytest.raises(WrongSize):
+            shoot_vertex(line_cubic_problem, bad)
+
+
 def test_nongeneric_objective_resolved_by_perturbation(line_cubic_problem):
     prob = line_cubic_problem
     v = shoot_vertex(prob, (0,) * prob.n, seed=11)
@@ -210,7 +217,8 @@ def test_ray_hits_cone_basics(line_cubic_problem):
     for cone in prob.codim1_cones[:200]:
         s = dot(cone.normal, w)
         p0 = _dot_products((cone,), w)
-        hits = _cone_hits(cone, range(prob.n), p0[0], p0[1:], 0, [0] * len(cone.qrows))
+        support = [i for i, g in enumerate(cone.normal) if g]
+        hits = _cone_hits(cone, support, p0[0], p0[1:], 0, [0] * len(cone.qrows))
         for i in range(1, prob.n + 1):
             g = cone.normal[i - 1]
             hit = i - 1 in hits
@@ -222,7 +230,7 @@ def test_ray_hits_cone_basics(line_cubic_problem):
 
 def test_packed_lanes_equal_dot(line_cubic_problem):
     prob = line_cubic_problem
-    packed = _packed_cones(prob)
+    packed = prob._packed
     assert packed.wmax > 10**6
     rng = random.Random(41)
     n = prob.n
@@ -242,8 +250,8 @@ def test_packed_lanes_equal_dot(line_cubic_problem):
 def test_lane_bound_holds_at_its_extreme(x):
     n = 13
     cone = SimpleNamespace(normal=(x,) * n, qrows=((-x,) * n, (x, -x) * 6 + (0,)))
-    prob = SimpleNamespace(n=n, codim1_cones=[cone], _packed=None)
-    packed = _pack_cones(prob)
+    prob = SimpleNamespace(n=n, codim1_cones=[cone])
+    packed = prob._packed = _pack_cones(prob)
     wmax = (2**63 - 1) // (n * x)
     assert packed.wmax == (wmax if wmax else -1)
     # all entries +-wmax drive the first two lanes to +-n * x * wmax
@@ -291,7 +299,7 @@ def test_vertex_is_scale_invariant_past_the_lane_bound(line_cubic_problem):
     e1 = (1,) + (0,) * (n - 1)  # a tie: the big multiple perturbs with a packed r
     for obj in (w, e1, prob.A.entries[1]):
         big = tuple(10**25 * x for x in obj)
-        assert max(map(abs, big)) > _packed_cones(prob).wmax
+        assert max(map(abs, big)) > prob._packed.wmax
         small_v, big_v = shoot_vertex(prob, obj), shoot_vertex(prob, big)
         assert big_v.u == small_v.u
         assert big_v.perturbed == small_v.perturbed

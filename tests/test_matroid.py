@@ -11,6 +11,7 @@ from brute import (
     brute_fundamental_circuit,
     brute_rank,
     brute_tutte,
+    tutte_eval,
     columns_of,
     handle_columns,
     independent,
@@ -329,13 +330,13 @@ def test_cyclic_flats_match_brute_force():
 
 def test_tutte_uniform23():
     T = Matroid.from_matrix(UNIFORM_2_3).tutte_polynomial()
-    assert T.coeffs == {(2, 0): 1, (1, 0): 1, (0, 1): 1}
+    assert T == {(2, 0): 1, (1, 0): 1, (0, 1): 1}
 
 
 def test_tutte_against_deletion_contraction():
     for name, A in small_corpus():
         M = Matroid.from_matrix(A)
-        assert M.tutte_polynomial().coeffs == brute_tutte(columns_of(A)), name
+        assert M.tutte_polynomial() == brute_tutte(columns_of(A)), name
 
 
 def test_tutte_specializations_and_counts():
@@ -343,7 +344,7 @@ def test_tutte_specializations_and_counts():
         M = Matroid.from_matrix(A)
         T = M.tutte_polynomial()
         cols = columns_of(A)
-        assert T(1, 1) == len(M.bases)
+        assert tutte_eval(T, 1, 1) == len(M.bases)
         n = M.n
         n_indep = sum(
             1
@@ -355,9 +356,9 @@ def test_tutte_specializations_and_counts():
             for mask in range(1 << n)
             if brute_rank(cols, tuple(i + 1 for i in range(n) if mask >> i & 1)) == M.m
         )
-        assert T(2, 1) == n_indep, name
-        assert T(1, 2) == n_span, name
-        assert T(2, 2) == 2**n, name
+        assert tutte_eval(T, 2, 1) == n_indep, name
+        assert tutte_eval(T, 1, 2) == n_span, name
+        assert tutte_eval(T, 2, 2) == 2**n, name
 
 
 def test_tutte_order_independent():
@@ -366,7 +367,7 @@ def test_tutte_order_independent():
         natural = M.tutte_polynomial()
         # element e of the reversed matrix is element n + 1 - e here
         R = Matroid.from_matrix(IntMat.from_rows(row[::-1] for row in A.entries))
-        assert R.tutte_polynomial().coeffs == natural.coeffs, name
+        assert R.tutte_polynomial() == natural, name
 
 
 def test_tutte_duality_swaps_variables():
@@ -374,5 +375,5 @@ def test_tutte_duality_swaps_variables():
         M = Matroid.from_matrix(A)
         T = M.tutte_polynomial()
         Tdual = M.dual().tutte_polynomial()
-        assert Tdual.coeffs == {(j, i): c for (i, j), c in T.coeffs.items()}, name
+        assert Tdual == {(j, i): c for (i, j), c in T.items()}, name
 
