@@ -64,6 +64,9 @@ class ConeArray(Sequence):
             self.flat == other.flat
         )
 
+    def __reduce__(self):  # a memoryview does not pickle; its array does
+        return ConeArray, (self.flat.obj, self._width, self._count)
+
     def __repr__(self) -> str:
         return f"ConeArray(count={self._count}, width={self._width})"
 

@@ -1,6 +1,7 @@
 """Fan assembly, cones against the paper's local criterion, Bergman comparison."""
 
 import os
+import pickle
 import random
 import tracemalloc
 from array import array
@@ -291,7 +292,7 @@ def test_cone_array_is_a_sequence_of_sorted_tuples():
     assert flat.readonly and list(flat) == [i for cone in cones for i in cone]
     with pytest.raises(TypeError):
         fan.maximal_cones[1:3]
-    assert fan == cyclic_bergman_fan(M)
+    assert fan == cyclic_bergman_fan(M) == pickle.loads(pickle.dumps(fan))
     assert ConeArray(array("B", [0, 1]), 1, 2) != ConeArray(array("B", [1, 0]), 1, 2)
     assert ConeArray(array("B"), 0, 1) != ConeArray(array("B"), 0, 2)
 
