@@ -8,7 +8,8 @@ one of them but three_quadrics_6x30.txt (the stress case: minutes even with
 --counts-only --threads 2) is run in each fan mode below, and the inputs of
 RANDOM_INPUTS also with --random 100 --seed 1: line/cubic, conic/cubic,
 graphic_3x6, cube3 and cube4 print vertices, demo_4x7 and uniform_2_3 exit 2
-with an error.  Each line gives the input, the flags, the exit code
+with an error.  Line/cubic also runs with --random 100 --seed 1 --threads 2,
+which builds setup's fan in worker processes.  Each line gives the input, the flags, the exit code
 and the sha256 of stdout and of stderr.  The CLI runs as `python -m tropfan`
 with the caller's environment, so the PYTHONPATH picks the code under test:
 the digests of two source trees are equal iff the CLI behaves byte-identically
@@ -47,6 +48,7 @@ RANDOM_INPUTS = [
     "uniform_2_3.txt",
 ]
 RANDOM_FLAGS = ["--random", "100", "--seed", "1"]
+THREADED_RANDOM = ("line_cubic_4x13.txt", [*RANDOM_FLAGS, "--threads", "2"])
 
 
 def runs(matdir: Path):
@@ -56,6 +58,8 @@ def runs(matdir: Path):
                 yield path, flags
     for name in RANDOM_INPUTS:
         yield matdir / name, RANDOM_FLAGS
+    name, flags = THREADED_RANDOM
+    yield matdir / name, flags
 
 
 def digest(data: bytes) -> str:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 from .discriminant import random_vertices, setup
 from .errors import ParseError, TropfanError
@@ -205,7 +206,7 @@ def run(args: argparse.Namespace) -> int:
     except TropfanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, BrokenProcessPool) as exc:  # a --threads worker died
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -17,8 +17,9 @@ Three exactness devices keep this fast:
   transform shared by every cone below it, and a dependent prefix drops
   its whole subtree;
 * the determinant in the vertex formula factors through the cone's hyperplane
-  normal: det(A^T, rays, e_i) = kappa * normal_i for a per-cone integer
-  kappa, so one determinant per cone serves all sixteen directions;
+  normal: |det(A^T, rays, e_i)| = kappa * |normal_i| for a per-cone integer
+  kappa, which the same walk reads off its last row in closed form, so
+  shooting computes no determinant;
 * every inner product one objective needs (normal . w and Q . w for every
   cone) comes from one pass of exact big-int arithmetic: coordinate t of all
   normals and Q rows is packed into one int as signed 64-bit lanes, and the
@@ -55,7 +56,7 @@ from .errors import (
 )
 from .exact import (
     IntMat,
-    det,  # unused here; bound for tracing by module attribute (perfbench/tracer.py)
+    det,
     det_of_columns,
     integer_kernel_basis,
     pivot_step,
@@ -79,7 +80,7 @@ class NewtonVertex:
     duplicate_of: int | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Codim1Cone:
     """A maximal fan cone whose span plus the rowspace of A is a hyperplane."""
 
@@ -87,7 +88,8 @@ class Codim1Cone:
     normal: tuple  # primitive integer normal of that hyperplane
     qrows: tuple  # integer matrix Q with lambda(x) = Q @ x / denom
     denom: int
-    kappa_abs: int | None = None  # |kappa|, computed on first hit
+    kappa: int  # |det(A^T, rays, e_i)| / |normal_i|, the same for every i in support
+    support: tuple  # the directions i with normal_i != 0
 
 
 @dataclass
@@ -124,7 +126,6 @@ class _PackedCones:
     bias: int  # 2^63 in every lane
     nbytes: int
     wmax: int
-    supports: tuple  # per cone, the directions i with normal_i != 0
 
 
 class _Unresolved(Exception):
@@ -146,8 +147,8 @@ def setup(A, *, threads: int = 0) -> DiscriminantProblem:
     if not isinstance(A, IntMat):
         A = IntMat.from_rows(A)
     m, n = A.rows, A.cols
-    if rank(A) != m:
-        raise RankError(f"matrix has rank {rank(A)} < {m} rows")
+    if (r := rank(A)) != m:
+        raise RankError(f"matrix has rank {r} < {m} rows")
     if n - m <= 1:
         raise DegenerateDual("Gale dual has rank <= 1; the fan is lineality only")
     if solve_columns(A.entries, [1] * n) is None:
@@ -175,11 +176,18 @@ def _codim1_cones(A: IntMat, Aperp: IntMat, fan: Fan) -> list:
     row d with one `pivot_step`; a zero step means the prefix's projected
     rays are dependent, and every cone below it is dropped.  At a leaf, row
     q - 1 of T is orthogonal to the cone's q - 1 projected rays, so row q - 1
-    of R is normal to the cone's span plus the rowspace of A; rows 0..q-2 of
-    R are Q, with Q . r_k = p e_k and Q . a = 0 for each row a of A.
-    Returns the cones in trie order, i.e. by sorted ray tuple.
+    of R is normal to the cone's span plus the rowspace of A and fixes kappa
+    (below); rows 0..q-2 of R are Q, with Q . r_k = p e_k and Q . a = 0 for
+    each row a of A.  Returns the cones in trie order, i.e. by sorted ray tuple.
     """
     n = Aperp.cols
+    # kappa in closed form.  N = [A; Aperp] sends A^T to [A A^T; 0], so
+    # det N * det(A^T, rays, e_i) = det(A A^T) * det(Phi, Aperp . e_i) with Phi
+    # the projected rays; T sends (Phi, Aperp . e_i) to (p e_0 .. p e_{q-2}, R e_i)
+    # and det T = +-p^(q-1), so det(Phi, Aperp . e_i) = +-R[q-1][i].  det(A A^T) /
+    # det N need not be +-1 (unspanned lattice, unsaturated Aperp): divide exactly.
+    gram = det(IntMat.from_rows([[dot(a, b) for b in A.entries] for a in A.entries]))
+    det_n = det(IntMat.from_rows([*A.entries, *Aperp.entries]))
     width = Aperp.rows - 1  # rays per cone
     flat = fan.maximal_cones.flat  # ray indices, cone by cone
     out = []
@@ -210,24 +218,14 @@ def _codim1_cones(A: IntMat, Aperp: IntMat, fan: Fan) -> list:
                 raise InternalInvariant("normal not orthogonal to the rowspace")
         if prev == 0:
             raise InternalInvariant("membership denominator is zero")
-        out.append(Codim1Cone(ci, normal, tuple(tuple(row[:n]) for row in rows[:-1]), prev))
-    return out
-
-
-def _kappa_abs(prob: DiscriminantProblem, cone: Codim1Cone) -> int:
-    """|det(A^T columns, the cone's rays, e_i)| / |normal_i|, one i serving all."""
-    if cone.kappa_abs is None:
-        i0 = next(i for i, x in enumerate(cone.normal) if x != 0)
-        cols = list(prob.A.entries)
-        cols += [prob.fan.rays[j] for j in prob.fan.maximal_cones[cone.cone_index]]
-        e = [0] * prob.n
-        e[i0] = 1
-        cols.append(tuple(e))
-        k, rem = divmod(abs(det_of_columns(cols)), abs(cone.normal[i0]))
-        if rem or k == 0:
+        support = tuple(i for i, g in enumerate(normal) if g)
+        i0 = support[0]
+        kappa, rem = divmod(abs(gram * rows[-1][i0]), abs(det_n * normal[i0]))
+        if rem or kappa == 0:
             raise InternalInvariant("determinant does not factor through the normal")
-        cone.kappa_abs = k
-    return cone.kappa_abs
+        qrows = tuple(tuple(row[:n]) for row in rows[:-1])
+        out.append(Codim1Cone(ci, normal, qrows, prev, kappa, support))
+    return out
 
 
 def _pack_lanes(lanes, bias: int) -> int:
@@ -243,19 +241,16 @@ def _pack_lanes(lanes, bias: int) -> int:
 
 
 def _pack_cones(prob: DiscriminantProblem) -> _PackedCones:
-    supports = tuple(
-        tuple(i for i, g in enumerate(cone.normal) if g) for cone in prob.codim1_cones
-    )
     vecs = [vec for cone in prob.codim1_cones for vec in (cone.normal, *cone.qrows)]
     xmax = max((abs(x) for vec in vecs for x in vec), default=1)
     # |lane| <= n * xmax * max|v| <= 2^63 - 1 whenever max|v| <= wmax
     wmax = (_LANE_BIAS - 1) // (prob.n * xmax)
     if wmax == 0:
-        return _PackedCones((), 0, 0, -1, supports)
+        return _PackedCones((), 0, 0, -1)
     nbytes = 8 * len(vecs)
     bias = int.from_bytes(_LANE_BIAS.to_bytes(8, sys.byteorder) * len(vecs), sys.byteorder)
     cols = tuple(_pack_lanes([vec[t] for vec in vecs], bias) for t in range(prob.n))
-    return _PackedCones(cols, bias, nbytes, wmax, supports)
+    return _PackedCones(cols, bias, nbytes, wmax)
 
 
 def _packed_products(packed: _PackedCones, v) -> list:
@@ -280,19 +275,21 @@ def _inner_products(prob: DiscriminantProblem, v) -> list:
     return _packed_products(packed, v)
 
 
-def _cone_hits(cone, directions, s0, a0, s1, a1):
-    """Directions i in `directions` whose open ray from w + eps*r crosses the cone.
+def _cone_hits(cone, s0, a0, s1, a1):
+    """Directions i in the cone's support whose open ray from w + eps*r crosses it.
 
-    Each i must have normal_i != 0.  s0 = normal . w and a0 = Q . w; s1 and
-    a1 are the same products with the perturbation vector r, all zero when
-    there is none.  Raises _Unresolved on any exact tie of the (constant, eps)
-    pair.
+    Only directions with normal_i != 0 can cross the cone.  Skipping the
+    others loses no tie: they raise only when s0 = s1 = 0, and then every
+    direction of the support raises as well.  s0 = normal . w and a0 = Q . w;
+    s1 and a1 are the same products with the perturbation vector r, all zero
+    when there is none.  Raises _Unresolved on any exact tie of the
+    (constant, eps) pair.
     """
     nv = cone.normal
     Q = cone.qrows
     D = cone.denom
     hits = []
-    for i in directions:
+    for i in cone.support:
         g = nv[i]
         c0 = -s0 * g
         c1 = -s1 * g
@@ -327,18 +324,9 @@ def _shoot(prob, w, r):
     width = prob.n - prob.m  # the normal and n - m - 1 rows of Q per cone
     p0 = _inner_products(prob, w)
     p1 = _inner_products(prob, r) if r is not None else [0] * len(p0)
-    # Only directions with normal_i != 0 can cross a cone.  Skipping the
-    # others loses no tie: they raise only when s0 = s1 = 0, and then every
-    # remaining direction raises as well.
-    supports = prob._packed.supports
-    for b, cone, directions in zip(range(0, len(p0), width), prob.codim1_cones, supports):
-        hits = _cone_hits(
-            cone, directions, p0[b], p0[b + 1 : b + width], p1[b], p1[b + 1 : b + width]
-        )
-        if hits:
-            k = _kappa_abs(prob, cone)
-            for i in hits:
-                u[i] += k * abs(cone.normal[i])
+    for b, cone in zip(range(0, len(p0), width), prob.codim1_cones):
+        for i in _cone_hits(cone, p0[b], p0[b + 1 : b + width], p1[b], p1[b + 1 : b + width]):
+            u[i] += cone.kappa * abs(cone.normal[i])
     return u
 
 

@@ -112,6 +112,25 @@ def test_failed_run_leaves_output_untouched(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["coloops.txt", "out.txt"]
 
 
+def _dead_worker(payload):
+    os._exit(3)
+
+
+def test_dead_threads_worker_is_one_error_line(tmp_path, monkeypatch, capsys):
+    # a worker that dies (say, killed when memory runs out) breaks the pool;
+    # workers start by fork, so they run the patched function
+    monkeypatch.setattr("tropfan.fan._fan_worker", _dead_worker)
+    path = tmp_path / "cube3.txt"
+    write_matrix_file(path, cube_matrix(3))
+    target = tmp_path / "fan.out"
+    code, out = run_cli([str(path), "--dual", "--threads", "2", "--output", str(target)])
+    assert (code, out) == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cube3.txt"]
+
+
 def test_bad_threads_env_is_usage_error(tmp_path):
     path = tmp_path / "u23.txt"
     write_matrix_file(path, UNIFORM_2_3)

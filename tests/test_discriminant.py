@@ -35,7 +35,7 @@ from tropfan.errors import (
     RankError,
     WrongSize,
 )
-from tropfan.exact import IntMat
+from tropfan.exact import IntMat, det
 from tropfan.util import dot
 
 
@@ -101,16 +101,43 @@ def test_setup_flags_unspanned_lattice_without_warning():
         shoot_vertex(prob, (1, 2, 3, 4))
 
 
+#: Maximal minors with gcd 3, so det(A A^T) / det [A; Aperp] = -2/3.
+UNSPANNED_3X7 = [[1] * 7, [-1, 3, 2, 3, 2, 2, 1], [-3, 3, 0, 3, -2, 2, -3]]
+#: Spanned, but `integer_kernel_basis` is not saturated: that ratio is 1/4913.
+UNSATURATED_3X7 = [[1] * 7, [-3, 1, -2, -3, 2, -2, 0], [-1, -2, 3, 3, 0, -2, 3]]
+
+
 def test_determinant_factors_through_normal(line_cubic_problem):
+    # setup reads kappa off the cone walk; the direct determinant is its oracle
     prob = line_cubic_problem
-    rng = random.Random(2)
-    for cone in rng.sample(prob.codim1_cones, 12):
-        i0 = next(i for i, x in enumerate(cone.normal) if x)
-        d = eq2_determinant(prob, cone, i0)
-        kappa, rem = divmod(d, abs(cone.normal[i0]))
-        assert rem == 0 and kappa > 0
-        for i in rng.sample(range(prob.n), 5):
-            assert eq2_determinant(prob, cone, i) == kappa * abs(cone.normal[i])
+    for cone in prob.codim1_cones:
+        assert cone.support == tuple(i for i, g in enumerate(cone.normal) if g)
+        i0 = cone.support[0]
+        assert cone.kappa * abs(cone.normal[i0]) == eq2_determinant(prob, cone, i0)
+    for cone in random.Random(2).sample(prob.codim1_cones, 12):
+        for i in range(prob.n):
+            assert eq2_determinant(prob, cone, i) == cone.kappa * abs(cone.normal[i])
+    for A, ratio, spanned in (
+        (UNSPANNED_3X7, Fraction(-2, 3), False),
+        (UNSATURATED_3X7, Fraction(1, 4913), True),
+    ):
+        other = setup(A)
+        assert other.lattice_spanned == spanned
+        rows = other.A.entries
+        gram = det(IntMat.from_rows([[dot(a, b) for b in rows] for a in rows]))
+        assert Fraction(gram, det(IntMat.from_rows(rows + other.Aperp.entries))) == ratio
+        assert other.codim1_cones
+        for cone in other.codim1_cones:
+            for i in range(other.n):
+                assert eq2_determinant(other, cone, i) == cone.kappa * abs(cone.normal[i])
+    with pytest.raises(LatticeNotSpanned):
+        shoot_vertex(setup(UNSPANNED_3X7), (1, 2, 3, 4, 5, 6, 7))
+
+
+def test_threaded_setup_lists_the_same_cones(line_cubic_problem):
+    threaded = setup(TANGENT_LINE_CUBIC_4X13, threads=2)
+    # frozen cones compare every field, kappa and support included
+    assert threaded.codim1_cones == line_cubic_problem.codim1_cones
 
 
 def test_normals_orthogonal(line_cubic_problem):
@@ -217,8 +244,7 @@ def test_ray_hits_cone_basics(line_cubic_problem):
     for cone in prob.codim1_cones[:200]:
         s = dot(cone.normal, w)
         p0 = _dot_products((cone,), w)
-        support = [i for i, g in enumerate(cone.normal) if g]
-        hits = _cone_hits(cone, support, p0[0], p0[1:], 0, [0] * len(cone.qrows))
+        hits = _cone_hits(cone, p0[0], p0[1:], 0, [0] * len(cone.qrows))
         for i in range(1, prob.n + 1):
             g = cone.normal[i - 1]
             hit = i - 1 in hits
