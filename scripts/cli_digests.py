@@ -9,11 +9,11 @@ one of them but three_quadrics_6x30.txt (the stress case: minutes even with
 RANDOM_INPUTS also with --random 100 --seed 1: line/cubic, conic/cubic,
 graphic_3x6, cube3 and cube4 print vertices, demo_4x7 and uniform_2_3 exit 2
 with an error.  Line/cubic also runs with --random 100 --seed 1 --threads 2,
-which builds setup's fan in worker processes.  Each line gives the input, the flags, the exit code
-and the sha256 of stdout and of stderr.  The CLI runs as `python -m tropfan`
-with the caller's environment, so the PYTHONPATH picks the code under test:
-the digests of two source trees are equal iff the CLI behaves byte-identically
-on these runs, e.g.
+which builds setup's fan in worker processes.  Each line gives the input,
+the flags, the exit code and the sha256 of stdout and of stderr.  The CLI
+runs as `python -m tropfan` with the caller's environment, so the PYTHONPATH
+picks the code under test: the digests of two source trees are equal iff
+the CLI behaves byte-identically on these runs, e.g.
 
     PYTHONPATH=old/src python scripts/cli_digests.py mats > old.txt
     PYTHONPATH=new/src python scripts/cli_digests.py mats > new.txt
@@ -48,7 +48,6 @@ RANDOM_INPUTS = [
     "uniform_2_3.txt",
 ]
 RANDOM_FLAGS = ["--random", "100", "--seed", "1"]
-THREADED_RANDOM = ("line_cubic_4x13.txt", [*RANDOM_FLAGS, "--threads", "2"])
 
 
 def runs(matdir: Path):
@@ -58,8 +57,7 @@ def runs(matdir: Path):
                 yield path, flags
     for name in RANDOM_INPUTS:
         yield matdir / name, RANDOM_FLAGS
-    name, flags = THREADED_RANDOM
-    yield matdir / name, flags
+    yield matdir / "line_cubic_4x13.txt", [*RANDOM_FLAGS, "--threads", "2"]
 
 
 def digest(data: bytes) -> str:

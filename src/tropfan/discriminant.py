@@ -182,9 +182,9 @@ def _codim1_cones(A: IntMat, Aperp: IntMat, fan: Fan) -> list:
     """
     n = Aperp.cols
     # kappa in closed form.  N = [A; Aperp] sends A^T to [A A^T; 0], so
-    # det N * det(A^T, rays, e_i) = det(A A^T) * det(Phi, Aperp . e_i) with Phi
-    # the projected rays; T sends (Phi, Aperp . e_i) to (p e_0 .. p e_{q-2}, R e_i)
-    # and det T = +-p^(q-1), so det(Phi, Aperp . e_i) = +-R[q-1][i].  det(A A^T) /
+    # det N * det(A^T, rays, e_i) = det(A A^T) * det(Phi, Aperp e_i) with Phi
+    # the projected rays; T sends (Phi, Aperp e_i) to (p e_0 .. p e_{q-2}, R e_i)
+    # and det T = +-p^(q-1), so det(Phi, Aperp e_i) = +-R[q-1][i].  det(A A^T) /
     # det N need not be +-1 (unspanned lattice, unsaturated Aperp): divide exactly.
     gram = det(IntMat.from_rows([[dot(a, b) for b in A.entries] for a in A.entries]))
     det_n = det(IntMat.from_rows([*A.entries, *Aperp.entries]))
