@@ -18,6 +18,16 @@ from tropfan.data import (
     UNIFORM_2_3,
     cube_matrix,
 )
+from tropfan.exact import IntMat
+
+#: conic/cubic with row 2 doubled: the same matroid, but every maximal minor
+#: is even, so the columns do not span Z^4 and --random N > 0 exits 2
+CONIC_CUBIC_UNSPANNED_4X16 = IntMat.from_rows(
+    [
+        [2 * x for x in row] if i == 2 else row
+        for i, row in enumerate(TANGENT_CONIC_CUBIC_4X16.entries)
+    ]
+)
 
 EXAMPLES = {
     "uniform_2_3": UNIFORM_2_3,
@@ -29,6 +39,7 @@ EXAMPLES = {
     "line_cubic_gale_9x13": TANGENT_LINE_CUBIC_GALE_9X13,
     "quadrics_5x20": TANGENT_QUADRICS_5X20,
     "conic_cubic_4x16": TANGENT_CONIC_CUBIC_4X16,
+    "conic_cubic_unspanned_4x16": CONIC_CUBIC_UNSPANNED_4X16,
     "three_quadrics_6x30": TANGENT_THREE_QUADRICS_6X30,
 }
 

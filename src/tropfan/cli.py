@@ -163,7 +163,7 @@ def _write_fan(out, args: argparse.Namespace, M: Matroid):
 
 
 def _write_discriminant(out, args: argparse.Namespace, A: IntMat):
-    prob = setup(A, threads=args.threads)
+    prob = setup(A, threads=args.threads, require_spanned=args.random > 0)
     vertices = random_vertices(prob, args.random, args.seed)
     if vertices:
         a_degree = vertices[0].a_degree

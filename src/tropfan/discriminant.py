@@ -6,7 +6,7 @@ the rowspace of A.  Shooting axis rays from a generic objective w and summing
 exact determinant weights over the codimension-one cones crossed recovers the
 vertex of the Newton polytope minimizing the dot product with w.
 
-Three exactness devices keep this fast:
+Four devices keep this exact and fast:
 
 * membership of the crossing point in a cone reduces, after applying the
   Gale-dual projection (whose kernel is exactly the rowspace of A), to a
@@ -22,12 +22,19 @@ Three exactness devices keep this fast:
   shooting computes no determinant;
 * every inner product one objective needs (normal . w and Q . w for every
   cone) comes from one pass of exact big-int arithmetic: coordinate t of all
-  normals and Q rows is packed into one int as signed 64-bit lanes, and the
-  sum over t of w_t times that int, plus 2^63 in every lane, is read back as
-  64-bit words.  Each lane equals sum_t w_t * x_t, so
-  |lane| <= n * max|x| * max|w|; a vector for which that bound could reach
-  2^63 takes plain `dot` products instead, so the products are exact for
-  every input.
+  normals and Q rows is packed into one int as signed lanes, and the sum over
+  t of w_t times that int, plus 2^(L-1) in every lane, is read back as L-bit
+  words.  Each lane equals sum_t w_t * x_t, so |lane| <= n * max|x| * max|w|.
+  The lanes are 32 bits wide when that bound stays below 2^31 for every
+  |w| <= 10^6 (the range of objectives and perturbations), else 64 bits, and
+  a vector for which it could reach 2^(L-1) takes plain `dot` products;
+* the ray w + t e_i meets the hyperplane normal . x = 0 at t = -s/g, with
+  s = normal . w and g = normal_i, so only the directions whose g has the
+  sign opposite to s can cross (s = 0 ties), and the crossing point lies in
+  the cone when every (Q_j . w * g - s * Q_ji) * sign(D * g) is positive.  A
+  table built with the lanes lists each cone's support split by the sign of
+  g, with the signed Q column and weight of each direction, so a shot tests
+  one group per cone against one slice of the products.
 
 Non-generic objectives are resolved by symbolic perturbation w + eps*r with a
 seeded random integer r; every sign test is evaluated lexicographically on
@@ -64,7 +71,7 @@ from .exact import (
     rank_of_rows,  # unused here; bound for tracing by module attribute (perfbench/tracer.py)
     solve_columns,
 )
-from .fan import Fan, cyclic_bergman_fan
+from .fan import Fan, _require_no_loops_coloops, cyclic_bergman_fan
 from .matroid import Matroid
 from .util import dot, primitive
 
@@ -109,35 +116,36 @@ class DiscriminantProblem:
         return _pack_cones(self)
 
 
-_LANE_BIAS = 1 << 63  # added to every lane of a packed sum, so no lane borrows
-
-
 @dataclass(frozen=True)
 class _PackedCones:
     """The codim-1 cones as shooting reads them, built on the first shot.
 
-    cols[t] holds coordinate t of every cone's normal and Q rows as signed
-    64-bit lanes, cone by cone, the normal before the Q rows.  For a vector v
-    with max|v| <= wmax, every lane of sum_t v_t * cols[t] is below 2^63 in
-    absolute value; wmax is -1 when no nonzero v qualifies.
+    cols[t] holds coordinate t of every normal and Q row, cone by cone, as
+    signed lanes of array typecode `lane`; bias holds 2^(bits-1) per lane.
+    For max|v| <= wmax (-1: no v != 0) each lane of sum_t v_t * cols[t] is
+    below 2^(bits-1) in absolute value.  table holds, per cone, the lane b of
+    its normal and its directions with normal_i > 0, then < 0, each as
+    (i, g * sgn, Q[.][i] * sgn, kappa * |g|), g = normal_i, sgn = sign(D * g).
     """
 
     cols: tuple
-    bias: int  # 2^63 in every lane
-    nbytes: int
+    bias: int
     wmax: int
+    lane: str
+    table: tuple
 
 
 class _Unresolved(Exception):
     """An exact tie survived the current perturbation; retry with a fresh one."""
 
 
-def setup(A, *, threads: int = 0) -> DiscriminantProblem:
+def setup(A, *, threads: int = 0, require_spanned: bool = False) -> DiscriminantProblem:
     """Build the fan of the Gale-dual matroid and index its codimension-1 cones.
 
     Checks full row rank and the all-ones vector in the rowspace, and records
     in lattice_spanned whether the maximal minors of A are coprime, which the
-    vertex formula needs (shoot_vertex raises otherwise).  The fan itself is
+    vertex formula needs: shoot_vertex raises LatticeNotSpanned otherwise, and
+    so does setup under require_spanned, before it builds the fan.  The fan is
     computed in dual mode straight from A.  Its codimension-1 cones come from
     one walk over the trie of the cones' sorted ray tuples, one `pivot_step`
     per shared prefix (`_codim1_cones`), and are listed in the walk's order,
@@ -160,6 +168,9 @@ def setup(A, *, threads: int = 0) -> DiscriminantProblem:
             break
     Aperp = integer_kernel_basis(A)
     M = Matroid.from_matrix(A, strict=False).dual()
+    if require_spanned and g != 1:
+        _require_no_loops_coloops(M)  # the fan's own checks come first, as when shooting
+        raise LatticeNotSpanned("vertex formula requires coprime maximal minors")
     fan = cyclic_bergman_fan(M, threads=threads)
     codim1 = _codim1_cones(A, Aperp, fan)
     return DiscriminantProblem(A, m, n, Aperp, M, fan, codim1, g == 1)
@@ -228,39 +239,47 @@ def _codim1_cones(A: IntMat, Aperp: IntMat, fan: Fan) -> list:
     return out
 
 
-def _pack_lanes(lanes, bias: int) -> int:
-    """sum_l lanes[l] * 2^(64 l) for signed 64-bit lanes, in linear time.
-
-    `bias` holds 2^63 in each lane.  XOR with it flips the top bit of each
-    two's-complement lane, turning lane x into 2^63 + x; subtracting the bias
-    then takes back, for each negative lane, the 2^64 it borrowed from the
-    lane above.
-    """
-    raw = int.from_bytes(array("q", lanes), sys.byteorder)
-    return (raw ^ bias) - bias
-
-
 def _pack_cones(prob: DiscriminantProblem) -> _PackedCones:
-    vecs = [vec for cone in prob.codim1_cones for vec in (cone.normal, *cone.qrows)]
+    vecs, table, columns = [], [], {}  # equal Q columns are one interned tuple
+    for cone in prob.codim1_cones:
+        groups = ([], [])
+        for i in cone.support:
+            g = cone.normal[i]
+            sgn = 1 if cone.denom * g > 0 else -1
+            col = tuple(row[i] * sgn for row in cone.qrows)
+            groups[g < 0].append((i, g * sgn, columns.setdefault(col, col), cone.kappa * abs(g)))
+        table.append((len(vecs), *map(tuple, groups)))
+        vecs += (cone.normal, *cone.qrows)
     xmax = max((abs(x) for vec in vecs for x in vec), default=1)
-    # |lane| <= n * xmax * max|v| <= 2^63 - 1 whenever max|v| <= wmax
-    wmax = (_LANE_BIAS - 1) // (prob.n * xmax)
+    # |lane| <= n * xmax * max|v| < 2^(bits-1) for max|v| <= wmax: 32-bit lanes
+    # if every objective and perturbation (max|v| <= 10^6) fits them, else 64
+    for lane in "iq":
+        size = array(lane).itemsize
+        wmax = ((1 << 8 * size - 1) - 1) // (prob.n * xmax)
+        if wmax >= 10**6:
+            break
     if wmax == 0:
-        return _PackedCones((), 0, 0, -1)
-    nbytes = 8 * len(vecs)
-    bias = int.from_bytes(_LANE_BIAS.to_bytes(8, sys.byteorder) * len(vecs), sys.byteorder)
-    cols = tuple(_pack_lanes([vec[t] for vec in vecs], bias) for t in range(prob.n))
-    return _PackedCones(cols, bias, nbytes, wmax)
+        return _PackedCones((), 0, -1, lane, tuple(table))
+    bias = int.from_bytes((1 << 8 * size - 1).to_bytes(size, sys.byteorder) * len(vecs), sys.byteorder)
+    # XOR with the bias maps each two's-complement lane x to 2^(bits-1) + x;
+    # subtracting it takes back the 2^bits a negative lane borrowed from the next
+    cols = tuple(
+        (int.from_bytes(array(lane, [vec[t] for vec in vecs]), sys.byteorder) ^ bias) - bias
+        for t in range(prob.n)
+    )
+    return _PackedCones(cols, bias, wmax, lane, tuple(table))
 
 
 def _packed_products(packed: _PackedCones, v) -> list:
     acc = packed.bias
     for x, col in zip(v, packed.cols):
         acc += x * col
-    # Each biased lane 2^63 + y lies in [1, 2^64); flipping its top bit leaves
-    # y in two's complement, which the signed cast reads back.
+    # Each biased lane 2^(bits-1) + y lies in [1, 2^bits); flipping its top bit
+    # leaves y in two's complement, which the signed cast reads back.  The top
+    # lane holds the bias's highest bit, so its length is the bytes to read.
     acc ^= packed.bias
-    return memoryview(acc.to_bytes(packed.nbytes, sys.byteorder)).cast("q").tolist()
+    nbytes = packed.bias.bit_length() // 8
+    return memoryview(acc.to_bytes(nbytes, sys.byteorder)).cast(packed.lane).tolist()
 
 
 def _dot_products(cones, v) -> list:
@@ -275,58 +294,43 @@ def _inner_products(prob: DiscriminantProblem, v) -> list:
     return _packed_products(packed, v)
 
 
-def _cone_hits(cone, s0, a0, s1, a1):
-    """Directions i in the cone's support whose open ray from w + eps*r crosses it.
+def _tie_hit(p0, p1, b, g, col) -> bool:
+    """Whether direction (g, col) of the cone at lane b is hit, once a row ties.
 
-    Only directions with normal_i != 0 can cross the cone.  Skipping the
-    others loses no tie: they raise only when s0 = s1 = 0, and then every
-    direction of the support raises as well.  s0 = normal . w and a0 = Q . w;
-    s1 and a1 are the same products with the perturbation vector r, all zero
-    when there is none.  Raises _Unresolved on any exact tie of the
-    (constant, eps) pair.
+    Rescans the rows in order with the (constant, eps) pairs of w + eps*r,
+    compared lexicographically: the first pair that is not positive decides,
+    negative means outside and (0, 0) raises _Unresolved.
     """
-    nv = cone.normal
-    Q = cone.qrows
-    D = cone.denom
-    hits = []
-    for i in cone.support:
-        g = nv[i]
-        c0 = -s0 * g
-        c1 = -s1 * g
-        if c0 < 0 or (c0 == 0 and c1 < 0):
-            continue
-        if c0 == 0 and c1 == 0:
-            raise _Unresolved
-        sgn = 1 if D * g > 0 else -1
-        inside = True
-        for j in range(len(Q)):
-            qji = Q[j][i]
-            l0 = (a0[j] * g - s0 * qji) * sgn
-            if l0 > 0:
-                continue
-            if l0 < 0:
-                inside = False
-                break
-            l1 = (a1[j] * g - s1 * qji) * sgn
-            if l1 > 0:
-                continue
-            inside = False
-            if l1 == 0:
+    if p1 is None:
+        raise _Unresolved
+    for j, c in enumerate(col, b + 1):
+        pair = (p0[j] * g - p0[b] * c, p1[j] * g - p1[b] * c)
+        if pair <= (0, 0):
+            if pair == (0, 0):
                 raise _Unresolved
-            break
-        if inside:
-            hits.append(i)
-    return hits
+            return False
+    return True
 
 
 def _shoot(prob, w, r):
     u = [0] * prob.n
     width = prob.n - prob.m  # the normal and n - m - 1 rows of Q per cone
     p0 = _inner_products(prob, w)
-    p1 = _inner_products(prob, r) if r is not None else [0] * len(p0)
-    for b, cone in zip(range(0, len(p0), width), prob.codim1_cones):
-        for i in _cone_hits(cone, p0[b], p0[b + 1 : b + width], p1[b], p1[b + 1 : b + width]):
-            u[i] += cone.kappa * abs(cone.normal[i])
+    p1 = _inner_products(prob, r) if r is not None else None
+    for b, pos, neg in prob._packed.table:
+        s = p0[b]
+        key = s or p1 and p1[b]
+        if not key:
+            raise _Unresolved
+        a0 = p0[b + 1 : b + width]
+        for i, g, col, weight in neg if key > 0 else pos:
+            for a, c in zip(a0, col):
+                if a * g <= s * c:
+                    if a * g == s * c and _tie_hit(p0, p1, b, g, col):
+                        u[i] += weight
+                    break
+            else:
+                u[i] += weight
     return u
 
 
@@ -344,13 +348,11 @@ def shoot_vertex(prob: DiscriminantProblem, w, *, seed: int = 0) -> NewtonVertex
         raise WrongSize(f"objective has {len(w)} entries, not {prob.n}")
     rng = random.Random(seed)
     r = None
-    perturbed = False
     for _ in range(64):
         try:
             u = _shoot(prob, w, r)
             break
         except _Unresolved:
-            perturbed = True
             r = tuple(rng.randint(-(10**6), 10**6) for _ in range(prob.n))
     else:
         raise InternalInvariant("ties unresolved after 64 perturbations")
@@ -363,7 +365,7 @@ def shoot_vertex(prob: DiscriminantProblem, w, *, seed: int = 0) -> NewtonVertex
             f"A-degree changed from {prob.a_degree} to {a_degree}; "
             "the codimension-1 cone family is inconsistent"
         )
-    return NewtonVertex(u, w, a_degree, perturbed=perturbed)
+    return NewtonVertex(u, w, a_degree, perturbed=r is not None)
 
 
 def random_vertices(prob: DiscriminantProblem, count: int, seed: int) -> list:
@@ -380,10 +382,8 @@ def random_vertices(prob: DiscriminantProblem, count: int, seed: int) -> list:
         w = tuple(rng.randint(-(10**6), 10**6) for _ in range(prob.n))
         pseed = rng.getrandbits(32)
         vertex = shoot_vertex(prob, w, seed=pseed)
-        prior = first_seen.get(vertex.u)
-        if prior is not None:
+        prior = first_seen.setdefault(vertex.u, idx)
+        if prior != idx:
             vertex = replace(vertex, duplicate_of=prior)
-        else:
-            first_seen[vertex.u] = idx
         out.append(vertex)
     return out

@@ -10,7 +10,7 @@ import pytest
 import tropfan
 from conftest import UNIFORM_2_4, run_cli, write_matrix_file
 from tropfan.cli import parse_matrix
-from tropfan.data import GRAPHIC_3X6, UNIFORM_2_3, cube_matrix
+from tropfan.data import GRAPHIC_3X6, TANGENT_CONIC_CUBIC_4X16, UNIFORM_2_3, cube_matrix
 from tropfan.errors import ParseError
 from tropfan.exact import IntMat, integer_kernel_basis
 
@@ -276,6 +276,35 @@ def test_unspanned_lattice_is_one_error_line(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: vertex formula requires coprime maximal minors\n"
+
+
+def _no_fan(*args, **kwargs):
+    raise AssertionError("the fan was built")
+
+
+def test_unspanned_lattice_fails_before_the_fan(tmp_path, monkeypatch, capsys):
+    # conic/cubic with row 2 doubled: every maximal minor is even
+    rows = [list(row) for row in TANGENT_CONIC_CUBIC_4X16.entries]
+    rows[2] = [2 * x for x in rows[2]]
+    unspanned = tmp_path / "unspanned.txt"
+    write_matrix_file(unspanned, IntMat.from_rows(rows))
+    monkeypatch.setattr("tropfan.discriminant.cyclic_bergman_fan", _no_fan)
+    assert run_cli([str(unspanned), "--random", "100", "--seed", "1"]) == (2, "")
+    assert capsys.readouterr().err == "error: vertex formula requires coprime maximal minors\n"
+    # inputs failing several checks keep the order of errors: rank, all-ones,
+    # the fan's loops and coloops, then the lattice
+    for bad, err in (
+        ([[1, 1, 1, 1], [2, 2, 2, 2]], "error: matrix has rank 1 < 2 rows\n"),
+        ([[1, 0, 0, 0], [0, 2, 4, 6]], "error: the all-ones vector is not in the rowspace\n"),
+        ([[1, 1, 1, 1], [0, 0, 0, 2]], "error: matroid has loops at columns [4]\n"),
+    ):
+        write_matrix_file(unspanned, IntMat.from_rows(bad))
+        assert run_cli([str(unspanned), "--random", "1"]) == (2, "")
+        assert capsys.readouterr().err == err
+    # with no vertex to shoot, setup builds the fan and the run succeeds
+    monkeypatch.undo()
+    write_matrix_file(unspanned, IntMat.from_rows([[1, 1, 1, 1], [0, 2, 4, 6]]))
+    assert run_cli([str(unspanned), "--random", "0"]) == (0, "A-DEGREE\n")
 
 
 def test_discriminant_mode_zero_vertices(tmp_path):

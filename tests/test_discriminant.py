@@ -17,7 +17,7 @@ from brute import codim1_oracle, eq2_determinant, scalar_ray_hits
 from conftest import write_matrix_file
 from tropfan.data import GRAPHIC_3X6, TANGENT_LINE_CUBIC_4X13, cube_matrix
 from tropfan.discriminant import (
-    _cone_hits,
+    Codim1Cone,
     _dot_products,
     _inner_products,
     _pack_cones,
@@ -241,27 +241,37 @@ def test_ray_hits_cone_basics(line_cubic_problem):
     rng = random.Random(31)
     w = tuple(rng.randint(-(10**6), 10**6) for _ in range(prob.n))
     hit_count = 0
-    for cone in prob.codim1_cones[:200]:
+    for k, cone in enumerate(prob.codim1_cones[:200]):
+        b, pos, neg = prob._packed.table[k]
+        assert b == k * (prob.n - prob.m)
+        assert [d[0] for d in pos] == [i for i in cone.support if cone.normal[i] > 0]
+        assert [d[0] for d in neg] == [i for i in cone.support if cone.normal[i] < 0]
+        # shoot the cone alone: its table row is the only one read
+        single = SimpleNamespace(n=prob.n, m=prob.m, codim1_cones=[cone])
+        single._packed = _pack_cones(single)
+        u = _shoot(single, w, None)
+        hits = [i for i in range(prob.n) if u[i]]
+        assert hits == [i for _, i in scalar_ray_hits(single, w)]
         s = dot(cone.normal, w)
-        p0 = _dot_products((cone,), w)
-        hits = _cone_hits(cone, p0[0], p0[1:], 0, [0] * len(cone.qrows))
-        for i in range(1, prob.n + 1):
-            g = cone.normal[i - 1]
-            hit = i - 1 in hits
+        for i in range(prob.n):
+            g = cone.normal[i]
             if g == 0 or s * g > 0:
-                assert not hit  # parallel direction, or crossing at t < 0
-            hit_count += hit
+                assert i not in hits  # parallel direction, or crossing at t < 0
+            if i in hits:
+                assert u[i] == cone.kappa * abs(g)
+        hit_count += len(hits)
     assert hit_count > 0
 
 
 def test_packed_lanes_equal_dot(line_cubic_problem):
     prob = line_cubic_problem
     packed = prob._packed
+    assert packed.lane == "i"  # 13 * 15 * 10^6 < 2^31
     assert packed.wmax > 10**6
     rng = random.Random(41)
     n = prob.n
     vectors = [tuple(rng.randint(-(10**6), 10**6) for _ in range(n)) for _ in range(4)]
-    # every entry at the proven bound, where a lane may reach 2^63 - 1
+    # every entry at the proven bound, where a lane may reach 2^31 - 1
     vectors.append(tuple(rng.choice((-1, 1)) * packed.wmax for _ in range(n)))
     for v in vectors:
         expected = [
@@ -272,13 +282,22 @@ def test_packed_lanes_equal_dot(line_cubic_problem):
         assert _packed_products(packed, v) == expected
 
 
-@pytest.mark.parametrize("x", [12, 3**37, 2**62])
-def test_lane_bound_holds_at_its_extreme(x):
+@pytest.mark.parametrize(
+    "x, lane",
+    [
+        pytest.param(x, lane, id=str(x))
+        for x, lane in ((12, "i"), (165, "i"), (166, "q"), (3**37, "q"), (2**62, "q"))
+    ],
+)
+def test_lane_bound_holds_at_its_extreme(x, lane):
+    # 32-bit lanes while n * x * 10^6 < 2^31: for n = 13 up to x = 165
     n = 13
-    cone = SimpleNamespace(normal=(x,) * n, qrows=((-x,) * n, (x, -x) * 6 + (0,)))
+    cone = Codim1Cone(0, (x,) * n, ((-x,) * n, (x, -x) * 6 + (0,)), 1, 1, tuple(range(n)))
     prob = SimpleNamespace(n=n, codim1_cones=[cone])
     packed = prob._packed = _pack_cones(prob)
-    wmax = (2**63 - 1) // (n * x)
+    assert packed.lane == lane
+    bits = 32 if lane == "i" else 64
+    wmax = (2 ** (bits - 1) - 1) // (n * x)
     assert packed.wmax == (wmax if wmax else -1)
     # all entries +-wmax drive the first two lanes to +-n * x * wmax
     for v in ((wmax,) * n, (-wmax,) * n, (wmax + 1,) * n, (1,) * n):
@@ -316,6 +335,37 @@ def test_shoot_ties_match_scalar_reference(line_cubic_problem):
             u[i] += weights[pos, i]
         assert _shoot(prob, w, None) == u, w
     assert 0 < ties < len(objectives)
+
+
+@pytest.mark.parametrize(
+    "A",
+    [TANGENT_LINE_CUBIC_4X13, GRAPHIC_3X6, cube_matrix(3)],
+    ids=["line_cubic", "graphic_3x6", "cube3"],
+)
+def test_perturbed_shoot_matches_scalar_reference(A):
+    prob = setup(A)
+    n = prob.n
+    rng = random.Random(7)
+    r = tuple(rng.randint(-(10**6), 10**6) for _ in range(n))
+    objectives = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(40)]
+    objectives += [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    objectives += [tuple(row) for row in prob.A.entries]
+    weights = {}
+    resolved = 0  # objectives that tie unperturbed and not under r
+    for w in objectives:
+        hits = scalar_ray_hits(prob, w, r)
+        if hits is None:
+            with pytest.raises(_Unresolved):
+                _shoot(prob, w, r)
+            continue
+        resolved += scalar_ray_hits(prob, w) is None
+        u = [0] * n
+        for pos, i in hits:
+            if (pos, i) not in weights:
+                weights[pos, i] = eq2_determinant(prob, prob.codim1_cones[pos], i)
+            u[i] += weights[pos, i]
+        assert _shoot(prob, w, r) == u, w
+    assert resolved > 0
 
 
 def test_vertex_is_scale_invariant_past_the_lane_bound(line_cubic_problem):
