@@ -266,7 +266,7 @@ def test_ray_hits_cone_basics(line_cubic_problem):
 def test_packed_lanes_equal_dot(line_cubic_problem):
     prob = line_cubic_problem
     packed = prob._packed
-    assert packed.lane == "i"  # 13 * 15 * 10^6 < 2^31
+    assert packed.lane == "i"  # n * max|x| * 10^6 = 13 * 12 * 10^6 < 2^31
     assert packed.wmax > 10**6
     rng = random.Random(41)
     n = prob.n
