@@ -49,8 +49,7 @@ import sys
 from array import array
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import combinations, compress
-from math import gcd
+from itertools import compress
 from operator import index
 
 from .errors import (
@@ -64,11 +63,12 @@ from .errors import (
 from .exact import (
     IntMat,
     det,
-    det_of_columns,
     integer_kernel_basis,
     pivot_step,
     rank,
-    rank_of_rows,  # unused here; bound for tracing by module attribute (perfbench/tracer.py)
+    # tracer-only: unused here, wrapped by module attribute in perfbench/tracer.py
+    det_of_columns,
+    rank_of_rows,
     solve_columns,
 )
 from .fan import Fan, _require_no_loops_coloops, cyclic_bergman_fan
@@ -145,7 +145,10 @@ def setup(A, *, threads: int = 0, require_spanned: bool = False) -> Discriminant
     Checks full row rank and the all-ones vector in the rowspace, and records
     in lattice_spanned whether the maximal minors of A are coprime, which the
     vertex formula needs: shoot_vertex raises LatticeNotSpanned otherwise, and
-    so does setup under require_spanned, before it builds the fan.  The fan is
+    so does setup under require_spanned, before it builds the fan.  Both
+    facts come from Aperp, a Z-basis of the integer kernel of A: the
+    all-ones vector is in the rowspace iff every row of Aperp sums to 0, and
+    the gcd of the maximal minors is det(A A^T) / |det [A; Aperp]|.  The fan is
     computed in dual mode straight from A.  Its codimension-1 cones come from
     one walk over the trie of the cones' sorted ray tuples, one `pivot_step`
     per shared prefix (`_codim1_cones`), and are listed in the walk's order,
@@ -159,24 +162,23 @@ def setup(A, *, threads: int = 0, require_spanned: bool = False) -> Discriminant
         raise RankError(f"matrix has rank {r} < {m} rows")
     if n - m <= 1:
         raise DegenerateDual("Gale dual has rank <= 1; the fan is lineality only")
-    if solve_columns(A.entries, [1] * n) is None:
-        raise NoAllOnesRow("the all-ones vector is not in the rowspace")
-    g = 0
-    for comb in combinations(range(n), m):
-        g = gcd(g, det_of_columns([A.columns[c] for c in comb]))
-        if g == 1:
-            break
     Aperp = integer_kernel_basis(A)
+    if any(map(sum, Aperp.entries)):  # the rowspace of A is the kernel of Aperp
+        raise NoAllOnesRow("the all-ones vector is not in the rowspace")
+    gram = det(IntMat.from_rows([[dot(a, b) for b in A.entries] for a in A.entries]))
+    g, rem = divmod(gram, abs(det(IntMat.from_rows([*A.entries, *Aperp.entries]))))
+    if rem:
+        raise InternalInvariant("the kernel basis does not span the integer kernel")
     M = Matroid.from_matrix(A, strict=False).dual()
     if require_spanned and g != 1:
         _require_no_loops_coloops(M)  # the fan's own checks come first, as when shooting
         raise LatticeNotSpanned("vertex formula requires coprime maximal minors")
     fan = cyclic_bergman_fan(M, threads=threads)
-    codim1 = _codim1_cones(A, Aperp, fan)
+    codim1 = _codim1_cones(A, Aperp, fan, g)
     return DiscriminantProblem(A, m, n, Aperp, M, fan, codim1, g == 1)
 
 
-def _codim1_cones(A: IntMat, Aperp: IntMat, fan: Fan) -> list:
+def _codim1_cones(A: IntMat, Aperp: IntMat, fan: Fan, g: int) -> list:
     """The codim-1 cones, found by one walk over the trie of their sorted ray tuples.
 
     A node at depth d stands for the first d rays r_0..r_{d-1} of the cones
@@ -196,9 +198,8 @@ def _codim1_cones(A: IntMat, Aperp: IntMat, fan: Fan) -> list:
     # det N * det(A^T, rays, e_i) = det(A A^T) * det(Phi, Aperp e_i) with Phi
     # the projected rays; T sends (Phi, Aperp e_i) to (p e_0 .. p e_{q-2}, R e_i)
     # and det T = +-p^(q-1), so det(Phi, Aperp e_i) = +-R[q-1][i].  det(A A^T) /
-    # det N need not be +-1 (unspanned lattice, unsaturated Aperp): divide exactly.
-    gram = det(IntMat.from_rows([[dot(a, b) for b in A.entries] for a in A.entries]))
-    det_n = det(IntMat.from_rows([*A.entries, *Aperp.entries]))
+    # |det N| is g, the gcd of A's maximal minors (setup), so kappa is g |R[q-1][i]|
+    # / |normal_i|, an exact division.
     width = Aperp.rows - 1  # rays per cone
     flat = fan.maximal_cones.flat  # ray indices, cone by cone
     out = []
@@ -229,9 +230,9 @@ def _codim1_cones(A: IntMat, Aperp: IntMat, fan: Fan) -> list:
                 raise InternalInvariant("normal not orthogonal to the rowspace")
         if prev == 0:
             raise InternalInvariant("membership denominator is zero")
-        support = tuple(i for i, g in enumerate(normal) if g)
+        support = tuple(i for i, x in enumerate(normal) if x)
         i0 = support[0]
-        kappa, rem = divmod(abs(gram * rows[-1][i0]), abs(det_n * normal[i0]))
+        kappa, rem = divmod(g * abs(rows[-1][i0]), abs(normal[i0]))
         if rem or kappa == 0:
             raise InternalInvariant("determinant does not factor through the normal")
         qrows = tuple(tuple(row[:n]) for row in rows[:-1])

@@ -7,7 +7,9 @@ Gauss-Jordan scheme (Bareiss 1968, applied to the rows above the pivot as
 well as below), where cross-multiplication is followed by an exact division
 by the previous pivot, so every intermediate entry is an integer minor of the
 input.  Its step, `pivot_step`, also drives the trie walks of
-`Matroid.enumerate_bases` and `discriminant.setup`.
+`Matroid.enumerate_bases` and `discriminant.setup`.  The one exception is
+`integer_kernel_basis`, which needs a basis of the integer kernel lattice,
+not only of its span, and so takes unimodular Euclid steps to a Hermite form.
 """
 
 from __future__ import annotations
@@ -128,36 +130,33 @@ def det_of_columns(cols) -> int:
     return det(IntMat.from_rows(cols))
 
 
-def kernel_rows(m: list[list[int]], pivots) -> list[tuple[int, ...]]:
-    """Primitive kernel vectors, one per free column, of rows reduced by `gauss_jordan`.
-
-    For a free column f the vector has p at f and -m[r][f] at pivots[r],
-    which is p times the rational kernel vector read off the rref.
-    """
-    p = m[0][pivots[0]] if pivots else 1
-    out = []
-    for f in range(len(m[0])):
-        if f in pivots:
-            continue
-        vec = [0] * len(m[0])
-        vec[f] = p
-        for r, c in enumerate(pivots):
-            vec[c] = -m[r][f]
-        out.append(primitive(vec))
-    return out
-
-
 def integer_kernel_basis(A: IntMat) -> IntMat:
-    """Primitive integer rows spanning the rational kernel of A.
+    """A Z-basis of ker A ∩ Z^n: primitive rows K with A @ K^T = 0, first nonzero entry positive.
 
-    The result K satisfies A @ K^T = 0 and has full row rank n - rank(A);
-    only its rowspace is canonical, not the individual rows.
+    Unimodular Euclid steps bring [A^T | I_n] to Hermite form (Cohen, A Course
+    in Computational Algebraic Number Theory, §2.4.3), pivoting on the A^T
+    columns, then on the identity columns of A's free rref columns, then on
+    those of its pivot columns; the rows whose A^T part is zero are the basis.
+    So when the rref's kernel vectors, one per free column, span ker A ∩ Z^n,
+    they are what comes out.
     """
-    m = A.row_lists()
-    pivots, _ = gauss_jordan(m)
-    if len(pivots) == A.cols:
+    m, n = A.rows, A.cols
+    pivots, _ = gauss_jordan(A.row_lists())
+    if len(pivots) == n:
         raise ValueError("kernel is trivial; matrix has full column rank")
-    return IntMat.from_rows(kernel_rows(m, pivots))
+    h = [[*col, *(int(i == j) for j in range(n))] for i, col in enumerate(A.columns)]
+    r = 0
+    for c in [*range(m), *(m + f for f in range(n) if f not in pivots), *(m + p for p in pivots)]:
+        while rest := [i for i in range(r, n) if h[i][c]]:
+            i = min(rest, key=lambda i: abs(h[i][c]))
+            h[i], h[r] = h[r], [x if h[i][c] > 0 else -x for x in h[i]]  # h[r] last: i may be r
+            for i in range(n):  # the other rows' entries into [0, pivot)
+                if i != r and (q := h[i][c] // h[r][c]):
+                    h[i] = [x - q * y for x, y in zip(h[i], h[r])]
+            if len(rest) == 1:
+                r += 1
+                break
+    return IntMat.from_rows(primitive(row[m:]) for row in h[len(pivots) :])
 
 
 def solve_columns(cols, rhs) -> list[Fraction] | None:

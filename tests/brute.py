@@ -9,8 +9,10 @@ of the table-built ray-index rows, a scan over every circuit for tropical
 membership, a phase-one simplex for cone membership, per-cone dot products
 over every direction instead of packed lanes for ray shooting, and every
 basis's weight at a cone's witness instead of tight-basis bitsets for
-Bergman classes, and a reduction plus an adjugate per cone instead of the
-trie walk for the codim-1 cones.  The paper's proof that the cones cover trop(M) once each
+Bergman classes, a reduction plus an adjugate per cone instead of the
+trie walk for the codim-1 cones, and the gcd of the maximal minors, minor by
+minor, and the rref's kernel vectors instead of the Hermite-form kernel
+basis.  The paper's proof that the cones cover trop(M) once each
 is here too: compatible pairs as plain tuples, the local tropical linear
 space around a basis, and the pair a point induces.
 """
@@ -18,6 +20,7 @@ space around a basis, and the pair a point induces.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import gcd
 from typing import NamedTuple
 
 from tropfan.errors import InternalInvariant, SingularBasis, WrongSize
@@ -25,7 +28,6 @@ from tropfan.exact import (
     det_of_columns,
     gauss_jordan,
     integer_kernel_basis,
-    kernel_rows,
     rank_of_rows,
 )
 from tropfan.fan import _regressive_pairs
@@ -409,6 +411,35 @@ def eq2_determinant(prob, cone, i) -> int:
     e[i] = 1
     cols.append(tuple(e))
     return abs(det_of_columns(cols))
+
+
+def maximal_minor_gcd(A) -> int:
+    """The gcd of the maximal minors of a full-row-rank IntMat, minor by minor."""
+    g = 0
+    for comb in combinations(range(A.cols), A.rows):
+        g = gcd(g, det_of_columns([A.columns[c] for c in comb]))
+        if g == 1:
+            break
+    return g
+
+
+def kernel_rows(m: list[list[int]], pivots) -> list[tuple[int, ...]]:
+    """Primitive kernel vectors, one per free column, of rows reduced by `gauss_jordan`.
+
+    For a free column f the vector has p at f and -m[r][f] at pivots[r],
+    which is p times the rational kernel vector read off the rref.
+    """
+    p = m[0][pivots[0]] if pivots else 1
+    out = []
+    for f in range(len(m[0])):
+        if f in pivots:
+            continue
+        vec = [0] * len(m[0])
+        vec[f] = p
+        for r, c in enumerate(pivots):
+            vec[c] = -m[r][f]
+        out.append(primitive(vec))
+    return out
 
 
 def adjugate(rows) -> tuple[list[list[int]], int]:

@@ -29,6 +29,12 @@ CHAIN_3X6 = IntMat.from_rows(
 #: Two parallel classes only: every preference function is forced.
 FORCED_2X4 = IntMat.from_rows([[1, 0, 1, 0], [0, 1, 0, 1]])
 
+#: Maximal minors with gcd 2: the columns span a sublattice of index 2.
+UNSPANNED_3X7 = IntMat.from_rows([[1] * 7, [-1, 3, 2, 3, 2, 2, 1], [-3, 3, 0, 3, -2, 2, -3]])
+#: Coprime maximal minors, but the rref's kernel vectors span only a
+#: sublattice of index 4913 = 17^3 of the integer kernel.
+UNSATURATED_3X7 = IntMat.from_rows([[1] * 7, [-3, 1, -2, -3, 2, -2, 0], [-1, -2, 3, 3, 0, -2, 3]])
+
 
 def small_corpus():
     """(name, IntMat) pairs for loop/coloop-free matroids with n <= 8."""

@@ -10,7 +10,13 @@ import pytest
 import tropfan
 from conftest import UNIFORM_2_4, run_cli, write_matrix_file
 from tropfan.cli import parse_matrix
-from tropfan.data import GRAPHIC_3X6, TANGENT_CONIC_CUBIC_4X16, UNIFORM_2_3, cube_matrix
+from tropfan.data import (
+    GRAPHIC_3X6,
+    TANGENT_CONIC_CUBIC_4X16,
+    TANGENT_THREE_QUADRICS_6X30,
+    UNIFORM_2_3,
+    cube_matrix,
+)
 from tropfan.errors import ParseError
 from tropfan.exact import IntMat, integer_kernel_basis
 
@@ -283,14 +289,20 @@ def _no_fan(*args, **kwargs):
 
 
 def test_unspanned_lattice_fails_before_the_fan(tmp_path, monkeypatch, capsys):
-    # conic/cubic with row 2 doubled: every maximal minor is even
-    rows = [list(row) for row in TANGENT_CONIC_CUBIC_4X16.entries]
-    rows[2] = [2 * x for x in rows[2]]
+    # conic/cubic and the 6x30 three quadrics (C(30, 6) maximal minors, read
+    # off one kernel basis) with row 2 doubled: every maximal minor is even
     unspanned = tmp_path / "unspanned.txt"
-    write_matrix_file(unspanned, IntMat.from_rows(rows))
     monkeypatch.setattr("tropfan.discriminant.cyclic_bergman_fan", _no_fan)
-    assert run_cli([str(unspanned), "--random", "100", "--seed", "1"]) == (2, "")
-    assert capsys.readouterr().err == "error: vertex formula requires coprime maximal minors\n"
+    for A, flags in (
+        (TANGENT_CONIC_CUBIC_4X16, ["--random", "100", "--seed", "1"]),
+        (TANGENT_THREE_QUADRICS_6X30, ["--random", "1", "--output", str(tmp_path / "out")]),
+    ):
+        rows = [list(row) for row in A.entries]
+        rows[2] = [2 * x for x in rows[2]]
+        write_matrix_file(unspanned, IntMat.from_rows(rows))
+        assert run_cli([str(unspanned), *flags]) == (2, "")
+        assert capsys.readouterr().err == "error: vertex formula requires coprime maximal minors\n"
+        assert list(tmp_path.iterdir()) == [unspanned]  # no --output file, no temp file
     # inputs failing several checks keep the order of errors: rank, all-ones,
     # the fan's loops and coloops, then the lattice
     for bad, err in (

@@ -13,8 +13,8 @@ from types import SimpleNamespace
 import pytest
 
 import tropfan
-from brute import codim1_oracle, eq2_determinant, scalar_ray_hits
-from conftest import write_matrix_file
+from brute import codim1_oracle, eq2_determinant, maximal_minor_gcd, scalar_ray_hits
+from conftest import UNSATURATED_3X7, UNSPANNED_3X7, write_matrix_file
 from tropfan.data import GRAPHIC_3X6, TANGENT_LINE_CUBIC_4X13, cube_matrix
 from tropfan.discriminant import (
     Codim1Cone,
@@ -30,6 +30,8 @@ from tropfan.discriminant import (
 )
 from tropfan.errors import (
     DegenerateDual,
+    HasColoops,
+    HasLoops,
     LatticeNotSpanned,
     NoAllOnesRow,
     RankError,
@@ -101,12 +103,6 @@ def test_setup_flags_unspanned_lattice_without_warning():
         shoot_vertex(prob, (1, 2, 3, 4))
 
 
-#: Maximal minors with gcd 3, so det(A A^T) / det [A; Aperp] = -2/3.
-UNSPANNED_3X7 = [[1] * 7, [-1, 3, 2, 3, 2, 2, 1], [-3, 3, 0, 3, -2, 2, -3]]
-#: Spanned, but `integer_kernel_basis` is not saturated: that ratio is 1/4913.
-UNSATURATED_3X7 = [[1] * 7, [-3, 1, -2, -3, 2, -2, 0], [-1, -2, 3, 3, 0, -2, 3]]
-
-
 def test_determinant_factors_through_normal(line_cubic_problem):
     # setup reads kappa off the cone walk; the direct determinant is its oracle
     prob = line_cubic_problem
@@ -117,21 +113,40 @@ def test_determinant_factors_through_normal(line_cubic_problem):
     for cone in random.Random(2).sample(prob.codim1_cones, 12):
         for i in range(prob.n):
             assert eq2_determinant(prob, cone, i) == cone.kappa * abs(cone.normal[i])
-    for A, ratio, spanned in (
-        (UNSPANNED_3X7, Fraction(-2, 3), False),
-        (UNSATURATED_3X7, Fraction(1, 4913), True),
-    ):
+    for A, g in ((UNSPANNED_3X7, 2), (UNSATURATED_3X7, 1)):
         other = setup(A)
-        assert other.lattice_spanned == spanned
+        assert maximal_minor_gcd(A) == g
+        assert other.lattice_spanned == (g == 1)
+        # Aperp is a Z-basis of the integer kernel, so this ratio is +-g
         rows = other.A.entries
         gram = det(IntMat.from_rows([[dot(a, b) for b in rows] for a in rows]))
-        assert Fraction(gram, det(IntMat.from_rows(rows + other.Aperp.entries))) == ratio
+        ratio = Fraction(gram, det(IntMat.from_rows(rows + other.Aperp.entries)))
+        assert abs(ratio) == g
         assert other.codim1_cones
         for cone in other.codim1_cones:
             for i in range(other.n):
                 assert eq2_determinant(other, cone, i) == cone.kappa * abs(cone.normal[i])
     with pytest.raises(LatticeNotSpanned):
         shoot_vertex(setup(UNSPANNED_3X7), (1, 2, 3, 4, 5, 6, 7))
+
+
+def test_lattice_spanned_iff_coprime_maximal_minors():
+    rng = random.Random(11)
+    seen = []
+    for _ in range(40):
+        m = rng.randint(2, 3)
+        n = rng.randint(m + 2, 6)
+        rows = [[1] * n] + [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m - 1)]
+        if rng.random() < 0.5:
+            rows[-1] = [2 * x for x in rows[-1]]
+        A = IntMat.from_rows(rows)
+        try:
+            prob = setup(A)
+        except (RankError, HasLoops, HasColoops):
+            continue
+        assert prob.lattice_spanned == (maximal_minor_gcd(A) == 1)
+        seen.append(prob.lattice_spanned)
+    assert seen.count(True) >= 5 and seen.count(False) >= 5
 
 
 def test_threaded_setup_lists_the_same_cones(line_cubic_problem):

@@ -5,8 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from brute import cofactor_det, frac_rank, frac_rref
-from tropfan.data import DEMO_4X7, GRAPHIC_3X6, TANGENT_LINE_CUBIC_4X13, TANGENT_LINE_CUBIC_GALE_9X13
+from brute import cofactor_det, frac_rank, frac_rref, kernel_rows, maximal_minor_gcd
+from conftest import UNSATURATED_3X7, UNSPANNED_3X7, small_corpus
+from tropfan.data import (
+    DEMO_4X7,
+    GRAPHIC_3X6,
+    TANGENT_CONIC_CUBIC_4X16,
+    TANGENT_LINE_CUBIC_4X13,
+    TANGENT_LINE_CUBIC_GALE_9X13,
+    TANGENT_QUADRICS_5X20,
+    cube_matrix,
+)
 from tropfan.errors import SingularBasis
 from tropfan.exact import (
     IntMat,
@@ -123,13 +132,27 @@ def test_kernel_matches_printed_gale_dual():
     assert frac_rref(K.entries) == frac_rref(TANGENT_LINE_CUBIC_GALE_9X13.entries)
 
 
+def test_kernel_keeps_the_rref_vectors_when_they_span():
+    # the Hermite form pivots on the free columns first, so a kernel that the
+    # rref's vectors already span comes out row for row as those vectors
+    for A in (TANGENT_LINE_CUBIC_4X13, TANGENT_CONIC_CUBIC_4X16, cube_matrix(4)):
+        m = A.row_lists()
+        pivots, _ = gauss_jordan(m)
+        assert list(integer_kernel_basis(A).entries) == kernel_rows(m, pivots)
+
+
 def test_kernel_orthogonality_rank_and_primitivity():
     rng = random.Random(3)
+    named = [A for _, A in small_corpus()]
+    named += [TANGENT_QUADRICS_5X20, UNSPANNED_3X7, UNSATURATED_3X7]
+    randoms = []
     for _ in range(40):
         m = rng.randint(1, 4)
         n = rng.randint(m + 1, 8)
-        A = IntMat.from_rows([[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)])
+        randoms.append(IntMat.from_rows([[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]))
+    for A in named + randoms:
         r = rank(A)
+        n = A.cols
         if r == n:
             continue
         K = integer_kernel_basis(A)
@@ -138,6 +161,8 @@ def test_kernel_orthogonality_rank_and_primitivity():
         for arow in A.entries:
             for krow in K.entries:
                 assert sum(a * k for a, k in zip(arow, krow)) == 0
+        # index 1: K's rows span all of ker A ∩ Z^n, not a sublattice
+        assert maximal_minor_gcd(K) == 1
         from math import gcd
 
         for krow in K.entries:

@@ -62,7 +62,9 @@ def test_tracer_spans_cover_fan_setup_and_shooting(tmp_path):
         "discriminant.setup",
         "discriminant.random_vertices",
         "discriminant.shoot_vertex",
-        "exact.det_of_columns",
+        # setup's lattice facts: the kernel basis, det(A A^T) and det [A; Aperp]
+        "exact.integer_kernel_basis",
+        "exact.det",
     } <= set(run["names"])
     metrics = run["metrics"]
     # cube3 through cli.cyclic_bergman_fan, line/cubic through setup's binding
