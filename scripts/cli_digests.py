@@ -9,7 +9,8 @@ of RANDOM_INPUTS also with --random 100 --seed 1: line/cubic, conic/cubic,
 graphic_3x6, cube3 and cube4 print vertices, demo_4x7, uniform_2_3 and
 conic_cubic_unspanned_4x16 exit 2 with an error (the last before it builds
 the fan).  Line/cubic also runs with --random 100 --seed 1 --threads 2,
-which builds setup's fan in worker processes, and
+which builds setup's fan in worker processes, cube4 with --random 100
+--seed 3, whose stream holds two objectives that tie exactly, and
 conic_cubic_unspanned_4x16 with --random 0, which builds the fan and its
 codim-1 cones (kappa scaled by the minors' gcd 2) and exits 0.  Each line
 gives the input, the flags, the exit code and the sha256 of stdout and of
@@ -65,6 +66,7 @@ def runs(matdir: Path):
     for name in RANDOM_INPUTS:
         yield matdir / name, RANDOM_FLAGS
     yield matdir / "line_cubic_4x13.txt", [*RANDOM_FLAGS, "--threads", "2"]
+    yield matdir / "cube4.txt", ["--random", "100", "--seed", "3"]
     yield matdir / "conic_cubic_unspanned_4x16.txt", ["--random", "0"]
 
 

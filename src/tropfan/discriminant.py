@@ -26,8 +26,8 @@ Four devices keep this exact and fast:
   t of w_t times that int, plus 2^(L-1) in every lane, is read back as L-bit
   words.  Each lane equals sum_t w_t * x_t, so |lane| <= n * max|x| * max|w|.
   The lanes are 32 bits wide when that bound stays below 2^31 for every
-  |w| <= 10^6 (the range of objectives and perturbations), else 64 bits, and
-  a vector for which it could reach 2^(L-1) takes plain `dot` products;
+  |w| <= 10^6 (the range of random objectives), else 64 bits, and a vector
+  for which it could reach 2^(L-1) takes plain `dot` products;
 * the ray w + t e_i meets the hyperplane normal . x = 0 at t = -s/g, with
   s = normal . w and g = normal_i, so only the directions whose g has the
   sign opposite to s can cross (s = 0 ties), and the crossing point lies in
@@ -36,10 +36,11 @@ Four devices keep this exact and fast:
   g, with the signed Q column and weight of each direction, so a shot tests
   one group per cone against one slice of the products.
 
-Non-generic objectives are resolved by symbolic perturbation w + eps*r with a
-seeded random integer r; every sign test is evaluated lexicographically on
-the (constant, eps) pair, and the rare unresolved double zero draws a fresh r
-rather than guessing.
+Non-generic objectives are resolved in the same pass by the fixed symbolic
+perturbation w + (eps, eps^2, ..., eps^n) (simulation of simplicity,
+Edelsbrunner-Muecke 1990): every sign test is of a linear form in w, and an
+exact zero takes the sign of the form's first nonzero coefficient.  No form
+the shot tests is zero, so nothing is left to chance.
 """
 
 from __future__ import annotations
@@ -75,6 +76,8 @@ from .fan import Fan, _require_no_loops_coloops, cyclic_bergman_fan
 from .matroid import Matroid
 from .util import dot, primitive
 
+OBJECTIVE_RANGE = 10**6  # random objectives are uniform in [-10^6, 10^6]
+
 
 @dataclass(frozen=True)
 class NewtonVertex:
@@ -83,7 +86,7 @@ class NewtonVertex:
     u: tuple
     w: tuple
     a_degree: tuple
-    perturbed: bool = False
+    perturbed: bool = False  # w ties exactly; u is the vertex of w + (eps, ..., eps^n)
     duplicate_of: int | None = None
 
 
@@ -133,10 +136,6 @@ class _PackedCones:
     wmax: int
     lane: str
     table: tuple
-
-
-class _Unresolved(Exception):
-    """An exact tie survived the current perturbation; retry with a fresh one."""
 
 
 def setup(A, *, threads: int = 0, require_spanned: bool = False) -> DiscriminantProblem:
@@ -253,11 +252,11 @@ def _pack_cones(prob: DiscriminantProblem) -> _PackedCones:
         vecs += (cone.normal, *cone.qrows)
     xmax = max((abs(x) for vec in vecs for x in vec), default=1)
     # |lane| <= n * xmax * max|v| < 2^(bits-1) for max|v| <= wmax: 32-bit lanes
-    # if every objective and perturbation (max|v| <= 10^6) fits them, else 64
+    # if every random objective (max|v| <= OBJECTIVE_RANGE) fits them, else 64
     for lane in "iq":
         size = array(lane).itemsize
         wmax = ((1 << 8 * size - 1) - 1) // (prob.n * xmax)
-        if wmax >= 10**6:
+        if wmax >= OBJECTIVE_RANGE:
             break
     if wmax == 0:
         return _PackedCones((), 0, -1, lane, tuple(table))
@@ -295,68 +294,62 @@ def _inner_products(prob: DiscriminantProblem, v) -> list:
     return _packed_products(packed, v)
 
 
-def _tie_hit(p0, p1, b, g, col) -> bool:
+def _tie_hit(p, b, g, col, cone) -> bool:
     """Whether direction (g, col) of the cone at lane b is hit, once a row ties.
 
-    Rescans the rows in order with the (constant, eps) pairs of w + eps*r,
-    compared lexicographically: the first pair that is not positive decides,
-    negative means outside and (0, 0) raises _Unresolved.
+    Rescans the rows in order.  Row j's quantity p[b + 1 + j] * g - p[b] * c_j
+    is the linear form g * Q_j - c_j * normal at w; an exact zero takes the
+    sign of the form's first nonzero coefficient, its sign at
+    w + (eps, ..., eps^n).  The first quantity that is not positive decides.
     """
-    if p1 is None:
-        raise _Unresolved
-    for j, c in enumerate(col, b + 1):
-        pair = (p0[j] * g - p0[b] * c, p1[j] * g - p1[b] * c)
-        if pair <= (0, 0):
-            if pair == (0, 0):
-                raise _Unresolved
+    for j, (c, qrow) in enumerate(zip(col, cone.qrows), b + 1):
+        x = p[j] * g - p[b] * c
+        if not x:  # the form is a nonzero multiple of lambda_j at the crossing
+            x = next(filter(None, (g * q - c * v for q, v in zip(qrow, cone.normal))), 0)
+            if not x:
+                raise InternalInvariant("a membership form vanishes identically")
+        if x < 0:
             return False
     return True
 
 
-def _shoot(prob, w, r):
+def _shoot(prob, w):
+    """(u, tied): the hit weights of w + (eps, ..., eps^n); tied if the scan met an exact tie."""
     u = [0] * prob.n
     width = prob.n - prob.m  # the normal and n - m - 1 rows of Q per cone
-    p0 = _inner_products(prob, w)
-    p1 = _inner_products(prob, r) if r is not None else None
+    p = _inner_products(prob, w)
+    tied = 0 in p[::width]
     for b, pos, neg in prob._packed.table:
-        s = p0[b]
-        key = s or p1 and p1[b]
-        if not key:
-            raise _Unresolved
-        a0 = p0[b + 1 : b + width]
+        s = p[b]
+        key = s or next(filter(None, prob.codim1_cones[b // width].normal))
+        a0 = p[b + 1 : b + width]
         for i, g, col, weight in neg if key > 0 else pos:
             for a, c in zip(a0, col):
                 if a * g <= s * c:
-                    if a * g == s * c and _tie_hit(p0, p1, b, g, col):
-                        u[i] += weight
+                    if a * g == s * c:
+                        tied = True
+                        if _tie_hit(p, b, g, col, prob.codim1_cones[b // width]):
+                            u[i] += weight
                     break
             else:
                 u[i] += weight
-    return u
+    return u, tied
 
 
-def shoot_vertex(prob: DiscriminantProblem, w, *, seed: int = 0) -> NewtonVertex:
+def shoot_vertex(prob: DiscriminantProblem, w) -> NewtonVertex:
     """Vertex of the Newton polytope minimizing u . w, by exact ray shooting.
 
-    The unperturbed pass runs first; any exact tie restarts it with a seeded
-    symbolic perturbation.  The A-degree is attached and checked constant
-    across the problem's lifetime.
+    One pass; an exact tie takes its sign at w + (eps, eps^2, ..., eps^n), so
+    a non-generic w gets the vertex of its minimizing face that this fixed
+    perturbation picks, flagged `perturbed`.  The A-degree is attached and
+    checked constant across the problem's lifetime.
     """
     if not prob.lattice_spanned:
         raise LatticeNotSpanned("vertex formula requires coprime maximal minors")
     w = tuple(map(index, w))  # TypeError on a float or Fraction, never a truncation
     if len(w) != prob.n:
         raise WrongSize(f"objective has {len(w)} entries, not {prob.n}")
-    rng = random.Random(seed)
-    r = None
-    for _ in range(64):
-        try:
-            u = _shoot(prob, w, r)
-            break
-        except _Unresolved:
-            r = tuple(rng.randint(-(10**6), 10**6) for _ in range(prob.n))
-    else:
-        raise InternalInvariant("ties unresolved after 64 perturbations")
+    u, tied = _shoot(prob, w)
     u = tuple(u)
     a_degree = tuple(dot(row, u) for row in prob.A.entries)
     if prob.a_degree is None:
@@ -366,23 +359,24 @@ def shoot_vertex(prob: DiscriminantProblem, w, *, seed: int = 0) -> NewtonVertex
             f"A-degree changed from {prob.a_degree} to {a_degree}; "
             "the codimension-1 cone family is inconsistent"
         )
-    return NewtonVertex(u, w, a_degree, perturbed=r is not None)
+    return NewtonVertex(u, w, a_degree, perturbed=tied)
 
 
 def random_vertices(prob: DiscriminantProblem, count: int, seed: int) -> list:
     """Shoot `count` seeded random integer objectives; duplicates are flagged.
 
-    Objectives are uniform in [-10^6, 10^6] per coordinate; each draw also
-    fixes the perturbation seed up front so the stream is reproducible whether
-    or not ties occur.
+    Objectives are uniform in [-OBJECTIVE_RANGE, OBJECTIVE_RANGE] per
+    coordinate; a tied one is resolved by shoot_vertex's fixed perturbation.
     """
     rng = random.Random(seed)
     out = []
     first_seen: dict = {}
     for idx in range(count):
-        w = tuple(rng.randint(-(10**6), 10**6) for _ in range(prob.n))
-        pseed = rng.getrandbits(32)
-        vertex = shoot_vertex(prob, w, seed=pseed)
+        w = tuple(rng.randint(-OBJECTIVE_RANGE, OBJECTIVE_RANGE) for _ in range(prob.n))
+        # drawn and discarded: without it each seed's objectives, and so the
+        # pinned CLI streams, would change
+        rng.getrandbits(32)
+        vertex = shoot_vertex(prob, w)
         prior = first_seen.setdefault(vertex.u, idx)
         if prior != idx:
             vertex = replace(vertex, duplicate_of=prior)

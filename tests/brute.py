@@ -733,38 +733,40 @@ def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def scalar_ray_hits(prob, w, r=None):
-    """(cone position, direction) pairs whose axis ray from w + eps*r crosses the cone.
+def scalar_ray_hits(prob, w, perturbed=False):
+    """(cone position, direction) pairs whose axis ray from w crosses the cone.
 
     None instead on any exact tie.  Per-cone dot products, every cone and
-    every direction examined; every quantity is a (constant, eps) pair,
-    compared lexicographically, with eps part 0 when r is None.  The ray
-    w + t*e_i meets the hyperplane normal . x = 0 at t = -s/g (s = normal . w,
-    g = normal_i), and the crossing point lies in the cone when every
-    coordinate of Q x / D is positive, that is when every
+    every direction examined.  With perturbed, the ray starts at
+    w + (eps, eps^2, ..., eps^n) instead: every quantity is the tuple (its
+    value at w, *its coefficients in w), compared lexicographically, and no
+    tie can occur.  The ray w + t*e_i meets the hyperplane normal . x = 0 at
+    t = -s/g (s = normal . w, g = normal_i), and the crossing point lies in
+    the cone when every coordinate of Q x / D is positive, that is when every
     (Q_j . w * g - s * Q_ji) * sign(g * D) is.  Scanning those in row order,
     the first that is not positive decides: negative means outside, zero is
     a tie.  s = 0 is a tie in every direction.
     """
 
-    def pair(vec):
-        return (_dot(vec, w), _dot(vec, r) if r is not None else 0)
+    def form(vec):
+        return (_dot(vec, w), *vec) if perturbed else (_dot(vec, w),)
 
+    zero = form((0,) * len(w))
     hits = []
     for pos, cone in enumerate(prob.codim1_cones):
-        s = pair(cone.normal)
-        if s == (0, 0):
+        s = form(cone.normal)
+        if s == zero:
             return None
-        a = [pair(qr) for qr in cone.qrows]
+        a = [form(qr) for qr in cone.qrows]
         for i, g in enumerate(cone.normal):
-            if g == 0 or (s[0] * g, s[1] * g) > (0, 0):
+            if g == 0 or tuple(x * g for x in s) > zero:
                 continue  # parallel, or crossing at t < 0
             sgn = 1 if cone.denom * g > 0 else -1
             for aj, qr in zip(a, cone.qrows):
                 lam = tuple((x * g - y * qr[i]) * sgn for x, y in zip(aj, s))
-                if lam == (0, 0):
+                if lam == zero:
                     return None
-                if lam < (0, 0):
+                if lam < zero:
                     break
             else:
                 hits.append((pos, i))

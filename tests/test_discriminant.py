@@ -23,7 +23,6 @@ from tropfan.discriminant import (
     _pack_cones,
     _packed_products,
     _shoot,
-    _Unresolved,
     random_vertices,
     setup,
     shoot_vertex,
@@ -198,18 +197,27 @@ def test_cross_objective_minimality(line_cubic_problem):
 
 def test_vertex_determinism(line_cubic_problem):
     prob = line_cubic_problem
-    w = tuple(random.Random(77).randint(-(10**6), 10**6) for _ in range(prob.n))
-    assert shoot_vertex(prob, w, seed=5).u == shoot_vertex(prob, w, seed=5).u
+    rng = random.Random(77)  # one generator, not one per entry, so w is not constant
+    w = tuple(rng.randint(-(10**6), 10**6) for _ in range(prob.n))
+    assert shoot_vertex(prob, w).u == shoot_vertex(prob, w).u
     assert random_vertices(prob, 6, seed=3) == random_vertices(prob, 6, seed=3)
 
 
+def _explicit_perturbation(w):
+    """M * w + (B^(n-1), ..., B, 1), B = 10^6 and M = B^n: w + (eps, ..., eps^n) at eps = 1/B."""
+    n, big = len(w), 10**6
+    return tuple(big**n * x + big ** (n - 1 - k) for k, x in enumerate(w))
+
+
 def test_perturbed_agrees_with_clean_run(line_cubic_problem):
+    # a generic objective ties nowhere, so the perturbation moves no hit
     prob = line_cubic_problem
     rng = random.Random(123)
     w = tuple(rng.randint(-(10**6), 10**6) for _ in range(prob.n))
-    clean = _shoot(prob, w, None)
-    r = tuple(rng.randint(-(10**6), 10**6) for _ in range(prob.n))
-    assert _shoot(prob, w, r) == clean
+    clean = _shoot(prob, w)
+    assert not clean[1]
+    assert scalar_ray_hits(prob, w, perturbed=True) == scalar_ray_hits(prob, w)
+    assert _shoot(prob, _explicit_perturbation(w)) == clean
 
 
 @pytest.mark.parametrize("x", [0.9, 3.0, Fraction(7, 2), Fraction(4, 1), "5"])
@@ -230,12 +238,27 @@ def test_shoot_vertex_rejects_objectives_of_the_wrong_length(line_cubic_problem)
 
 
 def test_nongeneric_objective_resolved_by_perturbation(line_cubic_problem):
-    prob = line_cubic_problem
-    v = shoot_vertex(prob, (0,) * prob.n, seed=11)
-    assert v.perturbed
-    assert v.a_degree == prob.a_degree
-    again = shoot_vertex(prob, (0,) * prob.n, seed=11)
-    assert v.u == again.u
+    # the tie-break rule without the oracle: a tied w gets the vertex of the
+    # explicit integer objective that realizes w + (eps, ..., eps^n), which ties nowhere
+    problems = [line_cubic_problem]
+    problems += [setup(A) for A in (GRAPHIC_3X6, cube_matrix(3), cube_matrix(4))]
+    rng = random.Random(18)
+    tied = 0
+    for prob in problems:
+        n = prob.n
+        objectives = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(10)]
+        objectives += [tuple(int(j == i) for j in range(n)) for i in range(n)]
+        objectives += [tuple(row) for row in prob.A.entries]
+        objectives.append((0,) * n)
+        for w in objectives:
+            v = shoot_vertex(prob, w)
+            explicit = shoot_vertex(prob, _explicit_perturbation(w))
+            assert not explicit.perturbed, w
+            assert v.u == explicit.u, w
+            assert v.a_degree == prob.a_degree
+            tied += v.perturbed
+        assert shoot_vertex(prob, (0,) * n).perturbed
+    assert tied > len(problems)
 
 
 def test_random_vertices_empty_and_duplicates(line_cubic_problem):
@@ -264,7 +287,7 @@ def test_ray_hits_cone_basics(line_cubic_problem):
         # shoot the cone alone: its table row is the only one read
         single = SimpleNamespace(n=prob.n, m=prob.m, codim1_cones=[cone])
         single._packed = _pack_cones(single)
-        u = _shoot(single, w, None)
+        u, _ = _shoot(single, w)
         hits = [i for i in range(prob.n) if u[i]]
         assert hits == [i for _, i in scalar_ray_hits(single, w)]
         s = dot(cone.normal, w)
@@ -322,6 +345,16 @@ def test_lane_bound_holds_at_its_extreme(x, lane):
         assert _inner_products(prob, v) == expected
 
 
+def _oracle_vertex(prob, hits, weights):
+    """u summed over the scalar oracle's hits, weights memoized per (cone, direction)."""
+    u = [0] * prob.n
+    for pos, i in hits:
+        if (pos, i) not in weights:
+            weights[pos, i] = eq2_determinant(prob, prob.codim1_cones[pos], i)
+        u[i] += weights[pos, i]
+    return u
+
+
 def test_shoot_ties_match_scalar_reference(line_cubic_problem):
     prob = line_cubic_problem
     n = prob.n
@@ -338,17 +371,11 @@ def test_shoot_ties_match_scalar_reference(line_cubic_problem):
     ties = 0
     for w in objectives:
         hits = scalar_ray_hits(prob, w)
-        if hits is None:
+        tied = hits is None
+        if tied:  # the shot flags the tie and follows the perturbed oracle
             ties += 1
-            with pytest.raises(_Unresolved):
-                _shoot(prob, w, None)
-            continue
-        u = [0] * n
-        for pos, i in hits:
-            if (pos, i) not in weights:
-                weights[pos, i] = eq2_determinant(prob, prob.codim1_cones[pos], i)
-            u[i] += weights[pos, i]
-        assert _shoot(prob, w, None) == u, w
+            hits = scalar_ray_hits(prob, w, perturbed=True)
+        assert _shoot(prob, w) == (_oracle_vertex(prob, hits, weights), tied), w
     assert 0 < ties < len(objectives)
 
 
@@ -361,33 +388,26 @@ def test_perturbed_shoot_matches_scalar_reference(A):
     prob = setup(A)
     n = prob.n
     rng = random.Random(7)
-    r = tuple(rng.randint(-(10**6), 10**6) for _ in range(n))
     objectives = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(40)]
     objectives += [tuple(int(j == i) for j in range(n)) for i in range(n)]
     objectives += [tuple(row) for row in prob.A.entries]
     weights = {}
-    resolved = 0  # objectives that tie unperturbed and not under r
+    resolved = 0  # objectives that tie unperturbed
     for w in objectives:
-        hits = scalar_ray_hits(prob, w, r)
-        if hits is None:
-            with pytest.raises(_Unresolved):
-                _shoot(prob, w, r)
-            continue
-        resolved += scalar_ray_hits(prob, w) is None
-        u = [0] * n
-        for pos, i in hits:
-            if (pos, i) not in weights:
-                weights[pos, i] = eq2_determinant(prob, prob.codim1_cones[pos], i)
-            u[i] += weights[pos, i]
-        assert _shoot(prob, w, r) == u, w
+        hits = scalar_ray_hits(prob, w, perturbed=True)
+        assert hits is not None
+        tied = scalar_ray_hits(prob, w) is None
+        resolved += tied
+        assert _shoot(prob, w) == (_oracle_vertex(prob, hits, weights), tied), w
     assert resolved > 0
 
 
 def test_vertex_is_scale_invariant_past_the_lane_bound(line_cubic_problem):
     prob = line_cubic_problem
     n = prob.n
-    w = tuple(random.Random(19).randint(-(10**6), 10**6) for _ in range(n))
-    e1 = (1,) + (0,) * (n - 1)  # a tie: the big multiple perturbs with a packed r
+    rng = random.Random(19)
+    w = tuple(rng.randint(-(10**6), 10**6) for _ in range(n))
+    e1 = (1,) + (0,) * (n - 1)  # a tie: the big multiple resolves it on plain dot products
     for obj in (w, e1, prob.A.entries[1]):
         big = tuple(10**25 * x for x in obj)
         assert max(map(abs, big)) > prob._packed.wmax
