@@ -227,8 +227,6 @@ def _codim1_cones(A: IntMat, Aperp: IntMat, fan: Fan, g: int) -> list:
         for row in A.entries:
             if dot(normal, row) != 0:
                 raise InternalInvariant("normal not orthogonal to the rowspace")
-        if prev == 0:
-            raise InternalInvariant("membership denominator is zero")
         support = tuple(i for i, x in enumerate(normal) if x)
         i0 = support[0]
         kappa, rem = divmod(g * abs(rows[-1][i0]), abs(normal[i0]))

@@ -5,10 +5,6 @@ class TropfanError(Exception):
     """Base class for all package errors."""
 
 
-class SingularBasis(TropfanError):
-    """The selected columns are linearly dependent and cannot be reduced to the identity."""
-
-
 class RankDeficient(TropfanError):
     """The matrix has rank zero."""
 

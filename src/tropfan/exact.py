@@ -7,9 +7,11 @@ Gauss-Jordan scheme (Bareiss 1968, applied to the rows above the pivot as
 well as below), where cross-multiplication is followed by an exact division
 by the previous pivot, so every intermediate entry is an integer minor of the
 input.  Its step, `pivot_step`, also drives the trie walks of
-`Matroid.enumerate_bases` and `discriminant.setup`.  The one exception is
-`integer_kernel_basis`, which needs a basis of the integer kernel lattice,
-not only of its span, and so takes unimodular Euclid steps to a Hermite form.
+`Matroid.enumerate_bases`, `Matroid.cyclic_flats` and `discriminant.setup`,
+and the fresh basis reduction of `Matroid.fundamental_circuit_masks`.  The
+one exception is `integer_kernel_basis`, which needs a basis of the integer
+kernel lattice, not only of its span, and so takes unimodular Euclid steps to
+a Hermite form.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from fractions import Fraction
 from functools import cached_property
 from operator import index
 
-from .errors import SingularBasis
 from .util import primitive
 
 
@@ -78,14 +79,12 @@ def pivot_step(m: list[list[int]], r: int, c: int, prev: int) -> int:
     return -1 if pivot_row != r else 1
 
 
-def gauss_jordan(m: list[list[int]], pivot_cols=None) -> tuple[list[int], int]:
+def gauss_jordan(m: list[list[int]]) -> tuple[list[int], int]:
     """Destructive fraction-free Gauss-Jordan reduction of integer rows.
 
-    Without pivot_cols, each pivot is the first column with a nonzero entry
-    in the rows not yet used, as in the reduced row echelon form; with them,
-    the given 0-based columns are pivoted on in order, and SingularBasis is
-    raised if they are dependent.  Returns (pivots, d): the pivot columns and
-    the determinant of the pivot minor, signed by the row swaps.
+    Each pivot is the first column with a nonzero entry in the rows not yet
+    used, as in the reduced row echelon form.  Returns (pivots, d): the pivot
+    columns and the determinant of the pivot minor, signed by the row swaps.
 
     Afterwards row r < len(pivots) has zeros in every other pivot column,
     every pivot entry m[r][pivots[r]] equals the last pivot value p (1 if
@@ -94,16 +93,12 @@ def gauss_jordan(m: list[list[int]], pivot_cols=None) -> tuple[list[int], int]:
     """
     pivots = []
     prev = sign = 1
-    for c in range(len(m[0]) if m else 0) if pivot_cols is None else pivot_cols:
+    for c in range(len(m[0]) if m else 0):
         r = len(pivots)
-        step = pivot_step(m, r, c, prev)
-        if not step:
-            if pivot_cols is None:
-                continue
-            raise SingularBasis(f"columns {list(pivot_cols)} are linearly dependent")
-        sign *= step
-        prev = m[r][c]
-        pivots.append(c)
+        if step := pivot_step(m, r, c, prev):
+            sign *= step
+            prev = m[r][c]
+            pivots.append(c)
     return pivots, sign * prev
 
 

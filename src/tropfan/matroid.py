@@ -16,14 +16,7 @@ from functools import cached_property
 from itertools import combinations
 from math import comb
 
-from .errors import (
-    HasColoops,
-    HasLoops,
-    NotABasis,
-    RankDeficient,
-    SingularBasis,
-    WrongSize,
-)
+from .errors import HasColoops, HasLoops, NotABasis, RankDeficient, WrongSize
 from .exact import IntMat, gauss_jordan, pivot_step
 from .util import elements_of, primitive
 
@@ -106,8 +99,8 @@ class Matroid:
 
         A depth-first walk over the increasing column subsets of A: a node
         applies one pivot_step to a copy of its parent's rows, a column zero
-        in the unused rows is skipped, and a leaf leaves the rows of
-        gauss_jordan(A.row_lists(), chosen) on the handle with its basis for
+        in the unused rows is skipped, and a leaf leaves its rows, A's reduced
+        on the columns chosen, on the handle with its basis for
         fundamental_circuit_masks.  Dual bases in lexicographic order are the
         complements of M(A)'s in reverse order, so dual children descend.
         With prefixes, a run of basis_shards, only the bases below them come.
@@ -157,8 +150,9 @@ class Matroid:
         """Bitmasks of F_k = C(k, B) - {k} for every non-basis element k.
 
         One row reduction serves all k: the walk's, if B is the basis it
-        yielded last, else a fresh one.  In dual mode it pivots on the
-        complement basis of A and the incidence is transposed.
+        yielded last, else a fresh one, a pivot_step per column of B.  In
+        dual mode it pivots on the complement basis of A and the incidence
+        is transposed.
         """
         B = self._subset(B)
         if len(B) != self.rank:
@@ -169,11 +163,11 @@ class Matroid:
         if (last := self._last) is not None and last[0] == B:
             m = last[1]
         else:
-            m = self.A.row_lists()
-            try:
-                gauss_jordan(m, [b - 1 for b in pivot_elems])
-            except SingularBasis:
-                raise NotABasis(f"{list(B)} is not a basis") from None
+            m, prev = self.A.row_lists(), 1
+            for r, p in enumerate(pivot_elems):
+                if not pivot_step(m, r, p - 1, prev):
+                    raise NotABasis(f"{list(B)} is not a basis")
+                prev = m[r][p - 1]
         # bit x of nz[r] marks element x + 1 if pivot row r is nonzero there:
         # the row's own pivot and each other element whose circuit holds it
         nz = [sum(1 << x for x, a in enumerate(row) if a) for row in m[: self.m]]
@@ -205,8 +199,9 @@ class Matroid:
         The flats of M(A) are walked upward from cl(empty set) to E, each
         reached once, from its lexicographically first basis S: S + {e} with
         e > max S is followed only if its closure gains no element below e.
-        Each flat is reduced once, by gauss_jordan pivoting on the columns of
-        S, and the walk reads what it needs off the reduced rows.  Below the
+        Each flat's rows are its parent's plus one pivot_step on column e,
+        which is nonzero below the pivots since e lies outside the parent
+        flat, and the walk reads what it needs off the rows.  Below the
         pivots, a column is zero iff it lies in cl(S), and cl(S + {e}) adds
         the columns parallel to e's there; so grouping the columns outside
         the flat by their primitive direction gives every child's closure,
@@ -220,9 +215,7 @@ class Matroid:
         n = self.n
         found = {}
 
-        def visit(flat, basis):
-            rows = self.A.row_lists()
-            gauss_jordan(rows, basis)
+        def visit(flat, basis, rows, prev):
             k = len(basis)
             rest = [x for x in range(n) if flat >> x & 1 and x not in basis]
             if all(any(row[x] for x in rest) for row in rows[:k]):
@@ -237,9 +230,12 @@ class Matroid:
             for group in groups.values():
                 e = (group & -group).bit_length() - 1
                 if e > last:  # otherwise S + {e} is not the first basis of its closure
-                    visit(flat | group, basis + [e])
+                    child = [row[:] for row in rows]
+                    pivot_step(child, k, e, prev)
+                    visit(flat | group, basis + [e], child, child[k][e])
 
-        visit(sum(1 << x for x, col in enumerate(self.A.columns) if not any(col)), [])
+        loops = sum(1 << x for x, col in enumerate(self.A.columns) if not any(col))
+        visit(loops, [], self.A.row_lists(), 1)
         if self.dual_mode:
             full = (1 << n) - 1
             return {full & ~Z: n - Z.bit_count() + r - self.m for Z, r in found.items()}

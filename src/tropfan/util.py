@@ -36,9 +36,7 @@ def primitive(vec):
 
     Returns the zero vector unchanged.
     """
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
+    g = gcd(*vec)
     if g == 0:
         return tuple(vec)
     lead = next(x for x in vec if x != 0)

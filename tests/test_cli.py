@@ -1,14 +1,19 @@
 """Command-line surface: parsing, output grammar, exit codes, determinism."""
 
+import io
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tropfan
 from conftest import UNIFORM_2_4, run_cli, write_matrix_file
+from tropfan import cli
 from tropfan.cli import parse_matrix
 from tropfan.data import (
     GRAPHIC_3X6,
@@ -332,3 +337,65 @@ def test_discriminant_mode_zero_vertices(tmp_path):
     code, out = run_cli([str(path), "--random", "0"])
     assert code == 0
     assert out == "A-DEGREE\n"
+
+
+#: Small entries, and integers far beyond machine words.
+ENTRIES = st.one_of(st.integers(-3, 3), st.integers(-(10**40), 10**40))
+
+
+@st.composite
+def matrix_texts(draw):
+    """Matrix files with n <= 7: well formed (zero columns allowed), ragged, or noise."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 7))
+    rows = [[draw(ENTRIES) for _ in range(n)] for _ in range(m)]
+    if draw(st.booleans()):  # all ones in the rowspace, as --random needs
+        rows[0] = [1] * n
+    for c in draw(st.sets(st.integers(0, n - 1), max_size=1)):  # zero columns: loops
+        for row in rows:
+            row[c] = 0
+    lines = [f"{m} {n}", *(" ".join(map(str, row)) for row in rows)]
+    kind = draw(st.sampled_from(["clean"] * 4 + ["ragged", "extra", "noise"]))
+    if kind == "ragged":  # one line loses its last entry
+        i = draw(st.integers(0, m))
+        lines[i] = lines[i].rpartition(" ")[0]
+    elif kind == "extra":  # a stray line after the matrix
+        lines.append(draw(st.sampled_from(["0", "1 2 x", "# note", "-"])))
+    elif kind == "noise":
+        return draw(st.text(alphabet="0123456789 -+x#.\n", max_size=40))
+    return "\n".join(lines) + "\n"
+
+
+FLAG_SETS = [
+    [],
+    ["--dual"],
+    ["--compare"],
+    ["--dual", "--compare", "--bases", "--circuits", "--tutte"],
+    ["--counts-only"],
+    ["--dual", "--counts-only"],
+    ["--random", "0"],
+    ["--random", "3", "--seed", "1"],
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=matrix_texts(), flags=st.sampled_from(FLAG_SETS), to_file=st.booleans()
+)
+def test_cli_fuzz_exits_cleanly(tmp_path_factory, text, flags, to_file):
+    # in-process and sequential: a run starts no worker process
+    folder = tmp_path_factory.mktemp("fuzz")
+    path, target = folder / "matrix.txt", folder / "out.txt"
+    path.write_text(text, encoding="utf-8")
+    argv = [str(path), "--threads", "0", *flags]
+    if to_file:
+        argv += ["--output", str(target)]
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (text, flags)
+    assert "Traceback" not in err.getvalue()
+    assert not list(folder.glob("*.tmp"))
+    assert target.exists() == (to_file and code == 0)

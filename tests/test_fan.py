@@ -27,7 +27,6 @@ from brute import (
 )
 from conftest import random_fan_matrices, small_corpus, source_pairs
 from tropfan import fan as fan_module
-from tropfan import matroid as matroid_module
 from tropfan.data import (
     DEMO_4X7,
     GRAPHIC_3X6,
@@ -38,7 +37,7 @@ from tropfan.data import (
     cube_matrix,
 )
 from tropfan.errors import HasColoops, HasLoops, InternalInvariant
-from tropfan.exact import integer_kernel_basis, rank_of_rows
+from tropfan.exact import IntMat, integer_kernel_basis, rank_of_rows
 from tropfan.fan import (
     ConeArray,
     Fan,
@@ -201,17 +200,15 @@ def test_worker_reduces_no_basis_afresh(monkeypatch):
     fan = cyclic_bergman_fan(M)
     rays, index = fan_module._ray_index(M)
     typecode = fan_module._typecode(len(rays))
-    calls = []
-    real = matroid_module.gauss_jordan
-    monkeypatch.setattr(
-        matroid_module, "gauss_jordan", lambda *a: calls.append(a) or real(*a)
-    )
-    data, count = array(typecode), 0
-    for run in M.basis_shards(3):
+    calls = []  # copies of A: one per prefix the walks start from, none per basis
+    real = IntMat.row_lists
+    monkeypatch.setattr(IntMat, "row_lists", lambda A: calls.append(A) or real(A))
+    data, count, runs = array(typecode), 0, M.basis_shards(3)
+    for run in runs:
         block, k = fan_module._fan_worker((M.A.entries, True, run, index, typecode))
         data += block
         count += k
-    assert calls == []
+    assert len(calls) == sum(map(len, runs))
     assert ConeArray(data, M.rank - 1, count) == fan.maximal_cones
 
 

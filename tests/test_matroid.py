@@ -11,6 +11,7 @@ from brute import (
     brute_fundamental_circuit,
     brute_rank,
     brute_tutte,
+    closure_cyclic_flats,
     tutte_eval,
     columns_of,
     handle_columns,
@@ -25,6 +26,7 @@ from tropfan.data import (
     TANGENT_CONIC_CUBIC_4X16,
     TANGENT_LINE_CUBIC_4X13,
     TANGENT_LINE_CUBIC_GALE_9X13,
+    TANGENT_QUADRICS_5X20,
     UNIFORM_2_3,
     cube_matrix,
 )
@@ -38,7 +40,7 @@ from tropfan.errors import (
 from tropfan.exact import IntMat, integer_kernel_basis
 from tropfan.fan import cyclic_bergman_fan
 from tropfan.matroid import Matroid
-from tropfan.util import elements_of
+from tropfan.util import elements_of, mask_of
 
 
 def circuit(M, e, B):
@@ -163,11 +165,9 @@ def test_basis_walk_matches_lex_enumeration_and_fresh_reductions():
 def test_interleaved_walks_hand_off_only_their_own_rows(monkeypatch):
     M = Matroid.from_matrix(DEMO_4X7).dual()
     expected = dict(lex_bases_and_masks(M))
-    calls = []
-    real = matroid_module.gauss_jordan
-    monkeypatch.setattr(
-        matroid_module, "gauss_jordan", lambda *a: calls.append(a) or real(*a)
-    )
+    calls = []  # copies of A: one per walk's root, one per fresh reduction
+    real = IntMat.row_lists
+    monkeypatch.setattr(IntMat, "row_lists", lambda A: calls.append(A) or real(A))
     first, second = M.enumerate_bases(), M.enumerate_bases()
     next(second)
     for step, (B, C) in enumerate(zip(first, second), start=1):
@@ -175,7 +175,7 @@ def test_interleaved_walks_hand_off_only_their_own_rows(monkeypatch):
         assert B != C
         assert M.fundamental_circuit_masks(B) == expected[B]
         assert M.fundamental_circuit_masks(C) == expected[C]
-        assert len(calls) == step
+        assert len(calls) == 2 + step
 
 
 def test_masks_after_the_basis_cache_was_filled():
@@ -326,6 +326,32 @@ def test_cyclic_flats_match_brute_force():
             got = {elements_of(Z): r for Z, r in handle.cyclic_flats().items()}
             want = {F: brute_rank(cols, F) for F in brute_cyclic_flats(cols)}
             assert got == want, (A.entries, handle.dual_mode)
+
+
+def test_cyclic_flat_walk_steps_from_its_parent(monkeypatch):
+    # each flat's rows are its parent's plus one pivot_step, so no flat is
+    # reduced afresh; beyond n = 8 the flats come from closure_cyclic_flats,
+    # which agrees with the scan over all subsets on the small corpus
+    cases = []
+    for _, A in small_corpus():
+        cols = columns_of(A)
+        flats = {mask_of(F): brute_rank(cols, F) for F in brute_cyclic_flats(cols)}
+        assert closure_cyclic_flats(cols) == flats
+        cases.append((Matroid.from_matrix(A), flats))
+    for A in (cube_matrix(4), TANGENT_QUADRICS_5X20):
+        cases.append((Matroid.from_matrix(A), closure_cyclic_flats(columns_of(A))))
+    calls = []
+    real = matroid_module.gauss_jordan
+    monkeypatch.setattr(
+        matroid_module, "gauss_jordan", lambda *a: calls.append(a) or real(*a)
+    )
+    for M, flats in cases:
+        assert M.cyclic_flats() == flats, M.A.entries
+        # Z is a cyclic flat of M iff E - Z is one of M*, of rank |E - Z| - r(E) + r(Z)
+        full = (1 << M.n) - 1
+        dual = {full & ~Z: M.n - Z.bit_count() - M.m + r for Z, r in flats.items()}
+        assert M.dual().cyclic_flats() == dual, M.A.entries
+    assert calls == []
 
 
 def test_tutte_uniform23():

@@ -15,6 +15,7 @@ from brute import (
     handle_columns,
     interior_witness,
     is_in_trop,
+    reduce_on_columns,
 )
 from tropfan.errors import TropfanError
 from tropfan.exact import (
@@ -168,9 +169,9 @@ def test_reduce_on_basis_matches_fraction_reduction(rows):
         None,
     )
     assume(basis is not None)
-    reduced = A.row_lists()
-    pivots, _ = gauss_jordan(reduced, [b - 1 for b in basis])
-    R = tuple(tuple(Fraction(x, reduced[r][c]) for x in reduced[r]) for r, c in enumerate(pivots))
+    reduced, cols = A.row_lists(), [b - 1 for b in basis]
+    reduce_on_columns(reduced, cols)
+    R = tuple(tuple(Fraction(x, reduced[r][c]) for x in reduced[r]) for r, c in enumerate(cols))
     # oracle: straightforward Gauss-Jordan over Fraction
     work = [[Fraction(x) for x in row] for row in A.entries]
     for r, c in enumerate(b - 1 for b in basis):
