@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures.process import BrokenProcessPool
 
 from .discriminant import random_vertices, setup
 from .errors import ParseError, TropfanError
@@ -165,11 +164,8 @@ def _write_fan(out, args: argparse.Namespace, M: Matroid):
 def _write_discriminant(out, args: argparse.Namespace, A: IntMat):
     prob = setup(A, threads=args.threads, require_spanned=args.random > 0)
     vertices = random_vertices(prob, args.random, args.seed)
-    if vertices:
-        a_degree = vertices[0].a_degree
-        out.write("A-DEGREE " + " ".join(map(str, a_degree)) + "\n")
-    else:
-        out.write("A-DEGREE\n")
+    a_degree = vertices[0].a_degree if vertices else ()
+    out.write(" ".join(["A-DEGREE", *map(str, a_degree)]) + "\n")
     for v in vertices:
         out.write(" ".join(map(str, v.u)) + "\n")
 
@@ -206,7 +202,7 @@ def run(args: argparse.Namespace) -> int:
     except TropfanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, BrokenProcessPool) as exc:  # a --threads worker died
+    except OSError as exc:  # a write error, or a --threads worker that died
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

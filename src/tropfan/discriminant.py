@@ -27,7 +27,8 @@ Four devices keep this exact and fast:
   words.  Each lane equals sum_t w_t * x_t, so |lane| <= n * max|x| * max|w|.
   The lanes are 32 bits wide when that bound stays below 2^31 for every
   |w| <= 10^6 (the range of random objectives), else 64 bits, and a vector
-  for which it could reach 2^(L-1) takes plain `dot` products;
+  for which it could reach 2^(L-1) is split into base digits that stay
+  below it, one pass per digit;
 * the ray w + t e_i meets the hyperplane normal . x = 0 at t = -s/g, with
   s = normal . w and g = normal_i, so only the directions whose g has the
   sign opposite to s can cross (s = 0 ties), and the crossing point lies in
@@ -48,7 +49,7 @@ from __future__ import annotations
 import random
 import sys
 from array import array
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from functools import cached_property
 from itertools import compress
 from operator import index
@@ -79,48 +80,44 @@ from .util import dot, primitive
 OBJECTIVE_RANGE = 10**6  # random objectives are uniform in [-10^6, 10^6]
 
 
-@dataclass(frozen=True)
-class NewtonVertex:
-    """A vertex u of the Newton polytope, the objective w it minimizes, and A @ u."""
+class NewtonVertex(
+    namedtuple("NewtonVertex", "u w a_degree perturbed duplicate_of", defaults=(False, None))
+):
+    """A vertex u of the Newton polytope, the objective w it minimizes, and A @ u.
 
-    u: tuple
-    w: tuple
-    a_degree: tuple
-    perturbed: bool = False  # w ties exactly; u is the vertex of w + (eps, ..., eps^n)
-    duplicate_of: int | None = None
+    perturbed: w ties exactly, and u is the vertex of w + (eps, ..., eps^n).
+    duplicate_of: the index of the first equal vertex in random_vertices' list.
+    """
 
-
-@dataclass(frozen=True)
-class Codim1Cone:
-    """A maximal fan cone whose span plus the rowspace of A is a hyperplane."""
-
-    cone_index: int
-    normal: tuple  # primitive integer normal of that hyperplane
-    qrows: tuple  # integer matrix Q with lambda(x) = Q @ x / denom
-    denom: int
-    kappa: int  # |det(A^T, rays, e_i)| / |normal_i|, the same for every i in support
-    support: tuple  # the directions i with normal_i != 0
+    __slots__ = ()
 
 
-@dataclass
+class Codim1Cone(namedtuple("Codim1Cone", "cone_index normal qrows denom kappa support")):
+    """A maximal fan cone whose span plus the rowspace of A is a hyperplane.
+
+    normal is the primitive integer normal of that hyperplane; qrows is the
+    integer matrix Q with lambda(x) = Q @ x / denom; kappa is
+    |det(A^T, rays, e_i)| / |normal_i|, the same for every i in support, the
+    directions i with normal_i != 0.
+    """
+
+    __slots__ = ()
+
+
 class DiscriminantProblem:
-    A: IntMat
-    m: int
-    n: int
-    Aperp: IntMat
-    matroid: Matroid
-    fan: Fan
-    codim1_cones: list  # Codim1Cone, ordered by the cones' sorted ray tuples
-    lattice_spanned: bool
-    a_degree: tuple | None = None
+    """setup's result for A; codim1_cones by sorted ray tuple, a_degree set by the first shot."""
+
+    def __init__(self, A, m, n, Aperp, matroid, fan, codim1_cones, lattice_spanned, a_degree=None):
+        self.A, self.m, self.n, self.Aperp = A, m, n, Aperp
+        self.matroid, self.fan, self.codim1_cones = matroid, fan, codim1_cones
+        self.lattice_spanned, self.a_degree = lattice_spanned, a_degree
 
     @cached_property
     def _packed(self) -> _PackedCones:
         return _pack_cones(self)
 
 
-@dataclass(frozen=True)
-class _PackedCones:
+class _PackedCones(namedtuple("_PackedCones", "cols bias wmax lane table")):
     """The codim-1 cones as shooting reads them, built on the first shot.
 
     cols[t] holds coordinate t of every normal and Q row, cone by cone, as
@@ -131,11 +128,7 @@ class _PackedCones:
     (i, g * sgn, Q[.][i] * sgn, kappa * |g|), g = normal_i, sgn = sign(D * g).
     """
 
-    cols: tuple
-    bias: int
-    wmax: int
-    lane: str
-    table: tuple
+    __slots__ = ()
 
 
 def setup(A, *, threads: int = 0, require_spanned: bool = False) -> DiscriminantProblem:
@@ -285,11 +278,24 @@ def _dot_products(cones, v) -> list:
 
 
 def _inner_products(prob: DiscriminantProblem, v) -> list:
-    """normal . v, then Q . v, for every codim-1 cone, concatenated in cone order."""
+    """normal . v, then Q . v, for every codim-1 cone, concatenated in cone order.
+
+    A v with max|v| > wmax >= 1 is split by divmod into base-(wmax + 1)
+    digits in [0, wmax] under a top part within +-wmax; every part takes one
+    packed pass, and Horner's rule recombines the passes' lanes exactly.
+    """
     packed = prob._packed
-    if max(map(abs, v)) > packed.wmax:
+    if packed.wmax < 0:
         return _dot_products(prob.codim1_cones, v)
-    return _packed_products(packed, v)
+    base = packed.wmax + 1
+    digits = []  # least significant first; v keeps the part above them
+    while max(map(abs, v)) > packed.wmax:
+        v, digit = zip(*(divmod(x, base) for x in v))
+        digits.append(digit)
+    p = _packed_products(packed, v)
+    for digit in reversed(digits):
+        p = [x * base + y for x, y in zip(p, _packed_products(packed, digit))]
+    return p
 
 
 def _tie_hit(p, b, g, col, cone) -> bool:
@@ -377,6 +383,6 @@ def random_vertices(prob: DiscriminantProblem, count: int, seed: int) -> list:
         vertex = shoot_vertex(prob, w)
         prior = first_seen.setdefault(vertex.u, idx)
         if prior != idx:
-            vertex = replace(vertex, duplicate_of=prior)
+            vertex = vertex._replace(duplicate_of=prior)
         out.append(vertex)
     return out

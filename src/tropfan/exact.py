@@ -16,7 +16,7 @@ a Hermite form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from operator import index
@@ -24,13 +24,10 @@ from operator import index
 from .util import primitive
 
 
-@dataclass(frozen=True)
-class IntMat:
-    """Immutable integer matrix, row-major."""
+class IntMat(namedtuple("IntMat", "rows cols entries")):
+    """Immutable integer matrix, row-major: rows x cols int tuples in entries."""
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
+    # no __slots__ = (): the instance dict holds the cached columns
 
     @classmethod
     def from_rows(cls, rows) -> "IntMat":

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import os
 from array import array
+from collections import namedtuple
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from itertools import groupby, repeat
 
 from .errors import HasColoops, HasLoops, InternalInvariant
@@ -71,9 +70,8 @@ class ConeArray(Sequence):
         return f"ConeArray(count={self._count}, width={self._width})"
 
 
-@dataclass(frozen=True)
-class Fan:
-    """Simplicial fan: 0/1 rays plus maximal cones as ray-index sets.
+class Fan(namedtuple("Fan", "n rays maximal_cones")):
+    """Simplicial fan in R^n: 0/1 rays plus maximal cones (a ConeArray) as ray-index sets.
 
     rays are sorted lexicographically as vectors; each cone is a sorted tuple
     of ray indices, cones listed basis by basis in the order of M.bases and,
@@ -81,9 +79,7 @@ class Fan:
     lineality space, spanned by the all-ones vector, is implicit.
     """
 
-    n: int
-    rays: tuple
-    maximal_cones: ConeArray
+    __slots__ = ()
 
     def ray_support(self, i: int) -> tuple:
         return tuple(j + 1 for j, x in enumerate(self.rays[i]) if x)
@@ -249,20 +245,28 @@ def _collect_cones(M: Matroid, threads: int, index, out) -> int:
     worker processes, at most one per CPU; each walks its run and returns one
     packed block, appended in run order, so the result is identical to the
     sequential one and the parent lists no bases.  out None only counts.
+    The pool is imported here, so a sequential run never loads it; a broken
+    pool (a worker died) is raised as OSError.
     """
     if threads <= 0:
         return _append_cones(M, M.enumerate_bases(), index, out)
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     workers = min(threads, os.cpu_count() or 1)
     payloads = [
         (M.A.entries, M.dual_mode, run, index, getattr(out, "typecode", None))
         for run in M.basis_shards(workers * 4)
     ]
     count = 0
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for block, k in pool.map(_fan_worker, payloads):
-            if out is not None:
-                out += block
-            count += k
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for block, k in pool.map(_fan_worker, payloads):
+                if out is not None:
+                    out += block
+                count += k
+    except BrokenProcessPool as exc:
+        raise OSError(str(exc)) from exc
     return count
 
 

@@ -254,11 +254,6 @@ class Matroid:
         for B in self.enumerate_bases():
             fk = self.fundamental_circuit_masks(B)
             ext = sum(1 for k, mask in fk.items() if not mask & ((1 << k) - 1))
-            internal = 0
-            for b in B:
-                bbit = 1 << (b - 1)
-                if all(b < k for k, mask in fk.items() if mask & bbit):
-                    internal += 1
-            key = (internal, ext)
-            coeffs[key] = coeffs.get(key, 0) + 1
+            internal = sum(all(b < k for k, mask in fk.items() if mask >> (b - 1) & 1) for b in B)
+            coeffs[internal, ext] = coeffs.get((internal, ext), 0) + 1
         return coeffs

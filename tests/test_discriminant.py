@@ -345,6 +345,21 @@ def test_lane_bound_holds_at_its_extreme(x, lane):
         assert _inner_products(prob, v) == expected
 
 
+@pytest.mark.parametrize("scale", [30, 10**25], ids=["30x", "1e25x"])
+def test_objectives_above_the_lane_bound_stay_exact(line_cubic_problem, scale):
+    # digits of base wmax + 1, one packed pass each, recombine to the plain dots
+    prob = line_cubic_problem
+    wmax = prob._packed.wmax
+    rng = random.Random(43)
+    n = prob.n
+    vectors = [tuple(scale * rng.randint(-(10**6), 10**6) for _ in range(n)) for _ in range(3)]
+    vectors.append(tuple(scale * 10**6 * x for x in prob.A.entries[1]))
+    vectors.append(tuple(rng.choice((-1, 1)) * (wmax + 1) ** 3 - 1 for _ in range(n)))
+    for v in vectors:
+        assert max(map(abs, v)) > wmax
+        assert _inner_products(prob, v) == _dot_products(prob.codim1_cones, v)
+
+
 def _oracle_vertex(prob, hits, weights):
     """u summed over the scalar oracle's hits, weights memoized per (cone, direction)."""
     u = [0] * prob.n
@@ -407,7 +422,7 @@ def test_vertex_is_scale_invariant_past_the_lane_bound(line_cubic_problem):
     n = prob.n
     rng = random.Random(19)
     w = tuple(rng.randint(-(10**6), 10**6) for _ in range(n))
-    e1 = (1,) + (0,) * (n - 1)  # a tie: the big multiple resolves it on plain dot products
+    e1 = (1,) + (0,) * (n - 1)  # a tie: the big multiple resolves it on the digit passes
     for obj in (w, e1, prob.A.entries[1]):
         big = tuple(10**25 * x for x in obj)
         assert max(map(abs, big)) > prob._packed.wmax
@@ -418,7 +433,8 @@ def test_vertex_is_scale_invariant_past_the_lane_bound(line_cubic_problem):
 
 
 def test_shooting_never_imports_numpy(tmp_path):
-    # neither ray shooting nor the Bergman comparison (--compare) may load numpy
+    # neither ray shooting nor the Bergman comparison (--compare) may load
+    # numpy, and a sequential run loads neither the process pool nor dataclasses
     src = str(Path(tropfan.__file__).resolve().parents[1])
     matrix, fan_out = tmp_path / "cube3.txt", tmp_path / "fan.txt"
     write_matrix_file(matrix, cube_matrix(3))
@@ -432,7 +448,8 @@ def test_shooting_never_imports_numpy(tmp_path):
         f"args = [{str(matrix)!r}, '--dual', '--compare',\n"
         f"        '--output', {str(fan_out)!r}]\n"
         "assert cli.main(args) == 0\n"
-        "print('numpy' in sys.modules)\n"
+        "unused = ('numpy', 'concurrent.futures', 'multiprocessing', 'dataclasses')\n"
+        "print([name for name in unused if name in sys.modules])\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -441,5 +458,5 @@ def test_shooting_never_imports_numpy(tmp_path):
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[]\n"
     assert "\nBERGMAN\n" in fan_out.read_text()

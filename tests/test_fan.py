@@ -231,7 +231,7 @@ def test_threads_are_capped_at_the_cpu_count(monkeypatch):
             chunks.append(len(payloads))
             return map(fn, payloads)
 
-    monkeypatch.setattr(fan_module, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     M = Matroid.from_matrix(cube_matrix(3))
     assert cyclic_bergman_fan(M, threads=10**6) == cyclic_bergman_fan(M)
     assert fan_counts(M, threads=10**6) == (20, 80)
