@@ -21,21 +21,23 @@ Four devices keep this exact and fast:
   kappa, which the same walk reads off its last row in closed form, so
   shooting computes no determinant;
 * every inner product one objective needs (normal . w and Q . w for every
-  cone) comes from one pass of exact big-int arithmetic: coordinate t of all
-  normals and Q rows is packed into one int as signed lanes, and the sum over
-  t of w_t times that int, plus 2^(L-1) in every lane, is read back as L-bit
-  words.  Each lane equals sum_t w_t * x_t, so |lane| <= n * max|x| * max|w|.
-  The lanes are 32 bits wide when that bound stays below 2^31 for every
-  |w| <= 10^6 (the range of random objectives), else 64 bits, and a vector
-  for which it could reach 2^(L-1) is split into base digits that stay
-  below it, one pass per digit;
+  cone) comes from one pass of exact big-int arithmetic.  Cones in one
+  hyperplane share a normal and neighbours share a facet's functional up to
+  scale, so each Q row is k times an interned primitive form, and coordinate
+  t of every distinct form is packed into one int as signed lanes; the sum
+  over t of w_t times that int, plus 2^(L-1) in every lane, is read back as
+  L-bit words.  Each lane equals sum_t w_t * x_t, so |lane| <= n * max|x| *
+  max|w|.  The lanes are 32 bits wide when that bound stays below 2^31 for
+  every |w| <= 10^6 (the range of random objectives), else 64 bits, and a
+  vector for which it could reach 2^(L-1) is split into base digits that
+  stay below it, one pass per digit;
 * the ray w + t e_i meets the hyperplane normal . x = 0 at t = -s/g, with
   s = normal . w and g = normal_i, so only the directions whose g has the
   sign opposite to s can cross (s = 0 ties), and the crossing point lies in
   the cone when every (Q_j . w * g - s * Q_ji) * sign(D * g) is positive.  A
-  table built with the lanes lists each cone's support split by the sign of
-  g, with the signed Q column and weight of each direction, so a shot tests
-  one group per cone against one slice of the products.
+  table lists each cone's support split by the sign of g; each direction's
+  rows fold k into G = k * g * sgn, c = Q_ji * sgn with sgn = sign(D * g), so
+  a row test reads p[form] * G > s * c, and a shot tests one group per cone.
 
 Non-generic objectives are resolved in the same pass by the fixed symbolic
 perturbation w + (eps, eps^2, ..., eps^n) (simulation of simplicity,
@@ -117,15 +119,17 @@ class DiscriminantProblem:
         return _pack_cones(self)
 
 
-class _PackedCones(namedtuple("_PackedCones", "cols bias wmax lane table")):
+class _PackedCones(namedtuple("_PackedCones", "cols bias wmax lane table forms")):
     """The codim-1 cones as shooting reads them, built on the first shot.
 
-    cols[t] holds coordinate t of every normal and Q row, cone by cone, as
-    signed lanes of array typecode `lane`; bias holds 2^(bits-1) per lane.
+    forms holds each distinct normal and each distinct primitive form of a Q
+    row once.  cols[t] holds coordinate t of every form as signed lanes of
+    array typecode `lane`, lane q for form q; bias holds 2^(bits-1) per lane.
     For max|v| <= wmax (-1: no v != 0) each lane of sum_t v_t * cols[t] is
-    below 2^(bits-1) in absolute value.  table holds, per cone, the lane b of
+    below 2^(bits-1) in absolute value.  table holds, per cone, the form id of
     its normal and its directions with normal_i > 0, then < 0, each as
-    (i, g * sgn, Q[.][i] * sgn, kappa * |g|), g = normal_i, sgn = sign(D * g).
+    (i, rows, kappa * |g|), g = normal_i, sgn = sign(D * g): per row Q_j, which
+    is k times form q, rows holds the interned triple (q, k * g * sgn, Q_ji * sgn).
     """
 
     __slots__ = ()
@@ -231,17 +235,25 @@ def _codim1_cones(A: IntMat, Aperp: IntMat, fan: Fan, g: int) -> list:
 
 
 def _pack_cones(prob: DiscriminantProblem) -> _PackedCones:
-    vecs, table, columns = [], [], {}  # equal Q columns are one interned tuple
+    forms, scaled, table = {}, {}, []  # forms: id by form; scaled: (id, k) by Q row
+    intern = {}.setdefault  # equal (q, G, c) triples become one object
     for cone in prob.codim1_cones:
+        nid = forms.setdefault(cone.normal, len(forms))  # unscaled, so s = p[nid]
+        for row in cone.qrows:
+            if row not in scaled:  # row = k * form; primitive once per distinct row
+                form = primitive(row)
+                k = next(filter(None, row)) // next(filter(None, form))
+                scaled[row] = forms.setdefault(form, len(forms)), k
+        ids = [(*scaled[row], row) for row in cone.qrows]
         groups = ([], [])
         for i in cone.support:
             g = cone.normal[i]
             sgn = 1 if cone.denom * g > 0 else -1
-            col = tuple(row[i] * sgn for row in cone.qrows)
-            groups[g < 0].append((i, g * sgn, columns.setdefault(col, col), cone.kappa * abs(g)))
-        table.append((len(vecs), *map(tuple, groups)))
-        vecs += (cone.normal, *cone.qrows)
-    xmax = max((abs(x) for vec in vecs for x in vec), default=1)
+            rows = tuple([intern(t, t) for t in [(q, k * g * sgn, row[i] * sgn) for q, k, row in ids]])
+            groups[g < 0].append((i, rows, cone.kappa * abs(g)))
+        table.append((nid, *map(tuple, groups)))
+    forms = tuple(forms)
+    xmax = max((abs(x) for form in forms for x in form), default=1)
     # |lane| <= n * xmax * max|v| < 2^(bits-1) for max|v| <= wmax: 32-bit lanes
     # if every random objective (max|v| <= OBJECTIVE_RANGE) fits them, else 64
     for lane in "iq":
@@ -250,15 +262,15 @@ def _pack_cones(prob: DiscriminantProblem) -> _PackedCones:
         if wmax >= OBJECTIVE_RANGE:
             break
     if wmax == 0:
-        return _PackedCones((), 0, -1, lane, tuple(table))
-    bias = int.from_bytes((1 << 8 * size - 1).to_bytes(size, sys.byteorder) * len(vecs), sys.byteorder)
+        return _PackedCones((), 0, -1, lane, tuple(table), forms)
+    bias = int.from_bytes((1 << 8 * size - 1).to_bytes(size, sys.byteorder) * len(forms), sys.byteorder)
     # XOR with the bias maps each two's-complement lane x to 2^(bits-1) + x;
     # subtracting it takes back the 2^bits a negative lane borrowed from the next
     cols = tuple(
-        (int.from_bytes(array(lane, [vec[t] for vec in vecs]), sys.byteorder) ^ bias) - bias
+        (int.from_bytes(array(lane, [form[t] for form in forms]), sys.byteorder) ^ bias) - bias
         for t in range(prob.n)
     )
-    return _PackedCones(cols, bias, wmax, lane, tuple(table))
+    return _PackedCones(cols, bias, wmax, lane, tuple(table), forms)
 
 
 def _packed_products(packed: _PackedCones, v) -> list:
@@ -273,12 +285,12 @@ def _packed_products(packed: _PackedCones, v) -> list:
     return memoryview(acc.to_bytes(nbytes, sys.byteorder)).cast(packed.lane).tolist()
 
 
-def _dot_products(cones, v) -> list:
-    return [dot(vec, v) for cone in cones for vec in (cone.normal, *cone.qrows)]
+def _dot_products(forms, v) -> list:
+    return [dot(form, v) for form in forms]
 
 
 def _inner_products(prob: DiscriminantProblem, v) -> list:
-    """normal . v, then Q . v, for every codim-1 cone, concatenated in cone order.
+    """form . v for every interned form of the codim-1 cones, in form id order.
 
     A v with max|v| > wmax >= 1 is split by divmod into base-(wmax + 1)
     digits in [0, wmax] under a top part within +-wmax; every part takes one
@@ -286,7 +298,7 @@ def _inner_products(prob: DiscriminantProblem, v) -> list:
     """
     packed = prob._packed
     if packed.wmax < 0:
-        return _dot_products(prob.codim1_cones, v)
+        return _dot_products(packed.forms, v)
     base = packed.wmax + 1
     digits = []  # least significant first; v keeps the part above them
     while max(map(abs, v)) > packed.wmax:
@@ -298,18 +310,18 @@ def _inner_products(prob: DiscriminantProblem, v) -> list:
     return p
 
 
-def _tie_hit(p, b, g, col, cone) -> bool:
-    """Whether direction (g, col) of the cone at lane b is hit, once a row ties.
+def _tie_hit(p, s, rows, forms, normal) -> bool:
+    """Whether a direction with these (q, G, c) rows is hit, once a row ties.
 
-    Rescans the rows in order.  Row j's quantity p[b + 1 + j] * g - p[b] * c_j
-    is the linear form g * Q_j - c_j * normal at w; an exact zero takes the
-    sign of the form's first nonzero coefficient, its sign at
+    Rescans the rows in order.  Row j's quantity p[q] * G - s * c is the linear
+    form G * forms[q] - c * normal = g * sgn * Q_j - c * normal at w; an exact
+    zero takes the sign of the form's first nonzero coefficient, its sign at
     w + (eps, ..., eps^n).  The first quantity that is not positive decides.
     """
-    for j, (c, qrow) in enumerate(zip(col, cone.qrows), b + 1):
-        x = p[j] * g - p[b] * c
+    for q, G, c in rows:
+        x = p[q] * G - s * c
         if not x:  # the form is a nonzero multiple of lambda_j at the crossing
-            x = next(filter(None, (g * q - c * v for q, v in zip(qrow, cone.normal))), 0)
+            x = next(filter(None, (G * f - c * v for f, v in zip(forms[q], normal))), 0)
             if not x:
                 raise InternalInvariant("a membership form vanishes identically")
         if x < 0:
@@ -319,20 +331,18 @@ def _tie_hit(p, b, g, col, cone) -> bool:
 
 def _shoot(prob, w):
     """(u, tied): the hit weights of w + (eps, ..., eps^n); tied if the scan met an exact tie."""
-    u = [0] * prob.n
-    width = prob.n - prob.m  # the normal and n - m - 1 rows of Q per cone
+    u, tied = [0] * prob.n, False
+    forms = prob._packed.forms
     p = _inner_products(prob, w)
-    tied = 0 in p[::width]
-    for b, pos, neg in prob._packed.table:
-        s = p[b]
-        key = s or next(filter(None, prob.codim1_cones[b // width].normal))
-        a0 = p[b + 1 : b + width]
-        for i, g, col, weight in neg if key > 0 else pos:
-            for a, c in zip(a0, col):
-                if a * g <= s * c:
-                    if a * g == s * c:
+    for nid, pos, neg in prob._packed.table:
+        s = p[nid]
+        tied = tied or not s  # a zero s takes the sign of the (primitive) normal's lead: +
+        for i, rows, weight in neg if s >= 0 else pos:
+            for q, G, c in rows:
+                if p[q] * G <= s * c:
+                    if p[q] * G == s * c:
                         tied = True
-                        if _tie_hit(p, b, g, col, prob.codim1_cones[b // width]):
+                        if _tie_hit(p, s, rows, forms, forms[nid]):
                             u[i] += weight
                     break
             else:

@@ -15,7 +15,7 @@ import pytest
 import tropfan
 from brute import codim1_oracle, eq2_determinant, maximal_minor_gcd, scalar_ray_hits
 from conftest import UNSATURATED_3X7, UNSPANNED_3X7, write_matrix_file
-from tropfan.data import GRAPHIC_3X6, TANGENT_LINE_CUBIC_4X13, cube_matrix
+from tropfan.data import GRAPHIC_3X6, TANGENT_CONIC_CUBIC_4X16, TANGENT_LINE_CUBIC_4X13, cube_matrix
 from tropfan.discriminant import (
     Codim1Cone,
     _dot_products,
@@ -37,7 +37,7 @@ from tropfan.errors import (
     WrongSize,
 )
 from tropfan.exact import IntMat, det
-from tropfan.util import dot
+from tropfan.util import dot, primitive
 
 
 @pytest.fixture(scope="module")
@@ -280,8 +280,8 @@ def test_ray_hits_cone_basics(line_cubic_problem):
     w = tuple(rng.randint(-(10**6), 10**6) for _ in range(prob.n))
     hit_count = 0
     for k, cone in enumerate(prob.codim1_cones[:200]):
-        b, pos, neg = prob._packed.table[k]
-        assert b == k * (prob.n - prob.m)
+        nid, pos, neg = prob._packed.table[k]
+        assert prob._packed.forms[nid] == cone.normal
         assert [d[0] for d in pos] == [i for i in cone.support if cone.normal[i] > 0]
         assert [d[0] for d in neg] == [i for i in cone.support if cone.normal[i] < 0]
         # shoot the cone alone: its table row is the only one read
@@ -304,7 +304,7 @@ def test_ray_hits_cone_basics(line_cubic_problem):
 def test_packed_lanes_equal_dot(line_cubic_problem):
     prob = line_cubic_problem
     packed = prob._packed
-    assert packed.lane == "i"  # n * max|x| * 10^6 = 13 * 12 * 10^6 < 2^31
+    assert packed.lane == "i"  # n * max|x| * 10^6 = 13 * 6 * 10^6 < 2^31
     assert packed.wmax > 10**6
     rng = random.Random(41)
     n = prob.n
@@ -312,12 +312,57 @@ def test_packed_lanes_equal_dot(line_cubic_problem):
     # every entry at the proven bound, where a lane may reach 2^31 - 1
     vectors.append(tuple(rng.choice((-1, 1)) * packed.wmax for _ in range(n)))
     for v in vectors:
-        expected = [
-            dot(vec, v)
-            for cone in prob.codim1_cones
-            for vec in (cone.normal, *cone.qrows)
-        ]
-        assert _packed_products(packed, v) == expected
+        assert _packed_products(packed, v) == [dot(form, v) for form in packed.forms]
+
+
+@pytest.mark.parametrize(
+    "A, lanes, forms, wmax",
+    [
+        (TANGENT_LINE_CUBIC_4X13, 7668, 532, 27531841),
+        (TANGENT_CONIC_CUBIC_4X16, 80100, 6722, 8947848),
+        (cube_matrix(4), None, None, None),
+        (GRAPHIC_3X6, None, None, None),
+    ],
+    ids=["line_cubic", "conic_cubic", "cube4", "graphic_3x6"],
+)
+def test_interned_table_equals_per_cone_dots(A, lanes, forms, wmax):
+    # each normal and Q row is read as k times an interned primitive form;
+    # the table must reproduce every per-cone product and sign it replaced
+    prob = setup(A)
+    packed = prob._packed
+    n, cones = prob.n, prob.codim1_cones
+    assert len(set(packed.forms)) == len(packed.forms)
+    assert all(primitive(form) == form for form in packed.forms)
+    if lanes is not None:  # 7,668 per-cone vectors share 532 forms on line/cubic
+        assert sum(1 + len(c.qrows) for c in cones) == lanes
+        assert (len(packed.forms), packed.wmax) == (forms, wmax)
+    assert len(packed.table) == len(cones)
+    scaled = []  # per cone, (q, k) per Q row with Q_j = k * forms[q]
+    for cone, (nid, pos, neg) in zip(cones, packed.table):
+        assert packed.forms[nid] == cone.normal
+        assert [d[0] for d in pos + neg] == sorted(cone.support, key=lambda i: cone.normal[i] < 0)
+        ids = set()
+        for i, rows, weight in pos + neg:
+            g = cone.normal[i]
+            sgn = 1 if cone.denom * g > 0 else -1
+            assert weight == cone.kappa * abs(g)
+            assert len(rows) == len(cone.qrows)
+            for (q, G, c), qrow in zip(rows, cone.qrows):
+                assert c == qrow[i] * sgn
+                k, rem = divmod(G, g * sgn)
+                assert rem == 0 and tuple(k * x for x in packed.forms[q]) == qrow
+            ids.add(tuple((q, G // (cone.normal[i] * sgn)) for q, G, _ in rows))
+        assert len(ids) == 1
+        scaled.append((nid, ids.pop()))
+    rng = random.Random(53)
+    objectives = [tuple(rng.randint(-(10**6), 10**6) for _ in range(n)) for _ in range(3)]
+    objectives += [tuple(row) for row in prob.A.entries]
+    objectives.append(tuple(rng.choice((-1, 1)) * packed.wmax for _ in range(n)))
+    for w in objectives:
+        p = _inner_products(prob, w)
+        for cone, (nid, ids) in zip(cones, scaled):
+            assert p[nid] == dot(cone.normal, w)
+            assert [p[q] * k for q, k in ids] == [dot(qrow, w) for qrow in cone.qrows]
 
 
 @pytest.mark.parametrize(
@@ -330,16 +375,20 @@ def test_packed_lanes_equal_dot(line_cubic_problem):
 def test_lane_bound_holds_at_its_extreme(x, lane):
     # 32-bit lanes while n * x * 10^6 < 2^31: for n = 13 up to x = 165
     n = 13
-    cone = Codim1Cone(0, (x,) * n, ((-x,) * n, (x, -x) * 6 + (0,)), 1, 1, tuple(range(n)))
+    # primitive forms, as gcd(x, x - 1) = 1; the first Q row is -1 times the normal
+    normal, other = (x,) * (n - 1) + (x - 1,), (x, -x) * 6 + (x - 1,)
+    qrows = (tuple(-y for y in normal), other)
+    cone = Codim1Cone(0, normal, qrows, 1, 1, tuple(range(n)))
     prob = SimpleNamespace(n=n, codim1_cones=[cone])
     packed = prob._packed = _pack_cones(prob)
+    assert packed.forms == (normal, other)
     assert packed.lane == lane
     bits = 32 if lane == "i" else 64
     wmax = (2 ** (bits - 1) - 1) // (n * x)
     assert packed.wmax == (wmax if wmax else -1)
-    # all entries +-wmax drive the first two lanes to +-n * x * wmax
-    for v in ((wmax,) * n, (-wmax,) * n, (wmax + 1,) * n, (1,) * n):
-        expected = [dot(vec, v) for vec in (cone.normal, *cone.qrows)]
+    # entries +-wmax drive each lane to +-(n * x - 1) * wmax, within wmax of the bound
+    for v in ((wmax,) * n, (-wmax,) * n, (wmax, -wmax) * 6 + (wmax,), (wmax + 1,) * n, (1,) * n):
+        expected = [dot(form, v) for form in (normal, other)]
         if max(map(abs, v)) <= packed.wmax:
             assert _packed_products(packed, v) == expected
         assert _inner_products(prob, v) == expected
@@ -357,7 +406,7 @@ def test_objectives_above_the_lane_bound_stay_exact(line_cubic_problem, scale):
     vectors.append(tuple(rng.choice((-1, 1)) * (wmax + 1) ** 3 - 1 for _ in range(n)))
     for v in vectors:
         assert max(map(abs, v)) > wmax
-        assert _inner_products(prob, v) == _dot_products(prob.codim1_cones, v)
+        assert _inner_products(prob, v) == _dot_products(prob._packed.forms, v)
 
 
 def _oracle_vertex(prob, hits, weights):
@@ -430,6 +479,30 @@ def test_vertex_is_scale_invariant_past_the_lane_bound(line_cubic_problem):
         assert big_v.u == small_v.u
         assert big_v.perturbed == small_v.perturbed
     assert shoot_vertex(prob, e1).perturbed
+
+
+def test_pack_is_built_by_the_first_shot():
+    # packing in setup would add its time to every set-up, shot or not
+    prob = setup(GRAPHIC_3X6)
+    assert "_packed" not in vars(prob)
+    shoot_vertex(prob, range(1, prob.n + 1))
+    packed = vars(prob)["_packed"]
+    shoot_vertex(prob, range(prob.n, 0, -1))
+    assert prob._packed is packed
+
+
+def test_newton_vertices_script_runs():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "newton_vertices.py"
+    src = str(Path(tropfan.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, str(script), "--example", "line_cubic", "--count", "3", "--seed", "1"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "A-degree: 12 10 -6 -6\n" in proc.stdout
+    assert " ms per vertex" in proc.stdout
 
 
 def test_shooting_never_imports_numpy(tmp_path):
