@@ -12,9 +12,12 @@ the fan).  Line/cubic also runs with --random 100 --seed 1 --threads 2,
 which builds setup's fan in worker processes, cube4 with --random 100
 --seed 3, whose stream holds two objectives that tie exactly, and
 conic_cubic_unspanned_4x16 with --random 0, which builds the fan and its
-codim-1 cones (kappa scaled by the minors' gcd 2) and exits 0.  Each line
-gives the input, the flags, the exit code and the sha256 of stdout and of
-stderr.  The CLI
+codim-1 cones (kappa scaled by the minors' gcd 2) and exits 0.  Each input
+run in the fan modes also runs OUTPUT_MODES with --output FILE, so the full
+fan's spilled body is checked through a file as well as through stdout: 119
+runs over the 11 files the script writes.  Each line gives the input, the
+flags, the exit code and the sha256 of stdout and of stderr, and for an
+--output run that of the file written (of nothing if none was).  The CLI
 runs as `python -m tropfan` with the caller's environment, so the PYTHONPATH
 picks the code under test: the digests of two source trees are equal iff
 the CLI behaves byte-identically on these runs, e.g.
@@ -27,6 +30,7 @@ the CLI behaves byte-identically on these runs, e.g.
 import hashlib
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SKIP = {
@@ -45,6 +49,7 @@ FAN_MODES = [
     ["--dual", "--threads", "2"],
     ["--dual", "--counts-only", "--threads", "2"],
 ]
+OUTPUT_MODES = [["--dual"], ["--dual", "--bases", "--circuits", "--tutte"]]
 RANDOM_INPUTS = [
     "line_cubic_4x13.txt",
     "conic_cubic_4x16.txt",
@@ -59,15 +64,18 @@ RANDOM_FLAGS = ["--random", "100", "--seed", "1"]
 
 
 def runs(matdir: Path):
+    """(input, flags, whether the run writes --output FILE) per run."""
     for path in sorted(matdir.glob("*.txt")):
         if path.name not in SKIP:
             for flags in FAN_MODES:
-                yield path, flags
+                yield path, flags, False
+            for flags in OUTPUT_MODES:
+                yield path, flags, True
     for name in RANDOM_INPUTS:
-        yield matdir / name, RANDOM_FLAGS
-    yield matdir / "line_cubic_4x13.txt", [*RANDOM_FLAGS, "--threads", "2"]
-    yield matdir / "cube4.txt", ["--random", "100", "--seed", "3"]
-    yield matdir / "conic_cubic_unspanned_4x16.txt", ["--random", "0"]
+        yield matdir / name, RANDOM_FLAGS, False
+    yield matdir / "line_cubic_4x13.txt", [*RANDOM_FLAGS, "--threads", "2"], False
+    yield matdir / "cube4.txt", ["--random", "100", "--seed", "3"], False
+    yield matdir / "conic_cubic_unspanned_4x16.txt", ["--random", "0"], False
 
 
 def digest(data: bytes) -> str:
@@ -78,19 +86,27 @@ def main():
     if len(sys.argv) != 2:
         sys.exit(__doc__.split("\n\n")[1])
     matdir = Path(sys.argv[1])
-    for path, flags in runs(matdir):
-        proc = subprocess.run(
-            [sys.executable, "-m", "tropfan", str(path), *flags], capture_output=True
-        )
-        print(
-            path.name,
-            " ".join(flags) or "-",
-            f"exit {proc.returncode}",
-            f"stdout {digest(proc.stdout)}",
-            f"stderr {digest(proc.stderr)}",
-            sep=" | ",
-            flush=True,
-        )
+    with tempfile.TemporaryDirectory() as tmp:
+        target = Path(tmp) / "out.txt"
+        for path, flags, to_file in runs(matdir):
+            output = ["--output", str(target)] if to_file else []
+            proc = subprocess.run(
+                [sys.executable, "-m", "tropfan", str(path), *flags, *output],
+                capture_output=True,
+            )
+            fields = [f"stdout {digest(proc.stdout)}", f"stderr {digest(proc.stderr)}"]
+            if to_file:
+                written = target.read_bytes() if target.exists() else b""
+                fields.append(f"file {digest(written)}")
+                target.unlink(missing_ok=True)
+            print(
+                path.name,
+                " ".join([*flags, *(["--output", "FILE"] if to_file else [])]) or "-",
+                f"exit {proc.returncode}",
+                *fields,
+                sep=" | ",
+                flush=True,
+            )
 
 
 if __name__ == "__main__":

@@ -10,8 +10,8 @@ caterpillar tree and the union of the F_k it covers.  The tree's up-sets are
 the 0/1 rays of the cone.  The union of these cones over all bases is the
 tropical linear space, each cone produced exactly once.  The rays (the
 proper flats that are cyclic or singletons) are computed before
-enumeration, so _append_cones reads each cone off its slots straight into
-sorted ray indices in one packed array: the spine up-sets through the ray
+enumeration, so _basis_blocks reads each cone off its slots straight into
+sorted ray indices in packed blocks: the spine up-sets through the ray
 index, the leftover singleton rays by per-byte table lookups.
 """
 
@@ -56,6 +56,11 @@ class ConeArray(Sequence):
             return repeat((), self._count)
         return zip(*[iter(self.flat)] * self._width)
 
+    def blocks(self, size: int):
+        """The packed ray indices, size cones a block."""
+        step = size * self._width or 1
+        return (self.flat[i : i + step] for i in range(0, len(self.flat), step))
+
     def __eq__(self, other):
         if not isinstance(other, ConeArray):
             return NotImplemented
@@ -70,8 +75,25 @@ class ConeArray(Sequence):
         return f"ConeArray(count={self._count}, width={self._width})"
 
 
+class SpilledCones:
+    """Maximal cones packed as in ConeArray.flat, held in a binary file, not in memory."""
+
+    def __init__(self, file, width: int, typecode: str, count: int):
+        self.file, self._width, self._typecode, self._count = file, width, typecode, count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def blocks(self, size: int):
+        """The packed ray indices read back from the file's start, size cones a block."""
+        self.file.seek(0)
+        nbytes = size * self._width * array(self._typecode).itemsize
+        for chunk in iter(lambda: self.file.read(nbytes), b""):
+            yield memoryview(chunk).cast(self._typecode)
+
+
 class Fan(namedtuple("Fan", "n rays maximal_cones")):
-    """Simplicial fan in R^n: 0/1 rays plus maximal cones (a ConeArray) as ray-index sets.
+    """Simplicial fan in R^n: 0/1 rays plus maximal cones (a ConeArray or SpilledCones).
 
     rays are sorted lexicographically as vectors; each cone is a sorted tuple
     of ray indices, cones listed basis by basis in the order of M.bases and,
@@ -175,8 +197,8 @@ def _typecode(nrays: int) -> str:
     return next(t for t in "BHILQ" if nrays <= 1 << 8 * array(t).itemsize)
 
 
-def _append_cones(M: Matroid, bases, index, out) -> int:
-    """Append every cone over each basis to out as sorted ray indices; return the count.
+def _basis_blocks(M: Matroid, bases, index, typecode):
+    """Yield one (block, count) pair per basis: an array of its cones' sorted ray indices.
 
     Cones come in canonical pair order.  A basis element outside the image
     hangs off the topmost slot whose cover holds it, so a cone's rays are
@@ -189,7 +211,7 @@ def _append_cones(M: Matroid, bases, index, out) -> int:
     rays among the elements 8j + bits of v.  A ray missing from index
     (ruled out by the paper's theorem), a basis element in no block or
     cover (a coloop) and a cone without rank - 1 rays raise
-    InternalInvariant.  With out None every cone is checked, none stored.
+    InternalInvariant.  With typecode None every cone is checked, none stored.
     """
     nonray = ((1 << M.n) - 1) & ~sum(mask for mask in index if not mask & (mask - 1))
     bits = [[1 << i for i in range(8) if v >> i & 1] for v in range(256)]
@@ -198,8 +220,8 @@ def _append_cones(M: Matroid, bases, index, out) -> int:
         for j in range(0, M.n, 8)
     ]
     width = M.rank - 1
-    count = 0
     for B in bases:
+        out = None if typecode is None else array(typecode)
         bmask = mask_of(B)
         pairs = _regressive_pairs(M.fundamental_circuit_masks(B))
         for chain in pairs:
@@ -227,7 +249,16 @@ def _append_cones(M: Matroid, bases, index, out) -> int:
             if out is not None:
                 row.sort()
                 out.fromlist(row)
-        count += len(pairs)
+        yield out, len(pairs)
+
+
+def _drain(blocks, write=None) -> int:
+    """Pass the block of each (block, count) pair to write, in order; return the count."""
+    count = 0
+    for block, k in blocks:
+        if write is not None:
+            write(block)
+        count += k
     return count
 
 
@@ -235,60 +266,58 @@ def _fan_worker(payload):
     entries, dual_mode, prefixes, index, typecode = payload
     M = Matroid(IntMat.from_rows(entries), dual_mode=dual_mode, loops=(), coloops=())
     out = None if typecode is None else array(typecode)
-    return out, _append_cones(M, M.enumerate_bases(prefixes), index, out)
+    blocks = _basis_blocks(M, M.enumerate_bases(prefixes), index, typecode)
+    return out, _drain(blocks, None if out is None else out.extend)
 
 
-def _collect_cones(M: Matroid, threads: int, index, out) -> int:
-    """Append every cone of the fan to out in canonical order; return the count.
+def _collect_cones(M: Matroid, threads: int, index, typecode):
+    """Yield every cone of the fan as (block, count) pairs in canonical order.
 
-    threads > 0 hands runs of the basis walk (Matroid.basis_shards) to
-    worker processes, at most one per CPU; each walks its run and returns one
-    packed block, appended in run order, so the result is identical to the
-    sequential one and the parent lists no bases.  out None only counts.
-    The pool is imported here, so a sequential run never loads it; a broken
-    pool (a worker died) is raised as OSError.
+    The one producer of cones.  threads > 0 hands runs of the basis walk
+    (Matroid.basis_shards) to worker processes, at most one per CPU; each
+    walks its run and returns one block, yielded in run order, so the parent
+    lists no bases.  The pool is imported here, so a sequential run never
+    loads it; a broken pool (a worker died) is raised as OSError.
     """
     if threads <= 0:
-        return _append_cones(M, M.enumerate_bases(), index, out)
+        yield from _basis_blocks(M, M.enumerate_bases(), index, typecode)
+        return
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
     workers = min(threads, os.cpu_count() or 1)
-    payloads = [
-        (M.A.entries, M.dual_mode, run, index, getattr(out, "typecode", None))
-        for run in M.basis_shards(workers * 4)
-    ]
-    count = 0
+    shards = M.basis_shards(workers * 4)
+    payloads = [(M.A.entries, M.dual_mode, run, index, typecode) for run in shards]
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for block, k in pool.map(_fan_worker, payloads):
-                if out is not None:
-                    out += block
-                count += k
+            yield from pool.map(_fan_worker, payloads)
     except BrokenProcessPool as exc:
         raise OSError(str(exc)) from exc
-    return count
 
 
-def cyclic_bergman_fan(M: Matroid, *, threads: int = 0) -> Fan:
+def cyclic_bergman_fan(M: Matroid, *, threads: int = 0, spill=None) -> Fan:
     """Assemble the full fan: the rays up front, then all cones over all bases.
 
     Distinct regressive pairs give distinct cones, so no deduplication of
     cones happens.  threads > 0 distributes per-basis work over processes;
-    the output is byte-identical to the sequential run.
+    the output is byte-identical to the sequential run.  With spill, a binary
+    file, the cones go there block by block, and into a SpilledCones.
     """
     _require_no_loops_coloops(M)
     rays, index = _ray_index(M)
     data = array(_typecode(len(rays)))
-    count = _collect_cones(M, threads, index, data)
-    return Fan(M.n, rays, ConeArray(data, M.rank - 1, count))
+    blocks = _collect_cones(M, threads, index, data.typecode)
+    if spill is not None:
+        count = _drain(blocks, spill.write)
+        return Fan(M.n, rays, SpilledCones(spill, M.rank - 1, data.typecode, count))
+    return Fan(M.n, rays, ConeArray(data, M.rank - 1, _drain(blocks, data.extend)))
 
 
 def fan_counts(M: Matroid, *, threads: int = 0) -> tuple:
     """(ray count, maximal cone count) without storing the cones."""
     _require_no_loops_coloops(M)
     rays, index = _ray_index(M)
-    return len(rays), _collect_cones(M, threads, index, None)
+    return len(rays), _drain(_collect_cones(M, threads, index, None))
 
 
 def compare_with_bergman(fan: Fan, M: Matroid):

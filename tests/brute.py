@@ -12,7 +12,8 @@ basis's weight at a cone's witness instead of tight-basis bitsets for
 Bergman classes, a reduction plus an adjugate per cone instead of the
 trie walk for the codim-1 cones, and the gcd of the maximal minors, minor by
 minor, and the rref's kernel vectors instead of the Hermite-form kernel
-basis.  The paper's proof that the cones cover trop(M) once each
+basis, and one join per cone instead of the CLI's block-joined MAXCONES
+body.  The paper's proof that the cones cover trop(M) once each
 is here too: compatible pairs as plain tuples, the local tropical linear
 space around a basis, and the pair a point induces.
 """
@@ -343,7 +344,7 @@ def _cone_masks(bmask, chain):
     up-sets of the spine slots but the bottom one, whose up-set is
     everything, plus one singleton ray per basis element outside the image.
     This is the mask-by-mask oracle for the ray-index rows that
-    tropfan.fan._append_cones builds.
+    tropfan.fan._basis_blocks builds.
     """
     rays = []
     acc = image = 0
@@ -378,6 +379,27 @@ def enumerated_ray_masks(M: Matroid) -> set:
         for chain in _regressive_pairs(M.fundamental_circuit_masks(B)):
             out.update(_cone_masks(mask_of(B), chain))
     return out
+
+
+def fan_text(M: Matroid, fan, reports=False, classes=None) -> str:
+    """The CLI's fan-mode output for a stored fan, written cone by cone.
+
+    The per-cone writer the CLI used before it streamed the body: one
+    " ".join per cone over fan.maximal_cones (a rank-1 cone gives an empty
+    line).  reports adds BASES, CIRCUITS and TUTTE; classes adds BERGMAN.
+    """
+    lines = [f"n {M.n}", f"m {M.rank}", f"rays {len(fan.rays)}"]
+    lines.append(f"maxcones {len(fan.maximal_cones)}")
+    if reports:
+        lines += ["BASES", *(" ".join(map(str, B)) for B in M.bases)]
+        lines += ["CIRCUITS", *(" ".join(map(str, C)) for C in M.circuits())]
+        tutte = sorted(M.tutte_polynomial().items())
+        lines += ["TUTTE", *(f"x^{i} y^{j} : {c}" for (i, j), c in tutte)]
+    lines += ["RAYS", *(" ".join(map(str, ray)) for ray in fan.rays)]
+    lines += ["MAXCONES", *(" ".join(map(str, cone)) for cone in fan.maximal_cones)]
+    if classes is not None:
+        lines += ["BERGMAN", *(" ".join(map(str, cls)) for cls in classes)]
+    return "\n".join(lines) + "\n"
 
 
 def bergman_classes_by_weight(fan, M: Matroid):
@@ -615,7 +637,7 @@ def pair_key(pair):
 #
 # The cone of a compatible pair built through its caterpillar tree, the
 # construction the paper states; _cone_masks above and the package's
-# _append_cones fuse these steps.
+# _basis_blocks fuse these steps.
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import io
 import os
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -12,18 +13,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tropfan
-from conftest import UNIFORM_2_4, run_cli, write_matrix_file
+from brute import fan_text
+from conftest import (
+    UNIFORM_2_4,
+    random_fan_matrices,
+    run_cli,
+    small_corpus,
+    write_matrix_file,
+)
 from tropfan import cli
+from tropfan import fan as fan_module
 from tropfan.cli import parse_matrix
 from tropfan.data import (
     GRAPHIC_3X6,
     TANGENT_CONIC_CUBIC_4X16,
+    TANGENT_QUADRICS_5X20,
     TANGENT_THREE_QUADRICS_6X30,
     UNIFORM_2_3,
     cube_matrix,
 )
 from tropfan.errors import ParseError
 from tropfan.exact import IntMat, integer_kernel_basis
+from tropfan.fan import compare_with_bergman, cyclic_bergman_fan
+from tropfan.matroid import Matroid
 
 
 def test_parse_matrix_simple():
@@ -121,6 +133,106 @@ def test_failed_run_leaves_output_untouched(tmp_path):
     assert code == 2
     assert target.read_text() == "previous result\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["coloops.txt", "out.txt"]
+
+
+FAN_FLAGS = [[], ["--bases", "--circuits", "--tutte"], ["--threads", "2"], ["--compare"]]
+
+
+def test_fan_output_equals_the_per_cone_writer(tmp_path):
+    # the body streams through the spill file, or with --compare comes from
+    # the stored fan; U(2,3) --dual has rank 1, one cone and no rays
+    path, target = tmp_path / "matrix.txt", tmp_path / "fan.out"
+    matrices = [A for _, A in small_corpus()]
+    matrices += [M.A for M in random_fan_matrices(6, seed=7)]
+    for A in matrices:
+        write_matrix_file(path, A)
+        for dual in ([], ["--dual"]):
+            M = Matroid.from_matrix(A).dual() if dual else Matroid.from_matrix(A)
+            fan = cyclic_bergman_fan(M)
+            for flags in FAN_FLAGS:
+                argv = [str(path), *dual, *flags]
+                classes = compare_with_bergman(fan, M) if "--compare" in flags else None
+                want = fan_text(M, fan, reports="--bases" in flags, classes=classes)
+                assert run_cli(argv) == (0, want), argv
+                assert run_cli([*argv, "--output", str(target)]) == (0, ""), argv
+                assert target.read_text() == want, argv
+
+
+PEAK_SCRIPT = """
+import sys
+from tropfan import cli
+
+code = cli.main(sys.argv[1:])
+with open("/proc/self/status", encoding="ascii") as fh:
+    peak = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+print(code, peak)
+"""
+
+
+def _cli_peak_mb(argv):
+    """Exit code and VmHWM of a fresh process that runs the CLI on argv."""
+    src = str(Path(tropfan.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_SCRIPT, *map(str, argv)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kb = proc.stdout.split()
+    return int(code), int(peak_kb) / 1024
+
+
+def test_full_fan_peak_memory_is_near_cube4s(tmp_path):
+    # storing the 5x20 dual's 475,722 cones of 14 one-byte ray indices
+    # takes 6.7 MB; streamed, its peak lies within 2 MB of the cube4 dual's
+    # (59,608 cones)
+    peaks = []
+    for name, A in (("cube4", cube_matrix(4)), ("quadrics", TANGENT_QUADRICS_5X20)):
+        path, target = tmp_path / f"{name}.txt", tmp_path / f"{name}.fan"
+        write_matrix_file(path, A)
+        code, peak = _cli_peak_mb([path, "--dual", "--output", target])
+        assert code == 0
+        peaks.append(peak)
+    assert (tmp_path / "quadrics.fan").read_text().startswith(
+        "n 20\nm 15\nrays 172\nmaxcones 475722\n"
+    )
+    assert peaks[1] - peaks[0] <= 2.0, peaks
+
+
+def test_failed_streamed_fan_is_one_error_line(tmp_path, monkeypatch, capsys):
+    # drop the ray whose first cone comes last, so that the run fails after
+    # most of the body went to the spill file
+    M = Matroid.from_matrix(cube_matrix(3))
+    fan, (_, index) = cyclic_bergman_fan(M), fan_module._ray_index(M)
+    first_use = {}
+    for ci, cone in enumerate(fan.maximal_cones):
+        for i in cone:
+            first_use.setdefault(i, ci)
+    late = max(first_use, key=first_use.get)
+    assert first_use[late] > len(fan.maximal_cones) // 2
+    real_index, real_spill, spills = fan_module._ray_index, tempfile.TemporaryFile, []
+
+    def drop_late_ray(M):
+        rays, index = real_index(M)
+        return rays, {mask: i for mask, i in index.items() if i != late}
+
+    def spill(*args, **kwargs):
+        spills.append(real_spill(*args, **kwargs))
+        return spills[-1]
+
+    monkeypatch.setattr(fan_module, "_ray_index", drop_late_ray)
+    monkeypatch.setattr(tempfile, "TemporaryFile", spill)
+    path, target = tmp_path / "cube3.txt", tmp_path / "fan.out"
+    write_matrix_file(path, cube_matrix(3))
+    target.write_text("previous result\n")
+    for extra in ([], ["--output", str(target)]):
+        assert run_cli([str(path), *extra]) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert target.read_text() == "previous result\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cube3.txt", "fan.out"]
+    assert len(spills) == 2 and all(fh.closed for fh in spills)
 
 
 def _dead_worker(payload):

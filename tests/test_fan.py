@@ -294,6 +294,24 @@ def test_cone_array_is_a_sequence_of_sorted_tuples():
     assert ConeArray(array("B"), 0, 1) != ConeArray(array("B"), 0, 2)
 
 
+def test_spilled_cones_read_back_as_the_stored_blocks(tmp_path):
+    # a spilled fan holds only the count; its blocks are the stored fan's, in
+    # whole cones, sequential or from worker processes, also for rank 1
+    handles = [Matroid.from_matrix(cube_matrix(3)), Matroid.from_matrix(UNIFORM_2_3).dual()]
+    for M, threads in [(handles[0], 0), (handles[0], 2), (handles[1], 0)]:
+        fan = cyclic_bergman_fan(M)
+        with open(tmp_path / "spill", "w+b") as spill:
+            spilled = cyclic_bergman_fan(M, threads=threads, spill=spill)
+            assert spilled.rays == fan.rays and len(spilled.maximal_cones) == len(fan.maximal_cones)
+            for size in (1, 7, 4096):
+                want = [list(block) for block in fan.maximal_cones.blocks(size)]
+                assert [list(block) for block in spilled.maximal_cones.blocks(size)] == want
+            assert spill.tell() == len(fan.maximal_cones.flat)
+    assert sum(map(len, fan.maximal_cones.blocks(3))) == 0 and len(fan.maximal_cones) == 1
+    cube3 = cyclic_bergman_fan(handles[0]).maximal_cones
+    assert [len(block) for block in cube3.blocks(32)] == [32 * 3] * 2 + [16 * 3]
+
+
 def test_cone_ray_outside_the_precomputed_set_is_an_internal_invariant(monkeypatch):
     # a singleton ray is checked by the leftover mask test, any other ray by
     # the spine lookup, so each is dropped in turn

@@ -93,11 +93,11 @@ def test_chains_are_slots_of_blocks_and_covers():
 
 
 def cone_rows(monkeypatch, n, basis, chain, index):
-    """The rows _append_cones builds when the one chain over basis is given."""
+    """The rows _basis_blocks builds when the one chain over basis is given."""
     M = SimpleNamespace(n=n, rank=len(basis), fundamental_circuit_masks=lambda B: {})
     monkeypatch.setattr(fan_module, "_regressive_pairs", lambda fmask: [chain])
-    out = array("B")
-    assert fan_module._append_cones(M, [basis], index, out) == 1
+    ((out, count),) = fan_module._basis_blocks(M, [basis], index, "B")
+    assert count == 1
     return list(out)
 
 
@@ -147,10 +147,12 @@ def test_cone_rows_equal_the_mask_oracle():
             for B in M.bases
             for chain in _regressive_pairs(M.fundamental_circuit_masks(B))
         ]
-        out = array(_typecode(len(rays)))
-        count = fan_module._append_cones(M, M.bases, index, out)
+        typecode = _typecode(len(rays))
+        out = array(typecode)
+        count = fan_module._drain(fan_module._basis_blocks(M, M.bases, index, typecode), out.extend)
         assert list(ConeArray(out, M.rank - 1, count)) == want, M.A.entries
-        assert fan_module._append_cones(M, M.bases, index, None) == count
+        blocks = fan_module._basis_blocks(M, M.bases, index, None)
+        assert fan_module._drain(blocks) == count
     M = Matroid.from_matrix(parallel)
     assert not {1 << 6, 1 << 7} & set(fan_module._ray_index(M)[1])
 
