@@ -4,6 +4,9 @@
 Usage:
     python scripts/newton_vertices.py --example conic_cubic --count 10 --seed 1
     python scripts/newton_vertices.py path/to/matrix.txt --count 5
+
+The last line is the process's peak RSS, read as VmHWM from /proc/self/status;
+where that file is missing, the line is left out.
 """
 
 import argparse
@@ -17,6 +20,18 @@ EXAMPLES = {
     "conic_cubic": TANGENT_CONIC_CUBIC_4X16,
     "line_cubic": TANGENT_LINE_CUBIC_4X13,
 }
+
+
+def peak_rss_mb():
+    """This process's peak RSS (VmHWM) in MB, or None where /proc/self/status is missing."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024
+    except OSError:
+        pass
+    return None
 
 
 def main():
@@ -55,6 +70,9 @@ def main():
         fresh += v.duplicate_of is None
         print(" ".join(map(str, v.u)) + tag)
     print(f"{fresh} distinct vertices")
+    peak = peak_rss_mb()
+    if peak is not None:
+        print(f"peak RSS {peak:.1f} MB")
 
 
 if __name__ == "__main__":

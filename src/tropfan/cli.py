@@ -20,7 +20,6 @@ Exit codes: 0 success, 1 parse or I/O failure, 2 violated preconditions
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import tempfile
@@ -71,6 +70,8 @@ def parse_matrix(text: str) -> IntMat:
 
 
 def build_config(argv) -> argparse.Namespace:
+    import argparse  # here, so that the library calls never load it (or gettext)
+
     parser = argparse.ArgumentParser(
         prog="tropfan",
         description="Cyclic Bergman fans of integer matrices and "
@@ -153,7 +154,7 @@ def _write_fan(out, args: argparse.Namespace, M: Matroid):
             out.write("\n" * ncones)
         names = [f"{i} " for i in range(nrays)]  # "i\n" in the last column
         columns = [names] * (width - 1) + [[f"{i}\n" for i in range(nrays)]]
-        for block in fan.maximal_cones.blocks(4096):  # one join and one write each
+        for block in fan.maximal_cones.blocks(1024):  # one join and one write each
             out.write("".join(map(list.__getitem__, cycle(columns), block)))
     if args.compare:
         classes = compare_with_bergman(fan, M)

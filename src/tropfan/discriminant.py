@@ -98,9 +98,10 @@ class Codim1Cone(namedtuple("Codim1Cone", "cone_index normal qrows denom kappa s
     """A maximal fan cone whose span plus the rowspace of A is a hyperplane.
 
     normal is the primitive integer normal of that hyperplane; qrows is the
-    integer matrix Q with lambda(x) = Q @ x / denom; kappa is
-    |det(A^T, rays, e_i)| / |normal_i|, the same for every i in support, the
-    directions i with normal_i != 0.
+    integer matrix Q with lambda(x) = Q @ x / denom, its rows tuples that
+    equal rows of other cones share; kappa is |det(A^T, rays, e_i)| /
+    |normal_i|, the same for every i in support, the directions i with
+    normal_i != 0.
     """
 
     __slots__ = ()
@@ -198,7 +199,7 @@ def _codim1_cones(A: IntMat, Aperp: IntMat, fan: Fan, g: int) -> list:
     # / |normal_i|, an exact division.
     width = Aperp.rows - 1  # rays per cone
     flat = fan.maximal_cones.flat  # ray indices, cone by cone
-    out = []
+    out, intern = [], {}.setdefault  # equal Q rows of different cones become one tuple
     # (cones below a node, its depth, its rows, its last pivot); children are
     # pushed in descending ray order, so nodes are popped in trie order
     stack = [(range(len(fan.maximal_cones)), 0, [[*row, 0] for row in Aperp.entries], 1)]
@@ -229,7 +230,7 @@ def _codim1_cones(A: IntMat, Aperp: IntMat, fan: Fan, g: int) -> list:
         kappa, rem = divmod(g * abs(rows[-1][i0]), abs(normal[i0]))
         if rem or kappa == 0:
             raise InternalInvariant("determinant does not factor through the normal")
-        qrows = tuple(tuple(row[:n]) for row in rows[:-1])
+        qrows = tuple([intern(q, q) for q in [tuple(row[:n]) for row in rows[:-1]]])
         out.append(Codim1Cone(ci, normal, qrows, prev, kappa, support))
     return out
 

@@ -13,7 +13,7 @@ Ground-set indices are 1-based throughout.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, compress
 from math import comb
 
 from .errors import HasColoops, HasLoops, NotABasis, RankDeficient, WrongSize
@@ -170,7 +170,8 @@ class Matroid:
                 prev = m[r][p - 1]
         # bit x of nz[r] marks element x + 1 if pivot row r is nonzero there:
         # the row's own pivot and each other element whose circuit holds it
-        nz = [sum(1 << x for x, a in enumerate(row) if a) for row in m[: self.m]]
+        bits = [1 << x for x in range(self.n)]
+        nz = [sum(compress(bits, row)) for row in m[: self.m]]
         if self.dual_mode:
             return {p: mask & ~(1 << (p - 1)) for p, mask in zip(outside, nz)}
         return {

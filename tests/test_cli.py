@@ -27,6 +27,7 @@ from tropfan.cli import parse_matrix
 from tropfan.data import (
     GRAPHIC_3X6,
     TANGENT_CONIC_CUBIC_4X16,
+    TANGENT_LINE_CUBIC_4X13,
     TANGENT_QUADRICS_5X20,
     TANGENT_THREE_QUADRICS_6X30,
     UNIFORM_2_3,
@@ -382,6 +383,39 @@ def test_discriminant_mode(tmp_path):
     assert again == (code, out)
     other = run_cli([str(path), "--random", "4", "--seed", "2"])
     assert other[0] == 0
+
+
+LIBRARY_IMPORTS_SCRIPT = """
+import sys
+from tropfan import cli, discriminant
+
+matrix, out = sys.argv[1:]
+with open(matrix, encoding="utf-8") as fh:
+    A = cli.parse_matrix(fh.read())
+discriminant.random_vertices(discriminant.setup(A), 3, 1)
+print([name for name in ("argparse", "gettext") if name in sys.modules])
+print(cli.main([matrix, "--random", "3", "--seed", "1", "--output", out]))
+try:
+    cli.main([matrix, "--no-such-flag"])
+except SystemExit as exc:
+    print(exc.code)
+"""
+
+
+def test_library_calls_never_load_argparse(tmp_path):
+    # argparse (and the gettext it imports) loads only when cli.main parses flags
+    path, out = tmp_path / "line_cubic.txt", tmp_path / "vertices.txt"
+    write_matrix_file(path, TANGENT_LINE_CUBIC_4X13)
+    src = str(Path(tropfan.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", LIBRARY_IMPORTS_SCRIPT, str(path), str(out)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.stdout == "[]\n0\n2\n", proc.stderr
+    assert "unrecognized arguments: --no-such-flag" in proc.stderr
+    assert out.read_text().startswith("A-DEGREE 12 10 -6 -6\n")
 
 
 def test_unspanned_lattice_is_one_error_line(tmp_path):

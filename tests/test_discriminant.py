@@ -54,6 +54,53 @@ def test_setup_counts(line_cubic_problem):
 
 
 @pytest.mark.parametrize(
+    "A, rows, distinct",
+    [(TANGENT_LINE_CUBIC_4X13, 6816, 1106), (TANGENT_CONIC_CUBIC_4X16, 73425, 13876)],
+    ids=["line_cubic", "conic_cubic"],
+)
+def test_equal_q_rows_are_one_tuple(A, rows, distinct):
+    # the walk interns Q rows: equal rows of different cones share one object
+    qrows = [row for c in setup(A).codim1_cones for row in c.qrows]
+    assert all(type(row) is tuple for row in qrows)
+    assert len(qrows) == rows
+    assert len(set(qrows)) == len({id(row) for row in qrows}) == distinct
+
+
+SETUP_PEAK_SCRIPT = """
+import json, statistics, sys  # loaded first, as a benchmark child loads them
+from tropfan import cli, discriminant
+from tropfan.data import TANGENT_CONIC_CUBIC_4X16
+
+
+def hwm_kb():
+    with open("/proc/self/status", encoding="ascii") as fh:
+        return int(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+
+
+before = hwm_kb()
+prob = discriminant.setup(TANGENT_CONIC_CUBIC_4X16)
+print(len(prob.codim1_cones), before, hwm_kb())
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")
+def test_conic_cubic_setup_peak_memory():
+    # one tuple per Q row took setup 16.3 MB above the import's peak;
+    # interned, the rise is 6.7 MB
+    src = str(Path(tropfan.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", SETUP_PEAK_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    cones, before, after = map(int, proc.stdout.split())
+    assert cones == 6675
+    assert (after - before) / 1024 < 10, (before, after)
+
+
+@pytest.mark.parametrize(
     "A",
     [TANGENT_LINE_CUBIC_4X13, GRAPHIC_3X6, cube_matrix(3)],
     ids=["line_cubic", "graphic_3x6", "cube3"],
@@ -503,6 +550,9 @@ def test_newton_vertices_script_runs():
     assert proc.returncode == 0, proc.stderr
     assert "A-degree: 12 10 -6 -6\n" in proc.stdout
     assert " ms per vertex" in proc.stdout
+    if Path("/proc/self/status").exists():
+        last = proc.stdout.splitlines()[-1]
+        assert last.startswith("peak RSS ") and last.endswith(" MB"), last
 
 
 def test_shooting_never_imports_numpy(tmp_path):
