@@ -12,7 +12,8 @@ file in TMPDIR, width x itemsize bytes per cone (6.7 MB on the 5x20 dual,
 about 7.1 GB on the 6x30 dual), read back in blocks after the header's count.
 
 Matrix file format: comments start with '#', blank lines are ignored, the
-first data line is 'm n', followed by m rows of n integers.
+first data line is 'm n', followed by m rows of n integers, each an optional
+sign and ASCII digits.
 
 Exit codes: 0 success, 1 parse or I/O failure, 2 violated preconditions
 (loops, coloops, rank or rowspace requirements, bad flag combinations).
@@ -42,13 +43,14 @@ def parse_matrix(text: str) -> IntMat:
         if not line or line.startswith("#"):
             continue
         parts = line.split()
+        # an optional sign and ASCII digits: int() would also read "1_0" and non-ASCII digits
+        integers = all(x.isascii() and (x[1:] if x[0] in "+-" else x).isdigit() for x in parts)
         if header is None:
             if len(parts) != 2:
                 raise ParseError(lineno, "expected header 'm n'")
-            try:
-                header = (int(parts[0]), int(parts[1]))
-            except ValueError:
-                raise ParseError(lineno, "header entries must be integers") from None
+            if not integers:
+                raise ParseError(lineno, "header entries must be integers")
+            header = (int(parts[0]), int(parts[1]))
             if header[0] < 1 or header[1] < 1:
                 raise ParseError(lineno, "dimensions must be positive")
             continue
@@ -58,10 +60,9 @@ def parse_matrix(text: str) -> IntMat:
             raise ParseError(
                 lineno, f"expected {header[1]} entries, found {len(parts)}"
             )
-        try:
-            rows.append([int(x) for x in parts])
-        except ValueError:
-            raise ParseError(lineno, "matrix entries must be integers") from None
+        if not integers:
+            raise ParseError(lineno, "matrix entries must be integers")
+        rows.append([int(x) for x in parts])
     if header is None:
         raise ParseError(1, "empty input")
     if len(rows) != header[0]:

@@ -28,9 +28,8 @@ Four devices keep this exact and fast:
   over t of w_t times that int, plus 2^(L-1) in every lane, is read back as
   L-bit words.  Each lane equals sum_t w_t * x_t, so |lane| <= n * max|x| *
   max|w|.  The lanes are 32 bits wide when that bound stays below 2^31 for
-  every |w| <= 10^6 (the range of random objectives), else 64 bits, and a
-  vector for which it could reach 2^(L-1) is split into base digits that
-  stay below it, one pass per digit;
+  every |w| <= 10^6 (the range of random objectives), else 64 bits; a w
+  for which it could reach 2^(L-1) takes plain dot products over the forms;
 * the ray w + t e_i meets the hyperplane normal . x = 0 at t = -s/g, with
   s = normal . w and g = normal_i, so only the directions whose g has the
   sign opposite to s can cross (s = 0 ties), and the crossing point lies in
@@ -274,7 +273,15 @@ def _pack_cones(prob: DiscriminantProblem) -> _PackedCones:
     return _PackedCones(cols, bias, wmax, lane, tuple(table), forms)
 
 
-def _packed_products(packed: _PackedCones, v) -> list:
+def _inner_products(prob: DiscriminantProblem, v) -> list:
+    """form . v for every interned form of the codim-1 cones, in form id order.
+
+    One packed pass when max|v| <= wmax, which random objectives meet
+    whenever wmax >= OBJECTIVE_RANGE; plain dot products over the forms otherwise.
+    """
+    packed = prob._packed
+    if max(map(abs, v)) > packed.wmax:
+        return [dot(form, v) for form in packed.forms]
     acc = packed.bias
     for x, col in zip(v, packed.cols):
         acc += x * col
@@ -284,31 +291,6 @@ def _packed_products(packed: _PackedCones, v) -> list:
     acc ^= packed.bias
     nbytes = packed.bias.bit_length() // 8
     return memoryview(acc.to_bytes(nbytes, sys.byteorder)).cast(packed.lane).tolist()
-
-
-def _dot_products(forms, v) -> list:
-    return [dot(form, v) for form in forms]
-
-
-def _inner_products(prob: DiscriminantProblem, v) -> list:
-    """form . v for every interned form of the codim-1 cones, in form id order.
-
-    A v with max|v| > wmax >= 1 is split by divmod into base-(wmax + 1)
-    digits in [0, wmax] under a top part within +-wmax; every part takes one
-    packed pass, and Horner's rule recombines the passes' lanes exactly.
-    """
-    packed = prob._packed
-    if packed.wmax < 0:
-        return _dot_products(packed.forms, v)
-    base = packed.wmax + 1
-    digits = []  # least significant first; v keeps the part above them
-    while max(map(abs, v)) > packed.wmax:
-        v, digit = zip(*(divmod(x, base) for x in v))
-        digits.append(digit)
-    p = _packed_products(packed, v)
-    for digit in reversed(digits):
-        p = [x * base + y for x, y in zip(p, _packed_products(packed, digit))]
-    return p
 
 
 def _tie_hit(p, s, rows, forms, normal) -> bool:

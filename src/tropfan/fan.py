@@ -76,20 +76,22 @@ class ConeArray(Sequence):
 
 
 class SpilledCones:
-    """Maximal cones packed as in ConeArray.flat, held in a binary file, not in memory."""
+    """Maximal cones packed as in ConeArray.flat, held in a binary file from offset start."""
 
-    def __init__(self, file, width: int, typecode: str, count: int):
-        self.file, self._width, self._typecode, self._count = file, width, typecode, count
+    def __init__(self, file, start: int, width: int, typecode: str, count: int):
+        self.file, self._start, self._width = file, start, width
+        self._typecode, self._count = typecode, count
 
     def __len__(self) -> int:
         return self._count
 
     def blocks(self, size: int):
-        """The packed ray indices read back from the file's start, size cones a block."""
-        self.file.seek(0)
-        nbytes = size * self._width * array(self._typecode).itemsize
-        for chunk in iter(lambda: self.file.read(nbytes), b""):
-            yield memoryview(chunk).cast(self._typecode)
+        """The packed ray indices read back from offset start, size cones a block."""
+        itemsize = array(self._typecode).itemsize
+        nbytes, step = self._count * self._width * itemsize, size * self._width * itemsize
+        self.file.seek(self._start)
+        for i in range(0, nbytes, step or 1):  # stop at the last cone, not at end of file
+            yield memoryview(self.file.read(min(step, nbytes - i))).cast(self._typecode)
 
 
 class Fan(namedtuple("Fan", "n rays maximal_cones")):
@@ -301,15 +303,17 @@ def cyclic_bergman_fan(M: Matroid, *, threads: int = 0, spill=None) -> Fan:
     Distinct regressive pairs give distinct cones, so no deduplication of
     cones happens.  threads > 0 distributes per-basis work over processes;
     the output is byte-identical to the sequential run.  With spill, a binary
-    file, the cones go there block by block, and into a SpilledCones.
+    file, the cones go there block by block from its current position, and
+    into a SpilledCones.
     """
     _require_no_loops_coloops(M)
     rays, index = _ray_index(M)
     data = array(_typecode(len(rays)))
     blocks = _collect_cones(M, threads, index, data.typecode)
     if spill is not None:
+        start = spill.tell()  # the cones go after whatever the file holds
         count = _drain(blocks, spill.write)
-        return Fan(M.n, rays, SpilledCones(spill, M.rank - 1, data.typecode, count))
+        return Fan(M.n, rays, SpilledCones(spill, start, M.rank - 1, data.typecode, count))
     return Fan(M.n, rays, ConeArray(data, M.rank - 1, _drain(blocks, data.extend)))
 
 

@@ -61,6 +61,13 @@ def test_parse_matrix_errors_carry_line_numbers():
         parse_matrix("")
     with pytest.raises(ParseError):
         parse_matrix("2 x\n1 0\n")
+    # an optional sign and ASCII digits only: int() would also take "1_0" and "\u0661"
+    for bad in ("1_0", "\u0661", "+-1", "--1", "1+", "+", "0x1", "1.0", "\u00b2"):
+        for text, line in ((f"# c\n1 {bad}\n1 0\n", 2), (f"2 2\n1 0\n\n{bad} 1\n", 4)):
+            with pytest.raises(ParseError) as exc:
+                parse_matrix(text)
+            assert exc.value.line == line, (bad, text)
+    assert parse_matrix("+1 2\n-0 +10\n").entries == ((0, 10),)
 
 
 def _sections(text):

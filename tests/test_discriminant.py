@@ -17,11 +17,10 @@ from brute import codim1_oracle, eq2_determinant, maximal_minor_gcd, scalar_ray_
 from conftest import UNSATURATED_3X7, UNSPANNED_3X7, write_matrix_file
 from tropfan.data import GRAPHIC_3X6, TANGENT_CONIC_CUBIC_4X16, TANGENT_LINE_CUBIC_4X13, cube_matrix
 from tropfan.discriminant import (
+    OBJECTIVE_RANGE,
     Codim1Cone,
-    _dot_products,
     _inner_products,
     _pack_cones,
-    _packed_products,
     _shoot,
     random_vertices,
     setup,
@@ -358,8 +357,9 @@ def test_packed_lanes_equal_dot(line_cubic_problem):
     vectors = [tuple(rng.randint(-(10**6), 10**6) for _ in range(n)) for _ in range(4)]
     # every entry at the proven bound, where a lane may reach 2^31 - 1
     vectors.append(tuple(rng.choice((-1, 1)) * packed.wmax for _ in range(n)))
+    lanes_only = SimpleNamespace(_packed=packed._replace(forms=()))  # no forms to dot with
     for v in vectors:
-        assert _packed_products(packed, v) == [dot(form, v) for form in packed.forms]
+        assert _inner_products(lanes_only, v) == [dot(form, v) for form in packed.forms]
 
 
 @pytest.mark.parametrize(
@@ -369,14 +369,18 @@ def test_packed_lanes_equal_dot(line_cubic_problem):
         (TANGENT_CONIC_CUBIC_4X16, 80100, 6722, 8947848),
         (cube_matrix(4), None, None, None),
         (GRAPHIC_3X6, None, None, None),
+        (cube_matrix(3), None, None, None),
     ],
-    ids=["line_cubic", "conic_cubic", "cube4", "graphic_3x6"],
+    ids=["line_cubic", "conic_cubic", "cube4", "graphic_3x6", "cube3"],
 )
 def test_interned_table_equals_per_cone_dots(A, lanes, forms, wmax):
     # each normal and Q row is read as k times an interned primitive form;
     # the table must reproduce every per-cone product and sign it replaced
     prob = setup(A)
     packed = prob._packed
+    # these are the inputs the CLI digests shoot: each random objective takes
+    # one packed pass, never the dot products past wmax
+    assert packed.wmax >= OBJECTIVE_RANGE
     n, cones = prob.n, prob.codim1_cones
     assert len(set(packed.forms)) == len(packed.forms)
     assert all(primitive(form) == form for form in packed.forms)
@@ -433,27 +437,38 @@ def test_lane_bound_holds_at_its_extreme(x, lane):
     bits = 32 if lane == "i" else 64
     wmax = (2 ** (bits - 1) - 1) // (n * x)
     assert packed.wmax == (wmax if wmax else -1)
-    # entries +-wmax drive each lane to +-(n * x - 1) * wmax, within wmax of the bound
+    # entries +-wmax drive each lane to +-(n * x - 1) * wmax, within wmax of the
+    # bound; without forms to dot with, only the packed pass can answer
+    lanes_only = SimpleNamespace(_packed=packed._replace(forms=()))
     for v in ((wmax,) * n, (-wmax,) * n, (wmax, -wmax) * 6 + (wmax,), (wmax + 1,) * n, (1,) * n):
         expected = [dot(form, v) for form in (normal, other)]
         if max(map(abs, v)) <= packed.wmax:
-            assert _packed_products(packed, v) == expected
+            assert _inner_products(lanes_only, v) == expected
         assert _inner_products(prob, v) == expected
 
 
 @pytest.mark.parametrize("scale", [30, 10**25], ids=["30x", "1e25x"])
 def test_objectives_above_the_lane_bound_stay_exact(line_cubic_problem, scale):
-    # digits of base wmax + 1, one packed pass each, recombine to the plain dots
+    # past wmax the shot reads plain dot products; its vertex is the scalar
+    # oracle's, perturbed for the tied objectives (a row of A, e1)
     prob = line_cubic_problem
     wmax = prob._packed.wmax
     rng = random.Random(43)
     n = prob.n
-    vectors = [tuple(scale * rng.randint(-(10**6), 10**6) for _ in range(n)) for _ in range(3)]
-    vectors.append(tuple(scale * 10**6 * x for x in prob.A.entries[1]))
-    vectors.append(tuple(rng.choice((-1, 1)) * (wmax + 1) ** 3 - 1 for _ in range(n)))
-    for v in vectors:
-        assert max(map(abs, v)) > wmax
-        assert _inner_products(prob, v) == _dot_products(prob._packed.forms, v)
+    objectives = [tuple(scale * rng.randint(-(10**6), 10**6) for _ in range(n)) for _ in range(3)]
+    objectives.append(tuple(scale * 10**6 * x for x in prob.A.entries[1]))
+    objectives.append((scale * 10**6,) + (0,) * (n - 1))
+    objectives.append(tuple(rng.choice((-1, 1)) * (wmax + 1) ** 3 - 1 for _ in range(n)))
+    weights, ties = {}, 0
+    for w in objectives:
+        assert max(map(abs, w)) > wmax
+        hits = scalar_ray_hits(prob, w)
+        tied = hits is None
+        if tied:
+            ties += 1
+            hits = scalar_ray_hits(prob, w, perturbed=True)
+        assert _shoot(prob, w) == (_oracle_vertex(prob, hits, weights), tied), w
+    assert ties >= 2  # at least the row of A and e1
 
 
 def _oracle_vertex(prob, hits, weights):
@@ -518,7 +533,7 @@ def test_vertex_is_scale_invariant_past_the_lane_bound(line_cubic_problem):
     n = prob.n
     rng = random.Random(19)
     w = tuple(rng.randint(-(10**6), 10**6) for _ in range(n))
-    e1 = (1,) + (0,) * (n - 1)  # a tie: the big multiple resolves it on the digit passes
+    e1 = (1,) + (0,) * (n - 1)  # a tie: the big multiple resolves it on the dot products
     for obj in (w, e1, prob.A.entries[1]):
         big = tuple(10**25 * x for x in obj)
         assert max(map(abs, big)) > prob._packed.wmax

@@ -295,18 +295,25 @@ def test_cone_array_is_a_sequence_of_sorted_tuples():
 
 
 def test_spilled_cones_read_back_as_the_stored_blocks(tmp_path):
-    # a spilled fan holds only the count; its blocks are the stored fan's, in
-    # whole cones, sequential or from worker processes, also for rank 1
+    # a spilled fan holds only where its cones start and their count; its
+    # blocks are the stored fan's, in whole cones, sequential or from worker
+    # processes, also for rank 1, after leading bytes, and with the stale
+    # bytes of a larger fan's spill after them
     handles = [Matroid.from_matrix(cube_matrix(3)), Matroid.from_matrix(UNIFORM_2_3).dual()]
-    for M, threads in [(handles[0], 0), (handles[0], 2), (handles[1], 0)]:
+    larger = bytes(cyclic_bergman_fan(handles[0]).maximal_cones.flat)
+    cases = [(handles[0], 0, b"", b""), (handles[0], 2, b"", b""), (handles[0], 0, b"header!", b"")]
+    cases += [(Matroid.from_matrix(GRAPHIC_3X6), 0, b"", larger), (handles[1], 0, b"", b"")]
+    for M, threads, lead, stale in cases:
         fan = cyclic_bergman_fan(M)
         with open(tmp_path / "spill", "w+b") as spill:
+            spill.write(lead + stale)
+            spill.seek(len(lead))
             spilled = cyclic_bergman_fan(M, threads=threads, spill=spill)
             assert spilled.rays == fan.rays and len(spilled.maximal_cones) == len(fan.maximal_cones)
             for size in (1, 7, 4096):
                 want = [list(block) for block in fan.maximal_cones.blocks(size)]
                 assert [list(block) for block in spilled.maximal_cones.blocks(size)] == want
-            assert spill.tell() == len(fan.maximal_cones.flat)
+            assert spill.tell() == len(lead) + fan.maximal_cones.flat.nbytes
     assert sum(map(len, fan.maximal_cones.blocks(3))) == 0 and len(fan.maximal_cones) == 1
     cube3 = cyclic_bergman_fan(handles[0]).maximal_cones
     assert [len(block) for block in cube3.blocks(32)] == [32 * 3] * 2 + [16 * 3]
