@@ -17,7 +17,9 @@ run in the fan modes also runs OUTPUT_MODES with --output FILE, so the full
 fan's spilled body is checked through a file as well as through stdout: 119
 runs over the 11 files the script writes.  Each line gives the input, the
 flags, the exit code and the sha256 of stdout and of stderr, and for an
---output run that of the file written (of nothing if none was).  The CLI
+--output run that of the file written (of nothing if none was).  If an
+input the runs read is missing, the script prints one error line and exits
+2 before it runs anything.  The CLI
 runs as `python -m tropfan` with the caller's environment, so the PYTHONPATH
 picks the code under test: the digests of two source trees are equal iff
 the CLI behaves byte-identically on these runs, e.g.
@@ -86,6 +88,15 @@ def main():
     if len(sys.argv) != 2:
         sys.exit(__doc__.split("\n\n")[1])
     matdir = Path(sys.argv[1])
+    # a missing input would only print exit-1 lines, and two trees would diff alike
+    missing = sorted({path.name for path, _, _ in runs(matdir) if not path.is_file()})
+    if missing:
+        print(
+            f"error: {matdir} lacks {', '.join(missing)}; "
+            "write them with scripts/write_example_matrices.py MATDIR",
+            file=sys.stderr,
+        )
+        sys.exit(2)
     with tempfile.TemporaryDirectory() as tmp:
         target = Path(tmp) / "out.txt"
         for path, flags, to_file in runs(matdir):

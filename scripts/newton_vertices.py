@@ -5,7 +5,9 @@ Usage:
     python scripts/newton_vertices.py --example conic_cubic --count 10 --seed 1
     python scripts/newton_vertices.py path/to/matrix.txt --count 5
 
-The last line is the process's peak RSS, read as VmHWM from /proc/self/status;
+The codim-1 cones are packed for shooting before the first shot, on a line
+of their own, so the time per vertex leaves the pack out.  The last line is
+the process's peak RSS, read as VmHWM from /proc/self/status;
 where that file is missing, the line is left out.
 """
 
@@ -58,10 +60,12 @@ def main():
         f"({time.perf_counter() - t0:.1f}s)"
     )
     t0 = time.perf_counter()
+    packed = prob._packed  # built here, or the first shot would build it
+    print(f"pack: {len(packed.forms)} forms ({1e3 * (time.perf_counter() - t0):.3g} ms)")
+    t0 = time.perf_counter()
     vertices = random_vertices(prob, args.count, args.seed)
     elapsed = time.perf_counter() - t0
     if vertices:
-        # the first shot also packs the codim-1 cones, so a short batch reads high
         print(f"{args.count} vertices, {1e3 * elapsed / args.count:.3g} ms per vertex")
         print("A-degree:", " ".join(map(str, vertices[0].a_degree)))
     fresh = 0

@@ -33,10 +33,13 @@ Four devices keep this exact and fast:
 * the ray w + t e_i meets the hyperplane normal . x = 0 at t = -s/g, with
   s = normal . w and g = normal_i, so only the directions whose g has the
   sign opposite to s can cross (s = 0 ties), and the crossing point lies in
-  the cone when every (Q_j . w * g - s * Q_ji) * sign(D * g) is positive.  A
-  table lists each cone's support split by the sign of g; each direction's
-  rows fold k into G = k * g * sgn, c = Q_ji * sgn with sgn = sign(D * g), so
-  a row test reads p[form] * G > s * c, and a shot tests one group per cone.
+  the cone when every (Q_j . w * g - s * Q_ji) * sign(D * g) is positive.
+  For Q_j = k * form that is |k| * sigma * (form . w * g - s * form_i), with
+  sigma = sign(k * D * g) fixed within each sign of g.  So each cone keeps
+  its rows once per sign of g as ids of the signed forms sigma * form, and
+  each direction (i, g, weight) shares column i of every signed form: a row
+  test reads P[q] * g > s * col[q] over the signed products P, and a shot
+  tests one group per cone.
 
 Non-generic objectives are resolved in the same pass by the fixed symbolic
 perturbation w + (eps, eps^2, ..., eps^n) (simulation of simplicity,
@@ -123,13 +126,15 @@ class _PackedCones(namedtuple("_PackedCones", "cols bias wmax lane table forms")
     """The codim-1 cones as shooting reads them, built on the first shot.
 
     forms holds each distinct normal and each distinct primitive form of a Q
-    row once.  cols[t] holds coordinate t of every form as signed lanes of
+    row once, nf of them; signed form id q reads +forms[q] and nf + q reads
+    -forms[q].  cols[t] holds coordinate t of every form as signed lanes of
     array typecode `lane`, lane q for form q; bias holds 2^(bits-1) per lane.
     For max|v| <= wmax (-1: no v != 0) each lane of sum_t v_t * cols[t] is
-    below 2^(bits-1) in absolute value.  table holds, per cone, the form id of
-    its normal and its directions with normal_i > 0, then < 0, each as
-    (i, rows, kappa * |g|), g = normal_i, sgn = sign(D * g): per row Q_j, which
-    is k times form q, rows holds the interned triple (q, k * g * sgn, Q_ji * sgn).
+    below 2^(bits-1) in absolute value.  table holds, per cone, (nid, pos,
+    neg, (pos_dirs, neg_dirs)): its normal's form id; per Q row k * forms[q],
+    the signed id of sigma * forms[q], sigma = sign(k * D * g), for g > 0 and
+    for g < 0; and its directions with g = normal_i > 0, then < 0, each as
+    (i, g, kappa * |g|, col), col holding coordinate i of every signed form.
     """
 
     __slots__ = ()
@@ -198,7 +203,7 @@ def _codim1_cones(A: IntMat, Aperp: IntMat, fan: Fan, g: int) -> list:
     # / |normal_i|, an exact division.
     width = Aperp.rows - 1  # rays per cone
     flat = fan.maximal_cones.flat  # ray indices, cone by cone
-    out, intern = [], {}.setdefault  # equal Q rows of different cones become one tuple
+    out, intern = [], {}.setdefault  # equal Q rows, normals and supports become one tuple
     # (cones below a node, its depth, its rows, its last pivot); children are
     # pushed in descending ray order, so nodes are popped in trie order
     stack = [(range(len(fan.maximal_cones)), 0, [[*row, 0] for row in Aperp.entries], 1)]
@@ -230,28 +235,35 @@ def _codim1_cones(A: IntMat, Aperp: IntMat, fan: Fan, g: int) -> list:
         if rem or kappa == 0:
             raise InternalInvariant("determinant does not factor through the normal")
         qrows = tuple([intern(q, q) for q in [tuple(row[:n]) for row in rows[:-1]]])
+        normal, support = intern(normal, normal), intern(support, support)
         out.append(Codim1Cone(ci, normal, qrows, prev, kappa, support))
     return out
 
 
 def _pack_cones(prob: DiscriminantProblem) -> _PackedCones:
-    forms, scaled, table = {}, {}, []  # forms: id by form; scaled: (id, k) by Q row
-    intern = {}.setdefault  # equal (q, G, c) triples become one object
+    # forms: id by form; signs: q or ~q by id() of a Q row k * forms[q], as k > 0 or k < 0
+    # (setup interns equal rows, and id() spares hashing them)
+    forms, signs = {}, {}
     for cone in prob.codim1_cones:
-        nid = forms.setdefault(cone.normal, len(forms))  # unscaled, so s = p[nid]
+        forms.setdefault(cone.normal, len(forms))  # unscaled, so s = P[nid]
         for row in cone.qrows:
-            if row not in scaled:  # row = k * form; primitive once per distinct row
-                form = primitive(row)
-                k = next(filter(None, row)) // next(filter(None, form))
-                scaled[row] = forms.setdefault(form, len(forms)), k
-        ids = [(*scaled[row], row) for row in cone.qrows]
-        groups = ([], [])
-        for i in cone.support:
-            g = cone.normal[i]
-            sgn = 1 if cone.denom * g > 0 else -1
-            rows = tuple([intern(t, t) for t in [(q, k * g * sgn, row[i] * sgn) for q, k, row in ids]])
-            groups[g < 0].append((i, rows, cone.kappa * abs(g)))
-        table.append((nid, *map(tuple, groups)))
+            if id(row) not in signs:  # primitive once per distinct row; its lead is positive
+                q = forms.setdefault(primitive(row), len(forms))
+                signs[id(row)] = q if next(filter(None, row)) > 0 else ~q
+    nf = len(forms)
+    signed = [*range(nf), *reversed(range(nf, 2 * nf))]  # signed[q], signed[~q]: ids of +-forms[q]
+    columns = [list(col) + [-x for x in col] for col in zip(*forms)]  # coordinate t of signed forms
+    table, directions = [], {}
+    for cone in prob.codim1_cones:
+        # g > 0 reads row k * forms[q] as sign(k * D) * forms[q], g < 0 as the opposite
+        xs = [signs[id(row)] if cone.denom > 0 else ~signs[id(row)] for row in cone.qrows]
+        pos, neg = tuple([signed[x] for x in xs]), tuple([signed[~x] for x in xs])
+        nid, kappa = forms[cone.normal], cone.kappa
+        if (nid, kappa) not in directions:  # shared by the cones of this normal and kappa
+            dirs = [(i, cone.normal[i], kappa * abs(cone.normal[i]), columns[i]) for i in cone.support]
+            pos_dirs = tuple(d for d in dirs if d[1] > 0)
+            directions[nid, kappa] = pos_dirs, tuple(d for d in dirs if d[1] < 0)
+        table.append((nid, pos, neg, directions[nid, kappa]))
     forms = tuple(forms)
     xmax = max((abs(x) for form in forms for x in form), default=1)
     # |lane| <= n * xmax * max|v| < 2^(bits-1) for max|v| <= wmax: 32-bit lanes
@@ -263,7 +275,7 @@ def _pack_cones(prob: DiscriminantProblem) -> _PackedCones:
             break
     if wmax == 0:
         return _PackedCones((), 0, -1, lane, tuple(table), forms)
-    bias = int.from_bytes((1 << 8 * size - 1).to_bytes(size, sys.byteorder) * len(forms), sys.byteorder)
+    bias = int.from_bytes((1 << 8 * size - 1).to_bytes(size, sys.byteorder) * nf, sys.byteorder)
     # XOR with the bias maps each two's-complement lane x to 2^(bits-1) + x;
     # subtracting it takes back the 2^bits a negative lane borrowed from the next
     cols = tuple(
@@ -274,37 +286,43 @@ def _pack_cones(prob: DiscriminantProblem) -> _PackedCones:
 
 
 def _inner_products(prob: DiscriminantProblem, v) -> list:
-    """form . v for every interned form of the codim-1 cones, in form id order.
+    """P: form . v for every interned form of the codim-1 cones, then -form . v, by signed id.
 
     One packed pass when max|v| <= wmax, which random objectives meet
     whenever wmax >= OBJECTIVE_RANGE; plain dot products over the forms otherwise.
     """
     packed = prob._packed
     if max(map(abs, v)) > packed.wmax:
-        return [dot(form, v) for form in packed.forms]
-    acc = packed.bias
+        p = [dot(form, v) for form in packed.forms]
+        return p + [-x for x in p]
+    bias = acc = packed.bias
     for x, col in zip(v, packed.cols):
         acc += x * col
-    # Each biased lane 2^(bits-1) + y lies in [1, 2^bits); flipping its top bit
-    # leaves y in two's complement, which the signed cast reads back.  The top
-    # lane holds the bias's highest bit, so its length is the bytes to read.
-    acc ^= packed.bias
-    nbytes = packed.bias.bit_length() // 8
-    return memoryview(acc.to_bytes(nbytes, sys.byteorder)).cast(packed.lane).tolist()
+    # Each biased lane 2^(bits-1) + y lies in [1, 2^bits), and so does the lane
+    # 2^(bits-1) - y of 2 * bias - acc; flipping each top bit leaves y and -y in
+    # two's complement, which the signed cast reads back.  The top lane holds
+    # the bias's highest bit, so its length is the bytes to read.
+    nbytes = bias.bit_length() // 8
+    data = (acc ^ bias).to_bytes(nbytes, sys.byteorder)
+    data += (((bias << 1) - acc) ^ bias).to_bytes(nbytes, sys.byteorder)
+    return memoryview(data).cast(packed.lane).tolist()
 
 
-def _tie_hit(p, s, rows, forms, normal) -> bool:
-    """Whether a direction with these (q, G, c) rows is hit, once a row ties.
+def _tie_hit(P, s, ids, g, col, forms, normal) -> bool:
+    """Whether a direction (g = normal_i, col its column) is hit, once a row ties.
 
-    Rescans the rows in order.  Row j's quantity p[q] * G - s * c is the linear
-    form G * forms[q] - c * normal = g * sgn * Q_j - c * normal at w; an exact
-    zero takes the sign of the form's first nonzero coefficient, its sign at
-    w + (eps, ..., eps^n).  The first quantity that is not positive decides.
+    Rescans the rows in order.  Row q's quantity P[q] * g - s * col[q] is the
+    linear form g * sigma * form - col[q] * normal at w, sigma * form being
+    signed form q; an exact zero takes the sign of the form's first nonzero
+    coefficient, its sign at w + (eps, ..., eps^n).  The first quantity that
+    is not positive decides.
     """
-    for q, G, c in rows:
-        x = p[q] * G - s * c
+    nf = len(forms)
+    for q in ids:
+        x = P[q] * g - s * col[q]
         if not x:  # the form is a nonzero multiple of lambda_j at the crossing
-            x = next(filter(None, (G * f - c * v for f, v in zip(forms[q], normal))), 0)
+            form, h = (forms[q], g) if q < nf else (forms[q - nf], -g)
+            x = next(filter(None, (h * f - col[q] * v for f, v in zip(form, normal))), 0)
             if not x:
                 raise InternalInvariant("a membership form vanishes identically")
         if x < 0:
@@ -316,16 +334,20 @@ def _shoot(prob, w):
     """(u, tied): the hit weights of w + (eps, ..., eps^n); tied if the scan met an exact tie."""
     u, tied = [0] * prob.n, False
     forms = prob._packed.forms
-    p = _inner_products(prob, w)
-    for nid, pos, neg in prob._packed.table:
-        s = p[nid]
-        tied = tied or not s  # a zero s takes the sign of the (primitive) normal's lead: +
-        for i, rows, weight in neg if s >= 0 else pos:
-            for q, G, c in rows:
-                if p[q] * G <= s * c:
-                    if p[q] * G == s * c:
+    P = _inner_products(prob, w)
+    for nid, ids, neg, dirs in prob._packed.table:  # ids, dirs[0]: the group g > 0
+        s = P[nid]
+        if s < 0:
+            dirs = dirs[0]
+        else:  # a zero s takes the sign of the (primitive) normal's lead: +
+            tied = tied or not s
+            ids, dirs = neg, dirs[1]
+        for i, g, weight, col in dirs:
+            for q in ids:
+                if P[q] * g <= s * col[q]:
+                    if P[q] * g == s * col[q]:
                         tied = True
-                        if _tie_hit(p, s, rows, forms, forms[nid]):
+                        if _tie_hit(P, s, ids, g, col, forms, forms[nid]):
                             u[i] += weight
                     break
             else:

@@ -837,3 +837,53 @@ def scalar_ray_hits(prob, w, perturbed=False):
             else:
                 hits.append((pos, i))
     return hits
+
+
+def univariate_discriminant_vertices(d: int) -> set:
+    """Vertices of the Newton polytope of the discriminant of A = [1 ... 1; 0 1 ... d].
+
+    The principal A-determinant is a_0 * a_d * Delta_A, and its Newton polytope
+    is the secondary polytope (Gelfand, Kapranov and Zelevinsky 1994), so the
+    vertices are phi_T - e_0 - e_d, one per subset T of {1, ..., d-1}:
+    phi_T(i) is the total length of the segments of the subdivision
+    0 < T < d that have i as an endpoint.
+    """
+    out = set()
+    for size in range(d):
+        for T in combinations(range(1, d), size):
+            u = [0] * (d + 1)
+            points = (0, *T, d)
+            for a, b in zip(points, points[1:]):
+                u[a] += b - a
+                u[b] += b - a
+            u[0] -= 1
+            u[d] -= 1
+            out.add(tuple(u))
+    return out
+
+
+def hyperdeterminant_222_monomials() -> set:
+    """Exponent vectors of Cayley's 2x2x2 hyperdeterminant, in cube_matrix(3)'s column order.
+
+    Column 4i + 2j + k holds a_ijk.  The 12 monomials: a_v^2 a_w^2 for each
+    antipodal pair {v, w} (v + w = 7), a_v a_w a_x a_y for each two
+    antipodal pairs, and the products over the even and the odd vertices.
+    """
+    pairs = [(v, 7 - v) for v in range(4)]
+    sets = [pair * 2 for pair in pairs]
+    sets += [p + r for p, r in combinations(pairs, 2)]
+    sets += [tuple(v for v in range(8) if bin(v).count("1") % 2 == parity) for parity in (0, 1)]
+    return {tuple(s.count(v) for v in range(8)) for s in sets}
+
+
+def perturbed_argmin(vertices, w):
+    """The vertex minimizing u . (w + (eps, eps^2, ..., eps^n)) for a small eps > 0.
+
+    That is the least (u . w, u_0, u_1, ...) in lexicographic order.
+    """
+    return min(vertices, key=lambda u: (_dot(u, w), *u))
+
+
+def dual_defective_vertices(n: int) -> set:
+    """The vertex of a constant discriminant's Newton polytope: the origin of R^n."""
+    return {(0,) * n}

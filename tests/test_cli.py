@@ -552,3 +552,20 @@ def test_cli_fuzz_exits_cleanly(tmp_path_factory, text, flags, to_file):
     assert "Traceback" not in err.getvalue()
     assert not list(folder.glob("*.tmp"))
     assert target.exists() == (to_file and code == 0)
+
+
+def test_cli_digests_refuse_a_directory_without_the_inputs(tmp_path):
+    # every run would exit 1 on a missing file, so two trees would diff alike
+    script = Path(__file__).resolve().parents[1] / "scripts" / "cli_digests.py"
+    src = str(Path(tropfan.__file__).resolve().parents[1])
+    for matdir in (tmp_path, tmp_path / "nonexistent"):
+        proc = subprocess.run(
+            [sys.executable, str(script), str(matdir)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+        assert "line_cubic_4x13.txt" in proc.stderr

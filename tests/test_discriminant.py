@@ -13,9 +13,24 @@ from types import SimpleNamespace
 import pytest
 
 import tropfan
-from brute import codim1_oracle, eq2_determinant, maximal_minor_gcd, scalar_ray_hits
+from brute import (
+    codim1_oracle,
+    dual_defective_vertices,
+    eq2_determinant,
+    hyperdeterminant_222_monomials,
+    maximal_minor_gcd,
+    perturbed_argmin,
+    scalar_ray_hits,
+    univariate_discriminant_vertices,
+)
 from conftest import UNSATURATED_3X7, UNSPANNED_3X7, write_matrix_file
-from tropfan.data import GRAPHIC_3X6, TANGENT_CONIC_CUBIC_4X16, TANGENT_LINE_CUBIC_4X13, cube_matrix
+from tropfan.data import (
+    GRAPHIC_3X6,
+    TANGENT_CONIC_CUBIC_4X16,
+    TANGENT_LINE_CUBIC_4X13,
+    TANGENT_QUADRICS_5X20,
+    cube_matrix,
+)
 from tropfan.discriminant import (
     OBJECTIVE_RANGE,
     Codim1Cone,
@@ -53,16 +68,21 @@ def test_setup_counts(line_cubic_problem):
 
 
 @pytest.mark.parametrize(
-    "A, rows, distinct",
-    [(TANGENT_LINE_CUBIC_4X13, 6816, 1106), (TANGENT_CONIC_CUBIC_4X16, 73425, 13876)],
+    "A, rows, distinct, normals",
+    [(TANGENT_LINE_CUBIC_4X13, 6816, 1106, 180), (TANGENT_CONIC_CUBIC_4X16, 73425, 13876, 1209)],
     ids=["line_cubic", "conic_cubic"],
 )
-def test_equal_q_rows_are_one_tuple(A, rows, distinct):
-    # the walk interns Q rows: equal rows of different cones share one object
-    qrows = [row for c in setup(A).codim1_cones for row in c.qrows]
+def test_equal_q_rows_are_one_tuple(A, rows, distinct, normals):
+    # the walk interns Q rows, normals and supports: equal tuples of different
+    # cones share one object
+    cones = setup(A).codim1_cones
+    qrows = [row for c in cones for row in c.qrows]
     assert all(type(row) is tuple for row in qrows)
     assert len(qrows) == rows
     assert len(set(qrows)) == len({id(row) for row in qrows}) == distinct
+    for values in ([c.normal for c in cones], [c.support for c in cones]):
+        assert all(type(v) is tuple for v in values)
+        assert len(set(values)) == len({id(v) for v in values}) == normals
 
 
 SETUP_PEAK_SCRIPT = """
@@ -78,14 +98,18 @@ def hwm_kb():
 
 before = hwm_kb()
 prob = discriminant.setup(TANGENT_CONIC_CUBIC_4X16)
-print(len(prob.codim1_cones), before, hwm_kb())
+after = hwm_kb()
+discriminant.shoot_vertex(prob, range(1, prob.n + 1))  # the first shot packs the cones
+print(len(prob.codim1_cones), before, after, hwm_kb())
 """
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")
 def test_conic_cubic_setup_peak_memory():
     # one tuple per Q row took setup 16.3 MB above the import's peak;
-    # interned, the rise is 6.7 MB
+    # interned, the rise is 6.7 MB.  A pack of one (q, G, c) triple per
+    # direction and row took the first shot 15.9 MB higher; signed form ids
+    # and shared coordinate columns take it about 8 MB higher
     src = str(Path(tropfan.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", SETUP_PEAK_SCRIPT],
@@ -94,9 +118,10 @@ def test_conic_cubic_setup_peak_memory():
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 0, proc.stderr
-    cones, before, after = map(int, proc.stdout.split())
+    cones, before, after, shot = map(int, proc.stdout.split())
     assert cones == 6675
     assert (after - before) / 1024 < 10, (before, after)
+    assert (shot - after) / 1024 < 11, (after, shot)
 
 
 @pytest.mark.parametrize(
@@ -326,7 +351,7 @@ def test_ray_hits_cone_basics(line_cubic_problem):
     w = tuple(rng.randint(-(10**6), 10**6) for _ in range(prob.n))
     hit_count = 0
     for k, cone in enumerate(prob.codim1_cones[:200]):
-        nid, pos, neg = prob._packed.table[k]
+        nid, _, _, (pos, neg) = prob._packed.table[k]
         assert prob._packed.forms[nid] == cone.normal
         assert [d[0] for d in pos] == [i for i in cone.support if cone.normal[i] > 0]
         assert [d[0] for d in neg] == [i for i in cone.support if cone.normal[i] < 0]
@@ -359,7 +384,8 @@ def test_packed_lanes_equal_dot(line_cubic_problem):
     vectors.append(tuple(rng.choice((-1, 1)) * packed.wmax for _ in range(n)))
     lanes_only = SimpleNamespace(_packed=packed._replace(forms=()))  # no forms to dot with
     for v in vectors:
-        assert _inner_products(lanes_only, v) == [dot(form, v) for form in packed.forms]
+        p = [dot(form, v) for form in packed.forms]
+        assert _inner_products(lanes_only, v) == p + [-x for x in p]  # then by signed id
 
 
 @pytest.mark.parametrize(
@@ -388,32 +414,51 @@ def test_interned_table_equals_per_cone_dots(A, lanes, forms, wmax):
         assert sum(1 + len(c.qrows) for c in cones) == lanes
         assert (len(packed.forms), packed.wmax) == (forms, wmax)
     assert len(packed.table) == len(cones)
-    scaled = []  # per cone, (q, k) per Q row with Q_j = k * forms[q]
-    for cone, (nid, pos, neg) in zip(cones, packed.table):
+    nf = len(packed.forms)
+    signed_forms = packed.forms + tuple(tuple(-x for x in form) for form in packed.forms)
+    columns = {}  # coordinate -> its one shared column, by signed form id
+    scaled = []  # per cone, |k| per Q row, with sign(D) * Q_j = |k| * signed_forms[pos[j]]
+    for cone, (nid, pos, neg, (pos_dirs, neg_dirs)) in zip(cones, packed.table):
         assert packed.forms[nid] == cone.normal
-        assert [d[0] for d in pos + neg] == sorted(cone.support, key=lambda i: cone.normal[i] < 0)
-        ids = set()
-        for i, rows, weight in pos + neg:
-            g = cone.normal[i]
-            sgn = 1 if cone.denom * g > 0 else -1
-            assert weight == cone.kappa * abs(g)
-            assert len(rows) == len(cone.qrows)
-            for (q, G, c), qrow in zip(rows, cone.qrows):
-                assert c == qrow[i] * sgn
-                k, rem = divmod(G, g * sgn)
-                assert rem == 0 and tuple(k * x for x in packed.forms[q]) == qrow
-            ids.add(tuple((q, G // (cone.normal[i] * sgn)) for q, G, _ in rows))
-        assert len(ids) == 1
-        scaled.append((nid, ids.pop()))
+        order = sorted(cone.support, key=lambda i: cone.normal[i] < 0)
+        assert [d[0] for d in pos_dirs + neg_dirs] == order
+        assert len(pos) == len(neg) == len(cone.qrows)
+        assert neg == tuple((q + nf) % (2 * nf) for q in pos)  # the opposite sign, row by row
+        sgn_d = 1 if cone.denom > 0 else -1
+        ks = []
+        for q, qrow in zip(pos, cone.qrows):
+            form = signed_forms[q]
+            k = next(filter(None, qrow)) * sgn_d // next(filter(None, form))
+            assert k > 0 and tuple(k * x * sgn_d for x in form) == qrow
+            ks.append(k)
+        for group, dirs in ((pos, pos_dirs), (neg, neg_dirs)):
+            for i, g, weight, col in dirs:
+                assert g == cone.normal[i] and (g > 0) == (group is pos)
+                assert weight == cone.kappa * abs(g)
+                if i not in columns:
+                    assert list(col) == [form[i] for form in signed_forms]
+                assert columns.setdefault(i, col) is col
+        scaled.append((nid, pos, neg, pos_dirs + neg_dirs, ks))
     rng = random.Random(53)
     objectives = [tuple(rng.randint(-(10**6), 10**6) for _ in range(n)) for _ in range(3)]
     objectives += [tuple(row) for row in prob.A.entries]
     objectives.append(tuple(rng.choice((-1, 1)) * packed.wmax for _ in range(n)))
     for w in objectives:
-        p = _inner_products(prob, w)
-        for cone, (nid, ids) in zip(cones, scaled):
-            assert p[nid] == dot(cone.normal, w)
-            assert [p[q] * k for q, k in ids] == [dot(qrow, w) for qrow in cone.qrows]
+        P = _inner_products(prob, w)
+        assert len(P) == 2 * nf
+        for cone, (nid, pos, neg, dirs, ks) in zip(cones, scaled):
+            s = P[nid]
+            assert s == dot(cone.normal, w)
+            lam = [dot(qrow, w) for qrow in cone.qrows]
+            sgn_d = 1 if cone.denom > 0 else -1
+            assert [P[q] * k * sgn_d for q, k in zip(pos, ks)] == lam
+            # each row test P[q] * g - s * col[q] is the per-cone membership
+            # quantity (lambda_j * g - s * Q_ji) * sign(D * g), divided by |k|
+            for i, g, _, col in dirs:
+                ids = pos if g > 0 else neg
+                for q, k, qrow, lj in zip(ids, ks, cone.qrows, lam):
+                    expected = (lj * g - s * qrow[i]) * sgn_d * (1 if g > 0 else -1)
+                    assert (P[q] * g - s * col[q]) * k == expected
 
 
 @pytest.mark.parametrize(
@@ -442,6 +487,7 @@ def test_lane_bound_holds_at_its_extreme(x, lane):
     lanes_only = SimpleNamespace(_packed=packed._replace(forms=()))
     for v in ((wmax,) * n, (-wmax,) * n, (wmax, -wmax) * 6 + (wmax,), (wmax + 1,) * n, (1,) * n):
         expected = [dot(form, v) for form in (normal, other)]
+        expected += [-x for x in expected]  # -form . v, by signed id
         if max(map(abs, v)) <= packed.wmax:
             assert _inner_products(lanes_only, v) == expected
         assert _inner_products(prob, v) == expected
@@ -543,6 +589,108 @@ def test_vertex_is_scale_invariant_past_the_lane_bound(line_cubic_problem):
     assert shoot_vertex(prob, e1).perturbed
 
 
+#: Delta_1 x Delta_2: dual defective, so its discriminant is a constant
+DELTA1_X_DELTA2 = IntMat.from_rows(
+    [[1] * 6, [0, 0, 0, 1, 1, 1], [0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 0, 1]]
+)
+
+
+def _seeded_objectives(n, seed, count):
+    # small entries tie often, wide ones almost never
+    rng = random.Random(seed)
+    objectives = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(count)]
+    objectives += [tuple(rng.randint(-(10**6), 10**6) for _ in range(n)) for _ in range(count)]
+    return objectives
+
+
+def _shoot_against(prob, vertices, objectives):
+    """Shoot each objective, check it against the explicit argmin; the vertices reached and ties."""
+    reached, ties = set(), 0
+    for w in objectives:
+        v = shoot_vertex(prob, w)
+        assert v.u == perturbed_argmin(vertices, w), w
+        reached.add(v.u)
+        ties += v.perturbed
+    return reached, ties
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+def test_univariate_discriminant_vertices(d):
+    # Newton(Delta_A) is known without the fan: each shot is the explicit
+    # argmin, a tie broken by the same perturbation, and every vertex is reached
+    prob = setup(IntMat.from_rows([[1] * (d + 1), list(range(d + 1))]))
+    vertices = univariate_discriminant_vertices(d)
+    assert len(vertices) == 2 ** (d - 1)
+    objectives = _seeded_objectives(d + 1, d, 40)
+    # heights i^2 on the subdivision's endpoints and d^3 elsewhere induce it
+    objectives += [
+        tuple(i * i if u[i] or i in (0, d) else d**3 for i in range(d + 1)) for u in sorted(vertices)
+    ]
+    reached, ties = _shoot_against(prob, vertices, objectives)
+    assert reached == vertices
+    assert ties > 0
+    assert prob.a_degree == (2 * d - 2, d * (d - 1))
+
+
+def test_cube3_vertices_are_hyperdeterminant_monomials():
+    prob = setup(cube_matrix(3))
+    monomials = hyperdeterminant_222_monomials()
+    assert len(monomials) == 12
+    reached, ties = _shoot_against(prob, monomials, _seeded_objectives(8, 3, 100))
+    assert len(reached) == 6  # the other six monomials lie inside the polytope
+    assert ties > 0
+    assert prob.a_degree == (4, 2, 2, 2)
+
+
+def test_dual_defective_discriminant_is_constant():
+    prob = setup(DELTA1_X_DELTA2)
+    assert prob.codim1_cones == []
+    reached, _ = _shoot_against(prob, dual_defective_vertices(6), _seeded_objectives(6, 5, 20))
+    assert reached == dual_defective_vertices(6)
+    assert prob.a_degree == (0, 0, 0, 0)
+
+
+QUADRICS_SHOTS_SCRIPT = """
+import hashlib, io, sys
+from contextlib import redirect_stdout
+from tropfan import cli
+
+buf = io.StringIO()
+with redirect_stdout(buf):
+    code = cli.main([sys.argv[1], "--random", "20", "--seed", "1"])
+with open("/proc/self/status", encoding="ascii") as fh:
+    hwm = int(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+text = buf.getvalue()
+print(code, hashlib.sha256(text.encode()).hexdigest(), hwm, text.splitlines()[0])
+"""
+
+
+@pytest.mark.stress
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")
+def test_stress_quadrics_5x20_discriminant(tmp_path):
+    """The 5x20 as a discriminant input: 118,488 codim-1 cones; `pytest -m stress` runs it.
+
+    setup took 26-29 s and 20 shots about 6 s more, peaking at 217 MB VmHWM, on
+    a 2-core host with Python 3.11.7.  A pack of one (q, G, c) triple per
+    direction and row peaked at 413 MB.
+    """
+    src = str(Path(tropfan.__file__).resolve().parents[1])
+    matrix = tmp_path / "quadrics_5x20.txt"
+    write_matrix_file(matrix, TANGENT_QUADRICS_5X20)
+    proc = subprocess.run(
+        [sys.executable, "-c", QUADRICS_SHOTS_SCRIPT, str(matrix)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, digest, hwm_kb, first = proc.stdout.split(maxsplit=3)
+    assert code == "0"
+    assert first.strip() == "A-DEGREE 12 12 12 12 12"
+    assert digest == "1f9b78761290fee5df1035221e933e11d144b38302454db4c436ee9d47e10407"
+    assert int(hwm_kb) / 1024 <= 300, hwm_kb
+
+
 def test_pack_is_built_by_the_first_shot():
     # packing in setup would add its time to every set-up, shot or not
     prob = setup(GRAPHIC_3X6)
@@ -564,7 +712,11 @@ def test_newton_vertices_script_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert "A-degree: 12 10 -6 -6\n" in proc.stdout
-    assert " ms per vertex" in proc.stdout
+    lines = proc.stdout.splitlines()
+    # the pack has its own line, before the shots it no longer counts in
+    pack = next(i for i, line in enumerate(lines) if line.startswith("pack: "))
+    assert lines[pack].startswith("pack: 532 forms (") and lines[pack].endswith(" ms)")
+    assert lines[pack + 1].endswith(" ms per vertex")
     if Path("/proc/self/status").exists():
         last = proc.stdout.splitlines()[-1]
         assert last.startswith("peak RSS ") and last.endswith(" MB"), last
