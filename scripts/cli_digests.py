@@ -10,12 +10,14 @@ graphic_3x6, cube3 and cube4 print vertices, demo_4x7, uniform_2_3 and
 conic_cubic_unspanned_4x16 exit 2 with an error (the last before it builds
 the fan).  Line/cubic also runs with --random 100 --seed 1 --threads 2,
 which builds setup's fan in worker processes, cube4 with --random 100
---seed 3, whose stream holds two objectives that tie exactly, and
+--seed 3, whose stream holds two objectives that tie exactly,
 conic_cubic_unspanned_4x16 with --random 0, which builds the fan and its
-codim-1 cones (kappa scaled by the minors' gcd 2) and exits 0.  Each input
-run in the fan modes also runs OUTPUT_MODES with --output FILE, so the full
-fan's spilled body is checked through a file as well as through stdout: 119
-runs over the 11 files the script writes.  Each line gives the input, the
+codim-1 cones (kappa scaled by the minors' gcd 2) and exits 0, and
+line/cubic with --random 250 --seed 2 and cube4 with --random 250 --seed 3,
+whose objectives span more than one shooting batch (SHOT_CHUNK).  Each
+input run in the fan modes also runs OUTPUT_MODES with --output FILE, so
+the full fan's spilled body is checked through a file as well as through
+stdout: 121 runs over the 11 files the script writes.  Each line gives the input, the
 flags, the exit code and the sha256 of stdout and of stderr, and for an
 --output run that of the file written (of nothing if none was).  If an
 input the runs read is missing, the script prints one error line and exits
@@ -77,6 +79,8 @@ def runs(matdir: Path):
         yield matdir / name, RANDOM_FLAGS, False
     yield matdir / "line_cubic_4x13.txt", [*RANDOM_FLAGS, "--threads", "2"], False
     yield matdir / "cube4.txt", ["--random", "100", "--seed", "3"], False
+    yield matdir / "line_cubic_4x13.txt", ["--random", "250", "--seed", "2"], False
+    yield matdir / "cube4.txt", ["--random", "250", "--seed", "3"], False
     yield matdir / "conic_cubic_unspanned_4x16.txt", ["--random", "0"], False
 
 

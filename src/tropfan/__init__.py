@@ -13,6 +13,7 @@ from .discriminant import (
     random_vertices,
     setup,
     shoot_vertex,
+    shoot_vertices,
 )
 from .exact import IntMat, det, integer_kernel_basis, rank
 from .fan import Fan, compare_with_bergman, cyclic_bergman_fan, fan_counts
@@ -32,6 +33,7 @@ __all__ = [
     "NewtonVertex",
     "setup",
     "shoot_vertex",
+    "shoot_vertices",
     "random_vertices",
 ]
 

@@ -20,26 +20,26 @@ Four devices keep this exact and fast:
   normal: |det(A^T, rays, e_i)| = kappa * |normal_i| for a per-cone integer
   kappa, which the same walk reads off its last row in closed form, so
   shooting computes no determinant;
-* every inner product one objective needs (normal . w and Q . w for every
-  cone) comes from one pass of exact big-int arithmetic.  Cones in one
-  hyperplane share a normal and neighbours share a facet's functional up to
-  scale, so each Q row is k times an interned primitive form, and coordinate
-  t of every distinct form is packed into one int as signed lanes; the sum
-  over t of w_t times that int, plus 2^(L-1) in every lane, is read back as
-  L-bit words.  Each lane equals sum_t w_t * x_t, so |lane| <= n * max|x| *
-  max|w|.  The lanes are 32 bits wide when that bound stays below 2^31 for
-  every |w| <= 10^6 (the range of random objectives), else 64 bits; a w
-  for which it could reach 2^(L-1) takes plain dot products over the forms;
+* every inner product a batch of objectives needs (normal . w and Q . w
+  for every cone) comes from one pass of exact big-int arithmetic.  Cones
+  in one hyperplane share a normal and neighbours share a facet's
+  functional up to scale, so each Q row is k times an interned primitive
+  form.  Objective l is lane l, L bits wide, of one int per coordinate,
+  W_t = sum_l w_l[t] * 2^(L*l), so sum_t form_t * W_t holds form . w_l in
+  lane l exactly, as signed lanes; every sign test below is one more exact
+  lane-wise sum, read off each lane's top bit after adding 2^(L-1) - 1.  L
+  comes from a bound proven before the pass, 2 * max|x| * max |form|_1 *
+  max|w| over the forms and the batch, so no lane borrows from its neighbour;
 * the ray w + t e_i meets the hyperplane normal . x = 0 at t = -s/g, with
   s = normal . w and g = normal_i, so only the directions whose g has the
   sign opposite to s can cross (s = 0 ties), and the crossing point lies in
   the cone when every (Q_j . w * g - s * Q_ji) * sign(D * g) is positive.
   For Q_j = k * form that is |k| * sigma * (form . w * g - s * form_i), with
-  sigma = sign(k * D * g) fixed within each sign of g.  So each cone keeps
-  its rows once per sign of g as ids of the signed forms sigma * form, and
-  each direction (i, g, weight) shares column i of every signed form: a row
-  test reads P[q] * g > s * col[q] over the signed products P, and a shot
-  tests one group per cone.
+  sigma = sign(k * D * g), whose sign flips with g.  So each cone keeps its
+  rows once, as ids of the signed forms sign(k * D) * form, and each
+  direction (i, |g|, weight) shares column i of every signed form: a row
+  test reads P[q] * |g| - s * col[q] > 0 for g > 0 and its negation for
+  g < 0, and each lane tests the group its own sign of s picks.
 
 Non-generic objectives are resolved in the same pass by the fixed symbolic
 perturbation w + (eps, eps^2, ..., eps^n) (simulation of simplicity,
@@ -51,12 +51,10 @@ the shot tests is zero, so nothing is left to chance.
 from __future__ import annotations
 
 import random
-import sys
-from array import array
 from collections import namedtuple
 from functools import cached_property
 from itertools import compress
-from operator import index
+from operator import index, mul
 
 from .errors import (
     DegenerateDual,
@@ -82,6 +80,7 @@ from .matroid import Matroid
 from .util import dot, primitive
 
 OBJECTIVE_RANGE = 10**6  # random objectives are uniform in [-10^6, 10^6]
+SHOT_CHUNK = 50  # objectives shot in one pass over the codim-1 cones
 
 
 class NewtonVertex(
@@ -122,19 +121,19 @@ class DiscriminantProblem:
         return _pack_cones(self)
 
 
-class _PackedCones(namedtuple("_PackedCones", "cols bias wmax lane table forms")):
+class _PackedCones(namedtuple("_PackedCones", "table forms bound usum")):
     """The codim-1 cones as shooting reads them, built on the first shot.
 
     forms holds each distinct normal and each distinct primitive form of a Q
-    row once, nf of them; signed form id q reads +forms[q] and nf + q reads
-    -forms[q].  cols[t] holds coordinate t of every form as signed lanes of
-    array typecode `lane`, lane q for form q; bias holds 2^(bits-1) per lane.
-    For max|v| <= wmax (-1: no v != 0) each lane of sum_t v_t * cols[t] is
-    below 2^(bits-1) in absolute value.  table holds, per cone, (nid, pos,
-    neg, (pos_dirs, neg_dirs)): its normal's form id; per Q row k * forms[q],
-    the signed id of sigma * forms[q], sigma = sign(k * D * g), for g > 0 and
-    for g < 0; and its directions with g = normal_i > 0, then < 0, each as
-    (i, g, kappa * |g|, col), col holding coordinate i of every signed form.
+    row once; signed form id q >= 0 reads +forms[q] and ~q reads -forms[q].
+    table holds, per cone, (nid, ids, (pos_dirs, neg_dirs)): its normal's
+    form id; per Q row k * forms[q], the signed id of sigma * forms[q],
+    sigma = sign(k * D); and its directions with g = normal_i > 0, then < 0,
+    each as (i, |g|, kappa * |g|, col), col holding coordinate i of every
+    form.  The g < 0 group reads every row with the opposite sign.  bound
+    is 2 * max|x| * max |form|_1 over the forms, so every row test of an
+    objective w is below bound * max|w| in absolute value, and usum bounds
+    every entry of a vertex.
     """
 
     __slots__ = ()
@@ -250,135 +249,119 @@ def _pack_cones(prob: DiscriminantProblem) -> _PackedCones:
             if id(row) not in signs:  # primitive once per distinct row; its lead is positive
                 q = forms.setdefault(primitive(row), len(forms))
                 signs[id(row)] = q if next(filter(None, row)) > 0 else ~q
-    nf = len(forms)
-    signed = [*range(nf), *reversed(range(nf, 2 * nf))]  # signed[q], signed[~q]: ids of +-forms[q]
-    columns = [list(col) + [-x for x in col] for col in zip(*forms)]  # coordinate t of signed forms
-    table, directions = [], {}
+    columns = list(zip(*forms))  # coordinate t of every form
+    table, directions, usum = [], {}, 0
     for cone in prob.codim1_cones:
-        # g > 0 reads row k * forms[q] as sign(k * D) * forms[q], g < 0 as the opposite
-        xs = [signs[id(row)] if cone.denom > 0 else ~signs[id(row)] for row in cone.qrows]
-        pos, neg = tuple([signed[x] for x in xs]), tuple([signed[~x] for x in xs])
-        nid, kappa = forms[cone.normal], cone.kappa
+        # row k * forms[q] reads as sign(k * D) * forms[q]: id q for +, ~q for -
+        ids = tuple([signs[id(row)] if cone.denom > 0 else ~signs[id(row)] for row in cone.qrows])
+        nid, kappa, normal = forms[cone.normal], cone.kappa, cone.normal
         if (nid, kappa) not in directions:  # shared by the cones of this normal and kappa
-            dirs = [(i, cone.normal[i], kappa * abs(cone.normal[i]), columns[i]) for i in cone.support]
-            pos_dirs = tuple(d for d in dirs if d[1] > 0)
-            directions[nid, kappa] = pos_dirs, tuple(d for d in dirs if d[1] < 0)
-        table.append((nid, pos, neg, directions[nid, kappa]))
-    forms = tuple(forms)
-    xmax = max((abs(x) for form in forms for x in form), default=1)
-    # |lane| <= n * xmax * max|v| < 2^(bits-1) for max|v| <= wmax: 32-bit lanes
-    # if every random objective (max|v| <= OBJECTIVE_RANGE) fits them, else 64
-    for lane in "iq":
-        size = array(lane).itemsize
-        wmax = ((1 << 8 * size - 1) - 1) // (prob.n * xmax)
-        if wmax >= OBJECTIVE_RANGE:
-            break
-    if wmax == 0:
-        return _PackedCones((), 0, -1, lane, tuple(table), forms)
-    bias = int.from_bytes((1 << 8 * size - 1).to_bytes(size, sys.byteorder) * nf, sys.byteorder)
-    # XOR with the bias maps each two's-complement lane x to 2^(bits-1) + x;
-    # subtracting it takes back the 2^bits a negative lane borrowed from the next
-    cols = tuple(
-        (int.from_bytes(array(lane, [form[t] for form in forms]), sys.byteorder) ^ bias) - bias
-        for t in range(prob.n)
-    )
-    return _PackedCones(cols, bias, wmax, lane, tuple(table), forms)
+            dirs = [(i, abs(normal[i]), kappa * abs(normal[i]), columns[i]) for i in cone.support]
+            pos_dirs = tuple(d for d in dirs if normal[d[0]] > 0)
+            directions[nid, kappa] = pos_dirs, tuple(d for d in dirs if normal[d[0]] < 0)
+        usum += kappa * sum(map(abs, normal))
+        table.append((nid, ids, directions[nid, kappa]))
+    xmax = max((abs(x) for form in forms for x in form), default=0)
+    bound = 2 * xmax * max((sum(map(abs, form)) for form in forms), default=0)
+    return _PackedCones(tuple(table), tuple(forms), bound, usum)
 
 
-def _inner_products(prob: DiscriminantProblem, v) -> list:
-    """P: form . v for every interned form of the codim-1 cones, then -form . v, by signed id.
+def _tie_sign(forms, q, normal, i) -> bool:
+    """Whether row q's test for direction i, zero at w, is positive at w + (eps, ..., eps^n).
 
-    One packed pass when max|v| <= wmax, which random objectives meet
-    whenever wmax >= OBJECTIVE_RANGE; plain dot products over the forms otherwise.
+    The test is the linear form sign(g) * sigma * (g * form - form_i *
+    normal), g = normal_i and sigma * form signed form q, so its sign there
+    is that of its first nonzero coefficient, the same for every w it ties.
     """
-    packed = prob._packed
-    if max(map(abs, v)) > packed.wmax:
-        p = [dot(form, v) for form in packed.forms]
-        return p + [-x for x in p]
-    bias = acc = packed.bias
-    for x, col in zip(v, packed.cols):
-        acc += x * col
-    # Each biased lane 2^(bits-1) + y lies in [1, 2^bits), and so does the lane
-    # 2^(bits-1) - y of 2 * bias - acc; flipping each top bit leaves y and -y in
-    # two's complement, which the signed cast reads back.  The top lane holds
-    # the bias's highest bit, so its length is the bytes to read.
-    nbytes = bias.bit_length() // 8
-    data = (acc ^ bias).to_bytes(nbytes, sys.byteorder)
-    data += (((bias << 1) - acc) ^ bias).to_bytes(nbytes, sys.byteorder)
-    return memoryview(data).cast(packed.lane).tolist()
+    g = normal[i]
+    form = forms[q if q >= 0 else ~q]
+    x = next(filter(None, (g * f - form[i] * v for f, v in zip(form, normal))), 0)
+    if not x:  # the form is a nonzero multiple of lambda_j at the crossing
+        raise InternalInvariant("a membership form vanishes identically")
+    return (x > 0) == ((q >= 0) == (g > 0))
 
 
-def _tie_hit(P, s, ids, g, col, forms, normal) -> bool:
-    """Whether a direction (g = normal_i, col its column) is hit, once a row ties.
+def _shoot(packed: _PackedCones, ws: list) -> list:
+    """(u, tied) per objective of ws, from one pass: objective l is lane l of every int.
 
-    Rescans the rows in order.  Row q's quantity P[q] * g - s * col[q] is the
-    linear form g * sigma * form - col[q] * normal at w, sigma * form being
-    signed form q; an exact zero takes the sign of the form's first nonzero
-    coefficient, its sign at w + (eps, ..., eps^n).  The first quantity that
-    is not positive decides.
+    Lanes are L bits, L such that every s and row test X lies in
+    (-2^(L-2), 2^(L-2)) and every u entry below 2^L.  A lane of X +
+    2^(L-1) - 1 then borrows nothing and has its top bit set iff X > 0 there.
     """
-    nf = len(forms)
-    for q in ids:
-        x = P[q] * g - s * col[q]
-        if not x:  # the form is a nonzero multiple of lambda_j at the crossing
-            form, h = (forms[q], g) if q < nf else (forms[q - nf], -g)
-            x = next(filter(None, (h * f - col[q] * v for f, v in zip(form, normal))), 0)
-            if not x:
-                raise InternalInvariant("a membership form vanishes identically")
-        if x < 0:
-            return False
-    return True
+    wmax = max(abs(x) for w in ws for x in w)
+    L = max((packed.bound * wmax).bit_length() + 2, packed.usum.bit_length())
+    ones = sum(1 << L * l for l in range(len(ws)))
+    top = ones << L - 1  # the top bit of every lane
+    low1 = top - ones  # 2^(L-1) - 1 in every lane
+    W = [sum(x << L * l for l, x in enumerate(col)) for col in zip(*ws)]
+    P = [sum(map(mul, form, W)) for form in packed.forms]  # exact: lane l is form . w_l
+    U, tied = [0] * len(W), 0
+    for nid, ids, (pos_dirs, neg_dirs) in packed.table:
+        S = P[nid]
+        ge = (S + top) & top  # lanes with s >= 0 cross along g < 0, the others along g > 0;
+        tied |= ge & ~(S + low1)  # s = 0 takes the sign of the (primitive) normal's lead: +
+        for alive, dirs, T in ((top ^ ge, pos_dirs, S), (ge, neg_dirs, -S)):
+            if not alive:
+                continue
+            for i, h, weight, col in dirs:  # h = |g|: with T = -s, the g < 0 group tests -X
+                a = alive
+                for q in ids:
+                    if q >= 0:
+                        Y = P[q] * h - T * col[q] + low1
+                    else:  # -forms[~q]
+                        Y = low1 - (P[~q] * h - T * col[~q])
+                    b = a & Y
+                    if b != a:
+                        ties = (a ^ b) & (Y + ones)  # lanes that died on an exact zero
+                        if ties:
+                            tied |= ties
+                            if _tie_sign(packed.forms, q, packed.forms[nid], i):
+                                b |= ties
+                        a = b
+                        if not a:
+                            break
+                if a:
+                    U[i] += weight * (a >> L - 1)
+    mask = (1 << L) - 1
+    lanes = range(0, L * len(ws), L)
+    return [(tuple(x >> k & mask for x in U), bool(tied >> k + L - 1 & 1)) for k in lanes]
 
 
-def _shoot(prob, w):
-    """(u, tied): the hit weights of w + (eps, ..., eps^n); tied if the scan met an exact tie."""
-    u, tied = [0] * prob.n, False
-    forms = prob._packed.forms
-    P = _inner_products(prob, w)
-    for nid, ids, neg, dirs in prob._packed.table:  # ids, dirs[0]: the group g > 0
-        s = P[nid]
-        if s < 0:
-            dirs = dirs[0]
-        else:  # a zero s takes the sign of the (primitive) normal's lead: +
-            tied = tied or not s
-            ids, dirs = neg, dirs[1]
-        for i, g, weight, col in dirs:
-            for q in ids:
-                if P[q] * g <= s * col[q]:
-                    if P[q] * g == s * col[q]:
-                        tied = True
-                        if _tie_hit(P, s, ids, g, col, forms, forms[nid]):
-                            u[i] += weight
-                    break
-            else:
-                u[i] += weight
-    return u, tied
+def shoot_vertices(prob: DiscriminantProblem, objectives) -> list:
+    """Vertices of the Newton polytope minimizing u . w, by exact ray shooting, one per w.
+
+    Up to SHOT_CHUNK objectives share one pass over the codim-1 cones as
+    lanes of one int.  An exact tie takes its sign at w + (eps, eps^2, ...,
+    eps^n), so a non-generic w gets the vertex of its minimizing face that
+    this fixed perturbation picks, flagged `perturbed`.  The A-degree is
+    attached and checked constant across the problem's lifetime.
+    """
+    ws = list(objectives)
+    if ws and not prob.lattice_spanned:
+        raise LatticeNotSpanned("vertex formula requires coprime maximal minors")
+    for k, w in enumerate(ws):
+        ws[k] = w = tuple(map(index, w))  # TypeError on a float or Fraction, never a truncation
+        if len(w) != prob.n:
+            raise WrongSize(f"objective has {len(w)} entries, not {prob.n}")
+    out = []
+    for start in range(0, len(ws), SHOT_CHUNK):
+        chunk = ws[start : start + SHOT_CHUNK]
+        for w, (u, tied) in zip(chunk, _shoot(prob._packed, chunk)):
+            a_degree = tuple(dot(row, u) for row in prob.A.entries)
+            if prob.a_degree is None:
+                prob.a_degree = a_degree
+            elif prob.a_degree != a_degree:
+                raise InternalInvariant(
+                    f"A-degree changed from {prob.a_degree} to {a_degree}; "
+                    "the codimension-1 cone family is inconsistent"
+                )
+            out.append(NewtonVertex(u, w, a_degree, perturbed=tied))
+    return out
 
 
 def shoot_vertex(prob: DiscriminantProblem, w) -> NewtonVertex:
-    """Vertex of the Newton polytope minimizing u . w, by exact ray shooting.
-
-    One pass; an exact tie takes its sign at w + (eps, eps^2, ..., eps^n), so
-    a non-generic w gets the vertex of its minimizing face that this fixed
-    perturbation picks, flagged `perturbed`.  The A-degree is attached and
-    checked constant across the problem's lifetime.
-    """
-    if not prob.lattice_spanned:
-        raise LatticeNotSpanned("vertex formula requires coprime maximal minors")
-    w = tuple(map(index, w))  # TypeError on a float or Fraction, never a truncation
-    if len(w) != prob.n:
-        raise WrongSize(f"objective has {len(w)} entries, not {prob.n}")
-    u, tied = _shoot(prob, w)
-    u = tuple(u)
-    a_degree = tuple(dot(row, u) for row in prob.A.entries)
-    if prob.a_degree is None:
-        prob.a_degree = a_degree
-    elif prob.a_degree != a_degree:
-        raise InternalInvariant(
-            f"A-degree changed from {prob.a_degree} to {a_degree}; "
-            "the codimension-1 cone family is inconsistent"
-        )
-    return NewtonVertex(u, w, a_degree, perturbed=tied)
+    """Vertex of the Newton polytope minimizing u . w: shoot_vertices(prob, [w])[0]."""
+    return shoot_vertices(prob, [w])[0]
 
 
 def random_vertices(prob: DiscriminantProblem, count: int, seed: int) -> list:
@@ -387,17 +370,17 @@ def random_vertices(prob: DiscriminantProblem, count: int, seed: int) -> list:
     Objectives are uniform in [-OBJECTIVE_RANGE, OBJECTIVE_RANGE] per
     coordinate; a tied one is resolved by shoot_vertex's fixed perturbation.
     """
-    rng = random.Random(seed)
-    out = []
-    first_seen: dict = {}
-    for idx in range(count):
-        w = tuple(rng.randint(-OBJECTIVE_RANGE, OBJECTIVE_RANGE) for _ in range(prob.n))
-        # drawn and discarded: without it each seed's objectives, and so the
-        # pinned CLI streams, would change
-        rng.getrandbits(32)
-        vertex = shoot_vertex(prob, w)
+    rng, r = random.Random(seed), OBJECTIVE_RANGE
+
+    def objectives():
+        for _ in range(count):
+            yield tuple(rng.randint(-r, r) for _ in range(prob.n))
+            # drawn and discarded: without it each seed's objectives, and so
+            # the pinned CLI streams, would change
+            rng.getrandbits(32)
+
+    out, first_seen = [], {}
+    for idx, vertex in enumerate(shoot_vertices(prob, objectives())):
         prior = first_seen.setdefault(vertex.u, idx)
-        if prior != idx:
-            vertex = vertex._replace(duplicate_of=prior)
-        out.append(vertex)
+        out.append(vertex if prior == idx else vertex._replace(duplicate_of=prior))
     return out

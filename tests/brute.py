@@ -7,7 +7,9 @@ deletion-contraction instead of activities, total-order enumeration instead
 of the pair recursion, caterpillar trees and mask-by-mask ray lists instead
 of the table-built ray-index rows, a scan over every circuit for tropical
 membership, a phase-one simplex for cone membership, per-cone dot products
-over every direction instead of packed lanes for ray shooting, and every
+over every direction instead of packed lanes for ray shooting, one
+objective at a time with plain dot products instead of lanes of one int
+(`scalar_shoot`), and every
 basis's weight at a cone's witness instead of tight-basis bitsets for
 Bergman classes, a reduction plus an adjugate per cone instead of the
 trie walk for the codim-1 cones, and the gcd of the maximal minors, minor by
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd
+from operator import mul
 from typing import NamedTuple
 
 from tropfan.errors import InternalInvariant, WrongSize
@@ -837,6 +840,66 @@ def scalar_ray_hits(prob, w, perturbed=False):
             else:
                 hits.append((pos, i))
     return hits
+
+
+def scalar_shoot(prob, w):
+    """(u, tied): the hits of w + (eps, ..., eps^n) over the packed table, one objective at a time.
+
+    The scalar shot that lane-parallel shooting replaced: p holds each
+    form's product with w, by plain dot products, and signed form id q
+    reads +forms[q] for q >= 0 and -forms[~q] otherwise.  Each cone tests
+    the sign group its s picks (s = 0 takes the normal's positive lead):
+    for g > 0 the table's signed ids, for g < 0 the opposite ones.  A row
+    test reads P_q * g - s * col_q in the cone's row order, and the first
+    that is not positive decides; an exact zero sets tied and rescans the
+    rows with each zero replaced by the perturbation's sign.
+    """
+    packed = prob._packed
+    forms = packed.forms
+    p = [sum(map(mul, form, w)) for form in forms]
+    u, tied = [0] * prob.n, False
+    for nid, pos, (pos_dirs, neg_dirs) in packed.table:
+        normal, s = forms[nid], p[nid]
+        if s < 0:
+            ids, dirs = pos, pos_dirs
+        else:
+            tied = tied or not s
+            ids, dirs = [~q for q in pos], neg_dirs
+        for i, _, weight, col in dirs:
+            g = normal[i]
+            for q in ids:
+                pq, cq = (p[q], col[q]) if q >= 0 else (-p[~q], -col[~q])
+                if pq * g <= s * cq:
+                    if pq * g == s * cq:
+                        tied = True
+                        if _scalar_tie_hit(p, s, ids, g, col, forms, normal):
+                            u[i] += weight
+                    break
+            else:
+                u[i] += weight
+    return tuple(u), tied
+
+
+def _scalar_tie_hit(p, s, ids, g, col, forms, normal) -> bool:
+    """Whether a direction (g = normal_i, col its column) is hit, once a row ties.
+
+    Rescans the rows in order.  Row q's quantity sigma * (p[f] * g - s *
+    col[f]), sigma * forms[f] being signed form q, is the linear form
+    sigma * (g * forms[f] - col[f] * normal) at w; an exact zero takes the
+    sign of the form's first nonzero coefficient, its sign at
+    w + (eps, ..., eps^n).
+    """
+    for q in ids:
+        sigma, f = (1, q) if q >= 0 else (-1, ~q)
+        x = sigma * (p[f] * g - s * col[f])
+        if not x:
+            x = next(filter(None, (g * a - col[f] * v for a, v in zip(forms[f], normal))), 0)
+            x *= sigma
+            if not x:
+                raise InternalInvariant("a membership form vanishes identically")
+        if x < 0:
+            return False
+    return True
 
 
 def univariate_discriminant_vertices(d: int) -> set:

@@ -21,6 +21,7 @@ from brute import (
     maximal_minor_gcd,
     perturbed_argmin,
     scalar_ray_hits,
+    scalar_shoot,
     univariate_discriminant_vertices,
 )
 from conftest import UNSATURATED_3X7, UNSPANNED_3X7, write_matrix_file
@@ -33,13 +34,14 @@ from tropfan.data import (
 )
 from tropfan.discriminant import (
     OBJECTIVE_RANGE,
+    SHOT_CHUNK,
     Codim1Cone,
-    _inner_products,
     _pack_cones,
     _shoot,
     random_vertices,
     setup,
     shoot_vertex,
+    shoot_vertices,
 )
 from tropfan.errors import (
     DegenerateDual,
@@ -109,7 +111,8 @@ def test_conic_cubic_setup_peak_memory():
     # one tuple per Q row took setup 16.3 MB above the import's peak;
     # interned, the rise is 6.7 MB.  A pack of one (q, G, c) triple per
     # direction and row took the first shot 15.9 MB higher; signed form ids
-    # and shared coordinate columns take it about 8 MB higher
+    # and shared coordinate columns took it 7.5 MB higher, and one id tuple
+    # per cone instead of two takes it 6.6 MB higher
     src = str(Path(tropfan.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", SETUP_PEAK_SCRIPT],
@@ -121,7 +124,7 @@ def test_conic_cubic_setup_peak_memory():
     cones, before, after, shot = map(int, proc.stdout.split())
     assert cones == 6675
     assert (after - before) / 1024 < 10, (before, after)
-    assert (shot - after) / 1024 < 11, (after, shot)
+    assert (shot - after) / 1024 < 7, (after, shot)
 
 
 @pytest.mark.parametrize(
@@ -285,10 +288,11 @@ def test_perturbed_agrees_with_clean_run(line_cubic_problem):
     prob = line_cubic_problem
     rng = random.Random(123)
     w = tuple(rng.randint(-(10**6), 10**6) for _ in range(prob.n))
-    clean = _shoot(prob, w)
-    assert not clean[1]
+    clean = shoot_vertex(prob, w)
+    assert not clean.perturbed
     assert scalar_ray_hits(prob, w, perturbed=True) == scalar_ray_hits(prob, w)
-    assert _shoot(prob, _explicit_perturbation(w)) == clean
+    explicit = shoot_vertex(prob, _explicit_perturbation(w))
+    assert (explicit.u, explicit.perturbed) == (clean.u, False)
 
 
 @pytest.mark.parametrize("x", [0.9, 3.0, Fraction(7, 2), Fraction(4, 1), "5"])
@@ -349,18 +353,21 @@ def test_ray_hits_cone_basics(line_cubic_problem):
     prob = line_cubic_problem
     rng = random.Random(31)
     w = tuple(rng.randint(-(10**6), 10**6) for _ in range(prob.n))
+    # entries at +-max|w|, the extreme the lanes of their shared pass are sized for
+    extreme = tuple(rng.choice((-1, 1)) * max(map(abs, w)) for _ in range(prob.n))
     hit_count = 0
     for k, cone in enumerate(prob.codim1_cones[:200]):
-        nid, _, _, (pos, neg) = prob._packed.table[k]
+        nid, _, (pos, neg) = prob._packed.table[k]
         assert prob._packed.forms[nid] == cone.normal
         assert [d[0] for d in pos] == [i for i in cone.support if cone.normal[i] > 0]
         assert [d[0] for d in neg] == [i for i in cone.support if cone.normal[i] < 0]
         # shoot the cone alone: its table row is the only one read
         single = SimpleNamespace(n=prob.n, m=prob.m, codim1_cones=[cone])
         single._packed = _pack_cones(single)
-        u, _ = _shoot(single, w)
+        (u, _), far = _shoot(single._packed, [w, extreme])
         hits = [i for i in range(prob.n) if u[i]]
         assert hits == [i for _, i in scalar_ray_hits(single, w)]
+        assert far == scalar_shoot(single, extreme)
         s = dot(cone.normal, w)
         for i in range(prob.n):
             g = cone.normal[i]
@@ -372,148 +379,160 @@ def test_ray_hits_cone_basics(line_cubic_problem):
     assert hit_count > 0
 
 
+def _extreme_objectives(packed, n, wmax):
+    """Entries +-wmax along the sign pattern of a longest form: its product is +-|form|_1 * wmax."""
+    l1max = max(sum(map(abs, form)) for form in packed.forms)
+    longest = [form for form in packed.forms if sum(map(abs, form)) == l1max][:1]
+    signs = [tuple(1 if x >= 0 else -1 for x in form) for form in longest]
+    return [tuple(k * wmax * x for x in sign) for sign in signs for k in (1, -1)]
+
+
 def test_packed_lanes_equal_dot(line_cubic_problem):
+    # objective l is lane l of one int per coordinate; lanes are sized by
+    # bound * max|w|, bound = 2 * max|x| * max |form|_1 = 2 * 6 * 22, and
+    # entries at +-max|w| along a longest form drive its product to that
+    # form's |form|_1 * max|w|.  Shots off the lanes equal the scalar shots,
+    # which read plain dot products
     prob = line_cubic_problem
     packed = prob._packed
-    assert packed.lane == "i"  # n * max|x| * 10^6 = 13 * 6 * 10^6 < 2^31
-    assert packed.wmax > 10**6
+    xmax = max(abs(x) for form in packed.forms for x in form)
+    l1max = max(sum(map(abs, form)) for form in packed.forms)
+    assert (xmax, l1max, packed.bound) == (6, 22, 264)
     rng = random.Random(41)
     n = prob.n
     vectors = [tuple(rng.randint(-(10**6), 10**6) for _ in range(n)) for _ in range(4)]
-    # every entry at the proven bound, where a lane may reach 2^31 - 1
-    vectors.append(tuple(rng.choice((-1, 1)) * packed.wmax for _ in range(n)))
-    lanes_only = SimpleNamespace(_packed=packed._replace(forms=()))  # no forms to dot with
-    for v in vectors:
-        p = [dot(form, v) for form in packed.forms]
-        assert _inner_products(lanes_only, v) == p + [-x for x in p]  # then by signed id
+    vectors += _extreme_objectives(packed, n, 10**6)
+    vectors += [tuple(rng.choice((-1, 1)) * 10**6 for _ in range(n)) for _ in range(4)]
+    assert max(abs(dot(form, v)) for form in packed.forms for v in vectors) == l1max * 10**6
+    assert _shoot(packed, vectors) == [scalar_shoot(prob, v) for v in vectors]
 
 
 @pytest.mark.parametrize(
-    "A, lanes, forms, wmax",
+    "A, lanes, forms, bound",
     [
-        (TANGENT_LINE_CUBIC_4X13, 7668, 532, 27531841),
-        (TANGENT_CONIC_CUBIC_4X16, 80100, 6722, 8947848),
+        (TANGENT_LINE_CUBIC_4X13, 7668, 532, 264),
+        (TANGENT_CONIC_CUBIC_4X16, 80100, 6722, 1500),
         (cube_matrix(4), None, None, None),
         (GRAPHIC_3X6, None, None, None),
         (cube_matrix(3), None, None, None),
     ],
     ids=["line_cubic", "conic_cubic", "cube4", "graphic_3x6", "cube3"],
 )
-def test_interned_table_equals_per_cone_dots(A, lanes, forms, wmax):
+def test_interned_table_equals_per_cone_dots(A, lanes, forms, bound):
     # each normal and Q row is read as k times an interned primitive form;
-    # the table must reproduce every per-cone product and sign it replaced
+    # the table must reproduce every per-cone product and sign it replaced,
+    # and every row test must stay within the bound the lanes are sized by
     prob = setup(A)
     packed = prob._packed
-    # these are the inputs the CLI digests shoot: each random objective takes
-    # one packed pass, never the dot products past wmax
-    assert packed.wmax >= OBJECTIVE_RANGE
     n, cones = prob.n, prob.codim1_cones
     assert len(set(packed.forms)) == len(packed.forms)
     assert all(primitive(form) == form for form in packed.forms)
+    xmax = max(abs(x) for form in packed.forms for x in form)
+    assert packed.bound == 2 * xmax * max(sum(map(abs, form)) for form in packed.forms)
+    # no vertex entry can pass the sum of every cone's weights
+    assert packed.usum == sum(c.kappa * sum(map(abs, c.normal)) for c in cones)
     if lanes is not None:  # 7,668 per-cone vectors share 532 forms on line/cubic
         assert sum(1 + len(c.qrows) for c in cones) == lanes
-        assert (len(packed.forms), packed.wmax) == (forms, wmax)
+        assert (len(packed.forms), packed.bound) == (forms, bound)
     assert len(packed.table) == len(cones)
-    nf = len(packed.forms)
-    signed_forms = packed.forms + tuple(tuple(-x for x in form) for form in packed.forms)
-    columns = {}  # coordinate -> its one shared column, by signed form id
-    scaled = []  # per cone, |k| per Q row, with sign(D) * Q_j = |k| * signed_forms[pos[j]]
-    for cone, (nid, pos, neg, (pos_dirs, neg_dirs)) in zip(cones, packed.table):
+    # signed id q >= 0 reads forms[q], ~q reads -forms[q]: index ~q is from the end
+    signed_forms = packed.forms + tuple(tuple(-x for x in form) for form in packed.forms[::-1])
+    columns = {}  # coordinate -> its one shared column, by form id
+    scaled = []  # per cone, |k| per Q row, with sign(D) * Q_j = |k| * signed_forms[ids[j]]
+    for cone, (nid, ids, (pos_dirs, neg_dirs)) in zip(cones, packed.table):
         assert packed.forms[nid] == cone.normal
         order = sorted(cone.support, key=lambda i: cone.normal[i] < 0)
         assert [d[0] for d in pos_dirs + neg_dirs] == order
-        assert len(pos) == len(neg) == len(cone.qrows)
-        assert neg == tuple((q + nf) % (2 * nf) for q in pos)  # the opposite sign, row by row
+        assert len(ids) == len(cone.qrows)
         sgn_d = 1 if cone.denom > 0 else -1
         ks = []
-        for q, qrow in zip(pos, cone.qrows):
+        for q, qrow in zip(ids, cone.qrows):
             form = signed_forms[q]
             k = next(filter(None, qrow)) * sgn_d // next(filter(None, form))
             assert k > 0 and tuple(k * x * sgn_d for x in form) == qrow
             ks.append(k)
-        for group, dirs in ((pos, pos_dirs), (neg, neg_dirs)):
-            for i, g, weight, col in dirs:
-                assert g == cone.normal[i] and (g > 0) == (group is pos)
-                assert weight == cone.kappa * abs(g)
+        for dirs, sign in ((pos_dirs, 1), (neg_dirs, -1)):
+            for i, h, weight, col in dirs:
+                assert h == sign * cone.normal[i] > 0
+                assert weight == cone.kappa * h
                 if i not in columns:
-                    assert list(col) == [form[i] for form in signed_forms]
+                    assert list(col) == [form[i] for form in packed.forms]
                 assert columns.setdefault(i, col) is col
-        scaled.append((nid, pos, neg, pos_dirs + neg_dirs, ks))
+        scaled.append((nid, ids, pos_dirs + neg_dirs, ks))
     rng = random.Random(53)
     objectives = [tuple(rng.randint(-(10**6), 10**6) for _ in range(n)) for _ in range(3)]
-    objectives += [tuple(row) for row in prob.A.entries]
-    objectives.append(tuple(rng.choice((-1, 1)) * packed.wmax for _ in range(n)))
+    extremes = _extreme_objectives(packed, n, OBJECTIVE_RANGE)
+    objectives += [tuple(row) for row in prob.A.entries] + extremes
     for w in objectives:
-        P = _inner_products(prob, w)
-        assert len(P) == 2 * nf
-        for cone, (nid, pos, neg, dirs, ks) in zip(cones, scaled):
+        P = [dot(form, w) for form in signed_forms]
+        limit = packed.bound * max(map(abs, w))
+        for cone, (nid, ids, dirs, ks) in zip(cones, scaled):
             s = P[nid]
             assert s == dot(cone.normal, w)
             lam = [dot(qrow, w) for qrow in cone.qrows]
             sgn_d = 1 if cone.denom > 0 else -1
-            assert [P[q] * k * sgn_d for q, k in zip(pos, ks)] == lam
-            # each row test P[q] * g - s * col[q] is the per-cone membership
-            # quantity (lambda_j * g - s * Q_ji) * sign(D * g), divided by |k|
-            for i, g, _, col in dirs:
-                ids = pos if g > 0 else neg
+            assert [P[q] * k * sgn_d for q, k in zip(ids, ks)] == lam
+            # each row test, P[q] * |g| - s * (signed form q)_i for g > 0 and its
+            # negation for g < 0, is the per-cone membership quantity
+            # (lambda_j * g - s * Q_ji) * sign(D * g), divided by |k|
+            for i, h, _, col in dirs:
+                sign = 1 if cone.normal[i] > 0 else -1
                 for q, k, qrow, lj in zip(ids, ks, cone.qrows, lam):
-                    expected = (lj * g - s * qrow[i]) * sgn_d * (1 if g > 0 else -1)
-                    assert (P[q] * g - s * col[q]) * k == expected
+                    test = sign * (P[q] * cone.normal[i] - s * signed_forms[q][i])
+                    assert test * k == (lj * cone.normal[i] - s * qrow[i]) * sgn_d * sign
+                    assert abs(test) <= limit
+    shot = objectives[:3] + extremes  # the rows of A tie, which other tests cover
+    assert _shoot(packed, shot) == [scalar_shoot(prob, w) for w in shot]
 
 
-@pytest.mark.parametrize(
-    "x, lane",
-    [
-        pytest.param(x, lane, id=str(x))
-        for x, lane in ((12, "i"), (165, "i"), (166, "q"), (3**37, "q"), (2**62, "q"))
-    ],
-)
-def test_lane_bound_holds_at_its_extreme(x, lane):
-    # 32-bit lanes while n * x * 10^6 < 2^31: for n = 13 up to x = 165
+@pytest.mark.parametrize("x", [pytest.param(x, id=str(x)) for x in (12, 165, 166, 3**37, 2**62)])
+def test_lane_bound_holds_at_its_extreme(x):
+    # normal and form have |x|_1 = 13x - 1 and max|x| = x, so the lanes are
+    # sized by bound = 2x(13x - 1) times max|w|.  With g = normal_12 = x the
+    # row test is x (form - normal) . w up to sign, and w = -max|w| in every
+    # entry makes it 2x(12x - 1) max|w| > bound * max|w| / 2: no lane could be
+    # a bit narrower than the bound's length
     n = 13
-    # primitive forms, as gcd(x, x - 1) = 1; the first Q row is -1 times the normal
-    normal, other = (x,) * (n - 1) + (x - 1,), (x, -x) * 6 + (x - 1,)
-    qrows = (tuple(-y for y in normal), other)
-    cone = Codim1Cone(0, normal, qrows, 1, 1, tuple(range(n)))
+    normal = (x,) * 11 + (x - 1, x)
+    form = (1 - x,) + (-x,) * 11 + (x,)
+    cone = Codim1Cone(0, normal, (form,), 1, 1, tuple(range(n)))
     prob = SimpleNamespace(n=n, codim1_cones=[cone])
     packed = prob._packed = _pack_cones(prob)
-    assert packed.forms == (normal, other)
-    assert packed.lane == lane
-    bits = 32 if lane == "i" else 64
-    wmax = (2 ** (bits - 1) - 1) // (n * x)
-    assert packed.wmax == (wmax if wmax else -1)
-    # entries +-wmax drive each lane to +-(n * x - 1) * wmax, within wmax of the
-    # bound; without forms to dot with, only the packed pass can answer
-    lanes_only = SimpleNamespace(_packed=packed._replace(forms=()))
-    for v in ((wmax,) * n, (-wmax,) * n, (wmax, -wmax) * 6 + (wmax,), (wmax + 1,) * n, (1,) * n):
-        expected = [dot(form, v) for form in (normal, other)]
-        expected += [-x for x in expected]  # -form . v, by signed id
-        if max(map(abs, v)) <= packed.wmax:
-            assert _inner_products(lanes_only, v) == expected
-        assert _inner_products(prob, v) == expected
+    assert packed.forms == (normal, tuple(-y for y in form))
+    assert packed.bound == 2 * x * (13 * x - 1)
+    for wmax in (1, OBJECTIVE_RANGE, 10**25):
+        extreme = (-wmax,) * n
+        assert dot(normal, extreme) == -(13 * x - 1) * wmax  # the largest |s|
+        row_test = x * dot([f - v for f, v in zip(form, normal)], extreme)
+        assert 2 * row_test > packed.bound * wmax >= row_test
+        vectors = [extreme, (wmax,) * n, (wmax, -wmax) * 6 + (wmax,), (-wmax,) * 12 + (wmax,)]
+        vectors.append((1,) * n)  # a small objective in the same wide lanes
+        shots = _shoot(packed, vectors)
+        assert shots == [scalar_shoot(prob, v) for v in vectors]
+        assert shots[0] == ((0,) * 12 + (x,), False)  # the extreme row test is positive: a hit
 
 
 @pytest.mark.parametrize("scale", [30, 10**25], ids=["30x", "1e25x"])
 def test_objectives_above_the_lane_bound_stay_exact(line_cubic_problem, scale):
-    # past wmax the shot reads plain dot products; its vertex is the scalar
-    # oracle's, perturbed for the tied objectives (a row of A, e1)
+    # no objective is past the lanes: they widen with the batch's max|w|, so
+    # wide objectives share one pass with narrow tied ones and each vertex is
+    # the scalar oracle's, perturbed for the tied objectives (a row of A, e1)
     prob = line_cubic_problem
-    wmax = prob._packed.wmax
     rng = random.Random(43)
     n = prob.n
     objectives = [tuple(scale * rng.randint(-(10**6), 10**6) for _ in range(n)) for _ in range(3)]
     objectives.append(tuple(scale * 10**6 * x for x in prob.A.entries[1]))
     objectives.append((scale * 10**6,) + (0,) * (n - 1))
-    objectives.append(tuple(rng.choice((-1, 1)) * (wmax + 1) ** 3 - 1 for _ in range(n)))
+    objectives.append(tuple(rng.choice((-1, 1)) * scale * 10**12 - 1 for _ in range(n)))
+    objectives += [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(3)]
     weights, ties = {}, 0
-    for w in objectives:
-        assert max(map(abs, w)) > wmax
+    for w, shot in zip(objectives, _shoot(prob._packed, objectives)):
         hits = scalar_ray_hits(prob, w)
         tied = hits is None
         if tied:
             ties += 1
             hits = scalar_ray_hits(prob, w, perturbed=True)
-        assert _shoot(prob, w) == (_oracle_vertex(prob, hits, weights), tied), w
+        assert shot == (tuple(_oracle_vertex(prob, hits, weights)), tied), w
     assert ties >= 2  # at least the row of A and e1
 
 
@@ -541,13 +560,13 @@ def test_shoot_ties_match_scalar_reference(line_cubic_problem):
     ]
     weights = {}
     ties = 0
-    for w in objectives:
+    for w, v in zip(objectives, shoot_vertices(prob, objectives)):
         hits = scalar_ray_hits(prob, w)
         tied = hits is None
         if tied:  # the shot flags the tie and follows the perturbed oracle
             ties += 1
             hits = scalar_ray_hits(prob, w, perturbed=True)
-        assert _shoot(prob, w) == (_oracle_vertex(prob, hits, weights), tied), w
+        assert (v.u, v.perturbed) == (tuple(_oracle_vertex(prob, hits, weights)), tied), w
     assert 0 < ties < len(objectives)
 
 
@@ -565,13 +584,50 @@ def test_perturbed_shoot_matches_scalar_reference(A):
     objectives += [tuple(row) for row in prob.A.entries]
     weights = {}
     resolved = 0  # objectives that tie unperturbed
-    for w in objectives:
+    for w, v in zip(objectives, shoot_vertices(prob, objectives)):
         hits = scalar_ray_hits(prob, w, perturbed=True)
         assert hits is not None
         tied = scalar_ray_hits(prob, w) is None
         resolved += tied
-        assert _shoot(prob, w) == (_oracle_vertex(prob, hits, weights), tied), w
+        assert (v.u, v.perturbed) == (tuple(_oracle_vertex(prob, hits, weights)), tied), w
     assert resolved > 0
+
+
+@pytest.mark.parametrize(
+    "A",
+    [
+        TANGENT_LINE_CUBIC_4X13,
+        TANGENT_CONIC_CUBIC_4X16,
+        GRAPHIC_3X6,
+        cube_matrix(3),
+        cube_matrix(4),
+    ],
+    ids=["line_cubic", "conic_cubic", "graphic_3x6", "cube3", "cube4"],
+)
+def test_batch_matches_scalar_oracle(A):
+    # lanes of one int against one objective at a time: small entries until
+    # 200 of them tie, the random range, and wide entries, shot one at a
+    # time, in batches of 37, and as one list longer than a batch
+    prob = setup(A)
+    n = prob.n
+    rng = random.Random(29)
+    objectives, expected = [], []
+    while sum(tied for _, tied in expected) < 200:
+        objectives.append(tuple(rng.randint(-2, 2) for _ in range(n)))
+        expected.append(scalar_shoot(prob, objectives[-1]))
+    for scale in (OBJECTIVE_RANGE, OBJECTIVE_RANGE, 10**12, 10**25):
+        objectives += [tuple(rng.randint(-scale, scale) for _ in range(n)) for _ in range(10)]
+    expected += [scalar_shoot(prob, w) for w in objectives[len(expected) :]]
+    assert len(objectives) > SHOT_CHUNK
+
+    def shots(vertices):
+        return [(v.u, v.perturbed) for v in vertices]
+
+    assert shots(shoot_vertices(prob, objectives)) == expected
+    batches = [shoot_vertices(prob, objectives[k : k + 37]) for k in range(0, len(objectives), 37)]
+    assert shots(v for batch in batches for v in batch) == expected
+    singles = objectives[:10] + objectives[-15:]
+    assert shots(shoot_vertex(prob, w) for w in singles) == expected[:10] + expected[-15:]
 
 
 def test_vertex_is_scale_invariant_past_the_lane_bound(line_cubic_problem):
@@ -579,10 +635,9 @@ def test_vertex_is_scale_invariant_past_the_lane_bound(line_cubic_problem):
     n = prob.n
     rng = random.Random(19)
     w = tuple(rng.randint(-(10**6), 10**6) for _ in range(n))
-    e1 = (1,) + (0,) * (n - 1)  # a tie: the big multiple resolves it on the dot products
+    e1 = (1,) + (0,) * (n - 1)  # a tie, and so is its big multiple
     for obj in (w, e1, prob.A.entries[1]):
         big = tuple(10**25 * x for x in obj)
-        assert max(map(abs, big)) > prob._packed.wmax
         small_v, big_v = shoot_vertex(prob, obj), shoot_vertex(prob, big)
         assert big_v.u == small_v.u
         assert big_v.perturbed == small_v.perturbed
@@ -604,31 +659,52 @@ def _seeded_objectives(n, seed, count):
 
 
 def _shoot_against(prob, vertices, objectives):
-    """Shoot each objective, check it against the explicit argmin; the vertices reached and ties."""
+    """Shoot the objectives in one call and check each against the explicit argmin.
+
+    Returns the vertices reached and the number of tied objectives.
+    """
     reached, ties = set(), 0
-    for w in objectives:
-        v = shoot_vertex(prob, w)
+    for w, v in zip(objectives, shoot_vertices(prob, objectives)):
         assert v.u == perturbed_argmin(vertices, w), w
         reached.add(v.u)
         ties += v.perturbed
     return reached, ties
 
 
-@pytest.mark.parametrize("d", range(3, 9))
+def _height_objectives(d, vertices):
+    """Per vertex, heights i^2 on its subdivision's endpoints and d^3 elsewhere, which induce it."""
+    return [tuple(i * i if u[i] or i in (0, d) else d**3 for i in range(d + 1)) for u in vertices]
+
+
+@pytest.mark.parametrize("d", range(3, 13))
 def test_univariate_discriminant_vertices(d):
-    # Newton(Delta_A) is known without the fan: each shot is the explicit
-    # argmin, a tie broken by the same perturbation, and every vertex is reached
+    # Newton(Delta_A) is known without the fan: each seeded shot is the
+    # explicit argmin, a tie broken by the same perturbation, and each
+    # vertex is the shot of the heights that induce its subdivision
     prob = setup(IntMat.from_rows([[1] * (d + 1), list(range(d + 1))]))
-    vertices = univariate_discriminant_vertices(d)
+    vertices = sorted(univariate_discriminant_vertices(d))
     assert len(vertices) == 2 ** (d - 1)
-    objectives = _seeded_objectives(d + 1, d, 40)
-    # heights i^2 on the subdivision's endpoints and d^3 elsewhere induce it
-    objectives += [
-        tuple(i * i if u[i] or i in (0, d) else d**3 for i in range(d + 1)) for u in sorted(vertices)
-    ]
-    reached, ties = _shoot_against(prob, vertices, objectives)
-    assert reached == vertices
+    seeded = _seeded_objectives(d + 1, d, 40)
+    shots = shoot_vertices(prob, seeded + _height_objectives(d, vertices))
+    assert [v.u for v in shots[len(seeded) :]] == vertices
+    ties = 0
+    for w, v in zip(seeded, shots):
+        assert v.u == perturbed_argmin(vertices, w), w
+        ties += v.perturbed
     assert ties > 0
+    assert prob.a_degree == (2 * d - 2, d * (d - 1))
+
+
+@pytest.mark.stress
+def test_stress_univariate_discriminant_d16():
+    """d = 16: 680 codim-1 cones, every one of the 32,768 vertices reached; `pytest -m stress`."""
+    d = 16
+    prob = setup(IntMat.from_rows([[1] * (d + 1), list(range(d + 1))]))
+    assert len(prob.codim1_cones) == 680
+    vertices = sorted(univariate_discriminant_vertices(d))
+    assert len(vertices) == 2 ** (d - 1)
+    shots = shoot_vertices(prob, _height_objectives(d, vertices))
+    assert [v.u for v in shots] == vertices
     assert prob.a_degree == (2 * d - 2, d * (d - 1))
 
 

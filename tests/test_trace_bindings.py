@@ -31,6 +31,7 @@ from tropfan.data import TANGENT_LINE_CUBIC_4X13
 code = cli.main([sys.argv[1], "--output", sys.argv[2]])
 prob = discriminant.setup(TANGENT_LINE_CUBIC_4X13)
 discriminant.random_vertices(prob, 2, 1)
+discriminant.shoot_vertex(prob, range(1, prob.n + 1))  # random_vertices shoots in batches
 names = sorted({span[1] for span in tracer.spans})
 metrics = layer_metrics({"counters": tracer.counters, "spans": tracer.spans})
 print(json.dumps({"code": code, "names": names, "metrics": metrics}))
