@@ -64,23 +64,15 @@ from .errors import (
     RankError,
     WrongSize,
 )
-from .exact import (
-    IntMat,
-    det,
-    integer_kernel_basis,
-    pivot_step,
-    rank,
-    # tracer-only: unused here, wrapped by module attribute in perfbench/tracer.py
-    det_of_columns,
-    rank_of_rows,
-    solve_columns,
-)
+from .exact import IntMat, det, integer_kernel_basis, pivot_step, rank
 from .fan import Fan, _require_no_loops_coloops, cyclic_bergman_fan
 from .matroid import Matroid
 from .util import dot, primitive
 
 OBJECTIVE_RANGE = 10**6  # random objectives are uniform in [-10^6, 10^6]
 SHOT_CHUNK = 50  # objectives shot in one pass over the codim-1 cones
+# read only by perfbench/tracer.py::EXACT_NAMES, which wraps these names but never calls them
+det_of_columns = rank_of_rows = solve_columns = None
 
 
 class NewtonVertex(
@@ -360,7 +352,10 @@ def shoot_vertices(prob: DiscriminantProblem, objectives) -> list:
 
 
 def shoot_vertex(prob: DiscriminantProblem, w) -> NewtonVertex:
-    """Vertex of the Newton polytope minimizing u . w: shoot_vertices(prob, [w])[0]."""
+    """Vertex of the Newton polytope minimizing u . w: shoot_vertices(prob, [w])[0].
+
+    A call costs 3-5 times a batch lane on line/cubic: give shoot_vertices many objectives.
+    """
     return shoot_vertices(prob, [w])[0]
 
 
@@ -370,6 +365,8 @@ def random_vertices(prob: DiscriminantProblem, count: int, seed: int) -> list:
     Objectives are uniform in [-OBJECTIVE_RANGE, OBJECTIVE_RANGE] per
     coordinate; a tied one is resolved by shoot_vertex's fixed perturbation.
     """
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, not {count}")
     rng, r = random.Random(seed), OBJECTIVE_RANGE
 
     def objectives():

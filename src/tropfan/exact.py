@@ -1,4 +1,4 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
 Everything downstream (circuits, fan cones, ray shooting) depends on exact
 zero tests, so no operation here ever touches a float.  Every routine is a
@@ -17,7 +17,6 @@ a Hermite form.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import cached_property
 from operator import index
 
@@ -104,22 +103,12 @@ def rank(A: IntMat) -> int:
     return len(gauss_jordan(A.row_lists())[0])
 
 
-def rank_of_rows(rows) -> int:
-    """Rank of a list of integer row vectors (convenience wrapper)."""
-    return len(gauss_jordan([list(r) for r in rows])[0])
-
-
 def det(A: IntMat) -> int:
     """Exact determinant of a square matrix."""
     if A.rows != A.cols:
         raise ValueError("determinant requires a square matrix")
     pivots, d = gauss_jordan(A.row_lists())
     return d if len(pivots) == A.rows else 0
-
-
-def det_of_columns(cols) -> int:
-    """Determinant of a square matrix given by its columns (det(M^T) = det(M))."""
-    return det(IntMat.from_rows(cols))
 
 
 def integer_kernel_basis(A: IntMat) -> IntMat:
@@ -150,18 +139,3 @@ def integer_kernel_basis(A: IntMat) -> IntMat:
                 break
     return IntMat.from_rows(primitive(row[m:]) for row in h[len(pivots) :])
 
-
-def solve_columns(cols, rhs) -> list[Fraction] | None:
-    """Solve sum_j x_j * cols[j] = rhs exactly; free variables are set to zero.
-
-    Returns None when the system is inconsistent.
-    """
-    ncols = len(cols)
-    aug = [[col[i] for col in cols] + [b] for i, b in enumerate(rhs)]
-    pivots, _ = gauss_jordan(aug)
-    if pivots and pivots[-1] == ncols:
-        return None
-    sol = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        sol[c] = Fraction(aug[r][ncols], aug[r][c])
-    return sol

@@ -58,6 +58,8 @@ class ConeArray(Sequence):
 
     def blocks(self, size: int):
         """The packed ray indices, size cones a block."""
+        if size < 1:
+            raise ValueError(f"block size must be at least 1, not {size}")
         step = size * self._width or 1
         return (self.flat[i : i + step] for i in range(0, len(self.flat), step))
 
@@ -87,6 +89,8 @@ class SpilledCones:
 
     def blocks(self, size: int):
         """The packed ray indices read back from offset start, size cones a block."""
+        if size < 1:
+            raise ValueError(f"block size must be at least 1, not {size}")
         itemsize = array(self._typecode).itemsize
         nbytes, step = self._count * self._width * itemsize, size * self._width * itemsize
         self.file.seek(self._start)

@@ -28,17 +28,20 @@ from operator import mul
 from typing import NamedTuple
 
 from tropfan.errors import InternalInvariant, WrongSize
-from tropfan.exact import (
-    IntMat,
-    det_of_columns,
-    gauss_jordan,
-    integer_kernel_basis,
-    pivot_step,
-    rank_of_rows,
-)
+from tropfan.exact import IntMat, det, gauss_jordan, integer_kernel_basis, pivot_step
 from tropfan.fan import _regressive_pairs
 from tropfan.matroid import Matroid
 from tropfan.util import elements_of, mask_of, mask_to_vector, primitive
+
+
+def rank_of_rows(rows) -> int:
+    """Rank of integer row vectors by the package's own core: a helper, not an oracle."""
+    return len(gauss_jordan([list(r) for r in rows])[0])
+
+
+def det_of_columns(cols) -> int:
+    """Determinant of a square matrix given by its columns (det(M^T) = det(M))."""
+    return det(IntMat.from_rows(cols))
 
 
 def frac_rank(vectors):

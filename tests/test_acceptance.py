@@ -25,6 +25,7 @@ from brute import (
     is_in_trop,
     nonneg_combination_exists,
     pair_key,
+    rank_of_rows,
     tutte_eval,
 )
 from conftest import (
@@ -44,7 +45,6 @@ from tropfan.data import (
     cube_matrix,
 )
 from tropfan.discriminant import setup
-from tropfan.exact import rank_of_rows
 from tropfan.fan import compare_with_bergman, cyclic_bergman_fan
 from tropfan.matroid import Matroid
 from tropfan.util import dot

@@ -349,6 +349,12 @@ def test_random_vertices_empty_and_duplicates(line_cubic_problem):
             seen[v.u] = idx
 
 
+def test_random_vertices_rejects_a_negative_count(line_cubic_problem):
+    # as the CLI rejects --random -1; an empty list would hide the mistake
+    with pytest.raises(ValueError, match="nonnegative"):
+        random_vertices(line_cubic_problem, -1, seed=1)
+
+
 def test_ray_hits_cone_basics(line_cubic_problem):
     prob = line_cubic_problem
     rng = random.Random(31)
@@ -800,7 +806,8 @@ def test_newton_vertices_script_runs():
 
 def test_shooting_never_imports_numpy(tmp_path):
     # neither ray shooting nor the Bergman comparison (--compare) may load
-    # numpy, and a sequential run loads neither the process pool nor dataclasses
+    # numpy, and a sequential run loads neither the process pool nor dataclasses;
+    # the arithmetic is integer throughout, so fractions and decimal stay out too
     src = str(Path(tropfan.__file__).resolve().parents[1])
     matrix, fan_out = tmp_path / "cube3.txt", tmp_path / "fan.txt"
     write_matrix_file(matrix, cube_matrix(3))
@@ -814,7 +821,8 @@ def test_shooting_never_imports_numpy(tmp_path):
         f"args = [{str(matrix)!r}, '--dual', '--compare',\n"
         f"        '--output', {str(fan_out)!r}]\n"
         "assert cli.main(args) == 0\n"
-        "unused = ('numpy', 'concurrent.futures', 'multiprocessing', 'dataclasses')\n"
+        "unused = ('numpy', 'concurrent.futures', 'multiprocessing', 'dataclasses',\n"
+        "          'fractions', 'decimal')\n"
         "print([name for name in unused if name in sys.modules])\n"
     )
     proc = subprocess.run(

@@ -24,6 +24,7 @@ from brute import (
     local_trop_point,
     nonneg_combination_exists,
     pair_key,
+    rank_of_rows,
 )
 from conftest import random_fan_matrices, small_corpus, source_pairs
 from tropfan import fan as fan_module
@@ -37,7 +38,7 @@ from tropfan.data import (
     cube_matrix,
 )
 from tropfan.errors import HasColoops, HasLoops, InternalInvariant
-from tropfan.exact import IntMat, integer_kernel_basis, rank_of_rows
+from tropfan.exact import IntMat, integer_kernel_basis
 from tropfan.fan import (
     ConeArray,
     Fan,
@@ -313,6 +314,10 @@ def test_spilled_cones_read_back_as_the_stored_blocks(tmp_path):
             for size in (1, 7, 4096):
                 want = [list(block) for block in fan.maximal_cones.blocks(size)]
                 assert [list(block) for block in spilled.maximal_cones.blocks(size)] == want
+            for size in (0, -1):  # a block holds at least one cone
+                for cones in (fan.maximal_cones, spilled.maximal_cones):
+                    with pytest.raises(ValueError, match="at least 1"):
+                        next(cones.blocks(size))
             assert spill.tell() == len(lead) + fan.maximal_cones.flat.nbytes
     assert sum(map(len, fan.maximal_cones.blocks(3))) == 0 and len(fan.maximal_cones) == 1
     cube3 = cyclic_bergman_fan(handles[0]).maximal_cones

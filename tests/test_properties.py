@@ -15,17 +15,11 @@ from brute import (
     handle_columns,
     interior_witness,
     is_in_trop,
+    rank_of_rows,
     reduce_on_columns,
 )
 from tropfan.errors import TropfanError
-from tropfan.exact import (
-    IntMat,
-    det,
-    gauss_jordan,
-    integer_kernel_basis,
-    rank,
-    rank_of_rows,
-)
+from tropfan.exact import IntMat, det, gauss_jordan, integer_kernel_basis, rank
 from tropfan.fan import cyclic_bergman_fan
 from tropfan.matroid import Matroid
 
