@@ -7,9 +7,9 @@ the tool switches to the discriminant pipeline and prints ray-shot Newton
 polytope vertices instead.  Output is byte-deterministic given the input,
 flags, and seed.
 
-Only --compare stores the fan; otherwise its cones spill to an anonymous
-file in TMPDIR, width x itemsize bytes per cone (6.7 MB on the 5x20 dual,
-about 7.1 GB on the 6x30 dual), read back in blocks after the header's count.
+Every fan mode but --counts-only spills its cones to an anonymous file in
+TMPDIR, width x itemsize bytes per cone (6.7 MB on the 5x20 dual, 7.1 GB on
+the 6x30 dual), read back in blocks once the header is out, again for --compare.
 
 Matrix file format: comments start with '#', blank lines are ignored, the
 first data line is 'm n', followed by m rows of n integers, each an optional
@@ -24,7 +24,6 @@ from __future__ import annotations
 import os
 import sys
 import tempfile
-from contextlib import nullcontext
 from itertools import cycle
 
 from .discriminant import random_vertices, setup
@@ -128,15 +127,14 @@ def build_config(argv) -> argparse.Namespace:
 
 
 def _write_fan(out, args: argparse.Namespace, M: Matroid):
-    with nullcontext() if args.counts_only or args.compare else tempfile.TemporaryFile() as spill:
-        if args.counts_only:
-            nrays, ncones = fan_counts(M, threads=args.threads)
-        else:
-            fan = cyclic_bergman_fan(M, threads=args.threads, spill=spill)
-            nrays, ncones = len(fan.rays), len(fan.maximal_cones)
-        out.write(f"n {M.n}\nm {M.rank}\nrays {nrays}\nmaxcones {ncones}\n")
-        if args.counts_only:
-            return
+    header = "n {}\nm {}\nrays {}\nmaxcones {}\n".format
+    if args.counts_only:
+        out.write(header(M.n, M.rank, *fan_counts(M, threads=args.threads)))
+        return
+    with tempfile.TemporaryFile() as spill:
+        fan = cyclic_bergman_fan(M, threads=args.threads, spill=spill)
+        nrays, ncones = len(fan.rays), len(fan.maximal_cones)
+        out.write(header(M.n, M.rank, nrays, ncones))
         if args.bases:
             out.write("BASES\n")
             out.writelines(" ".join(map(str, B)) + "\n" for B in M.bases)
@@ -157,10 +155,9 @@ def _write_fan(out, args: argparse.Namespace, M: Matroid):
         columns = [names] * (width - 1) + [[f"{i}\n" for i in range(nrays)]]
         for block in fan.maximal_cones.blocks(1024):  # one join and one write each
             out.write("".join(map(list.__getitem__, cycle(columns), block)))
-    if args.compare:
-        classes = compare_with_bergman(fan, M)
-        out.write("BERGMAN\n")
-        out.writelines(" ".join(map(str, cls)) + "\n" for cls in classes)
+        if args.compare:  # a second pass over the spill
+            out.write("BERGMAN\n")
+            out.writelines(" ".join(map(str, cls)) + "\n" for cls in compare_with_bergman(fan, M))
 
 
 def _write_discriminant(out, args: argparse.Namespace, A: IntMat):

@@ -17,6 +17,7 @@ index, the leftover singleton rays by per-byte table lookups.
 
 from __future__ import annotations
 
+import operator
 import os
 from array import array
 from collections import namedtuple
@@ -47,14 +48,15 @@ class ConeArray(Sequence):
         return self._count
 
     def __getitem__(self, i: int) -> tuple:
-        i = range(self._count)[i]
+        i = range(self._count)[operator.index(i)]
         w = self._width
         return tuple(self.flat[i * w : i * w + w])
 
     def __iter__(self):
         if self._width == 0:
             return repeat((), self._count)
-        return zip(*[iter(self.flat)] * self._width)
+        w = self._width
+        return (cone for block in self.blocks(1024) for cone in zip(*[iter(block)] * w))
 
     def blocks(self, size: int):
         """The packed ray indices, size cones a block."""
@@ -86,6 +88,8 @@ class SpilledCones:
 
     def __len__(self) -> int:
         return self._count
+
+    __iter__ = ConeArray.__iter__  # over blocks(1024), which seeks the file: one pass at a time
 
     def blocks(self, size: int):
         """The packed ray indices read back from offset start, size cones a block."""
@@ -334,49 +338,47 @@ def compare_with_bergman(fan: Fan, M: Matroid):
     The Bergman fan is the normal fan of the matroid polytope (Feichtner and
     Sturmfels 2005), so two cones coincide there iff their interior witnesses
     w = sum of the cone's ray indicators 1_F maximize weight on the same set
-    of bases.  The polytope is cut out by x(F) <= r(F) (Edmonds 1970), so
-    weight(B) = sum_F |B & F| <= sum_F r(F), with equality iff B is tight on
-    every ray: |B & F| = r(F), the largest |B & F| over all bases.  Each ray
-    gets the bitset of its tight bases, and a cone's key is the AND of its
-    rays' bitsets, which is its set of max-weight bases whenever it is
-    nonempty; an empty AND raises InternalInvariant.  Classes are ordered by
-    their smallest cone index.  Only the hash of a key is stored, mapped to a
-    class number; a cone joins that class only after the class's first
-    cone's key, recomputed, equals its own, and a mismatch probes hash + 1.
-    Cones keep their class numbers in an array; one stable sort by class
-    number groups them at the end, each class in increasing cone order.
+    of bases.  A cone's rays are singletons and a chain U_1 < ... < U_s of
+    flats, and those bases are the transversals of a partition of E into r
+    blocks, r the rank: the singletons, and the steps U_j - U_(j-1) less
+    them, with U_0 = 0 and U_(s+1) = E.  For a cone over basis B this holds
+    as B is tight on every up-set, w_k = w_p(k) makes k parallel to p(k),
+    and a witness inside an r-dimensional cone has r rank-1 components.  A
+    class is keyed by its blocks of two or more elements, sorted and packed
+    n bits apart in one int.  InternalInvariant is raised unless the chain
+    nests, no block is empty, and the blocks' lowest elements form a basis
+    T tight on the chain, |T & U| = r(U), so of max weight as x(F) <= r(F)
+    cuts out the polytope (Edmonds 1970).  Classes come in order of their
+    first cone, each in increasing cone order.
     """
-    bases = [mask_of(B) for B in M.bases]
-    tight = []
-    for i in range(len(fan.rays)):
-        F = mask_of(fan.ray_support(i))
-        sizes = [(b & F).bit_count() for b in bases]
-        top = max(sizes)
-        bits = "".join("1" if s == top else "0" for s in reversed(sizes))
-        tight.append(int(bits, 2))
-    full = (1 << len(bases)) - 1
-
-    def key_of(cone):
-        key = full
-        for i in cone:
-            key &= tight[i]
-        return key
-
-    cones = fan.maximal_cones
+    n, full = M.n, (1 << M.n) - 1
+    masks = [mask_of(fan.ray_support(i)) for i in range(len(fan.rays))]
+    bases = {mask_of(B) for B in M.enumerate_bases()}
+    single = [F.bit_count() == 1 for F in masks]
+    rank = M.cyclic_flats()
     class_of = array("I")  # cone index -> class number
-    first = array("I")  # class number -> its smallest cone index
-    by_hash: dict = {}  # hash of a key, probed upward on a mismatch -> class number
-    for ci, cone in enumerate(cones):
-        key = key_of(cone)
-        if not key:
-            raise InternalInvariant(f"the rays of cone {ci} share no tight basis")
-        h = hash(key)
-        while (c := by_hash.get(h)) is not None and key_of(cones[first[c]]) != key:
-            h += 1
-        if c is None:
-            c = by_hash[h] = len(first)
-            first.append(ci)
-        class_of.append(c)
-    del by_hash  # about 40 MB on the 5x20 dual, freed before the sort's list
+    classes: dict = {}  # packed partition -> class number
+    for ci, cone in enumerate(fan.maximal_cones):
+        lone, chain = [], [full]  # the singleton rays; the others, and E
+        for i in cone:
+            (lone if single[i] else chain).append(masks[i])
+        chain.sort()  # nested sets sort as ints, E last
+        T, below, blocks = sum(lone), 0, []
+        for U in chain:  # later steps lie outside U, so T & U is final here
+            step = U & ~(below | T)  # the earlier lowest elements lie in below
+            T |= step & -step
+            if below & ~U or not step or (T & U).bit_count() != rank.get(U):
+                raise InternalInvariant(f"the rays of cone {ci} do not cut E into tight blocks")
+            if step & (step - 1):  # the singleton blocks are the elements left
+                blocks.append(step)
+            below = U
+        if T not in bases:
+            raise InternalInvariant(f"the blocks of cone {ci} have no basis as a transversal")
+        blocks.sort()
+        key = 0
+        for block in blocks:
+            key = key << n | block
+        class_of.append(classes.setdefault(key, len(classes)))
+    del classes  # freed before the sort's list
     order = sorted(range(len(class_of)), key=class_of.__getitem__)
     return tuple(tuple(g) for _, g in groupby(order, class_of.__getitem__))

@@ -190,9 +190,11 @@ print(json.dumps([count, hwm_kb]))
 
 
 def test_quadrics_dual_bergman_class_count():
-    # in a fresh process, so that its peak RSS is the call's own; keeping
-    # every class key (about 870 bytes each) peaked at about 460 MB, and one
-    # list of cones per class plus a bucket list per hash at about 170 MB
+    # in a fresh process, so that its peak RSS is the call's own; a class
+    # key packs the partition's blocks of two or more elements into one
+    # int (28 to 36 bytes here); keeping every tight-basis bitset key
+    # (about 870 bytes each) peaked at about 460 MB, and one list of cones
+    # per class plus a bucket list per hash at about 170 MB
     proc = subprocess.run(
         [sys.executable, "-c", QUADRICS_CLASSES],
         capture_output=True,

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tropfan
-from brute import fan_text
+from brute import bergman_classes_by_weight, fan_text
 from conftest import (
     UNIFORM_2_4,
     random_fan_matrices,
@@ -35,7 +35,7 @@ from tropfan.data import (
 )
 from tropfan.errors import ParseError
 from tropfan.exact import IntMat, integer_kernel_basis
-from tropfan.fan import compare_with_bergman, cyclic_bergman_fan
+from tropfan.fan import cyclic_bergman_fan
 from tropfan.matroid import Matroid
 
 
@@ -114,6 +114,23 @@ def test_counts_only(tmp_path):
     assert out == "n 8\nm 4\nrays 20\nmaxcones 80\n"
 
 
+def test_every_fan_mode_but_counts_only_spills(tmp_path, monkeypatch):
+    real_spill, spills = tempfile.TemporaryFile, []
+
+    def spill(*args, **kwargs):
+        spills.append(real_spill(*args, **kwargs))
+        return spills[-1]
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", spill)
+    path = tmp_path / "cube3.txt"
+    write_matrix_file(path, cube_matrix(3))
+    opened = []
+    for flags in ([], ["--compare"], ["--bases"], ["--counts-only"]):
+        assert run_cli([str(path), *flags])[0] == 0, flags
+        opened.append(len(spills))
+    assert opened == [1, 2, 3, 3] and all(fh.closed for fh in spills)
+
+
 def test_output_file(tmp_path):
     path = tmp_path / "u23.txt"
     write_matrix_file(path, UNIFORM_2_3)
@@ -147,8 +164,9 @@ FAN_FLAGS = [[], ["--bases", "--circuits", "--tutte"], ["--threads", "2"], ["--c
 
 
 def test_fan_output_equals_the_per_cone_writer(tmp_path):
-    # the body streams through the spill file, or with --compare comes from
-    # the stored fan; U(2,3) --dual has rank 1, one cone and no rays
+    # the body streams through the spill file; the expected Bergman classes
+    # come from the weight oracle; U(2,3) --dual has rank 1, one cone and
+    # no rays
     path, target = tmp_path / "matrix.txt", tmp_path / "fan.out"
     matrices = [A for _, A in small_corpus()]
     matrices += [M.A for M in random_fan_matrices(6, seed=7)]
@@ -159,7 +177,7 @@ def test_fan_output_equals_the_per_cone_writer(tmp_path):
             fan = cyclic_bergman_fan(M)
             for flags in FAN_FLAGS:
                 argv = [str(path), *dual, *flags]
-                classes = compare_with_bergman(fan, M) if "--compare" in flags else None
+                classes = bergman_classes_by_weight(fan, M) if "--compare" in flags else None
                 want = fan_text(M, fan, reports="--bases" in flags, classes=classes)
                 assert run_cli(argv) == (0, want), argv
                 assert run_cli([*argv, "--output", str(target)]) == (0, ""), argv
@@ -206,6 +224,18 @@ def test_full_fan_peak_memory_is_near_cube4s(tmp_path):
         "n 20\nm 15\nrays 172\nmaxcones 475722\n"
     )
     assert peaks[1] - peaks[0] <= 2.0, peaks
+
+
+def test_compare_peak_memory(tmp_path):
+    # --compare reads the spilled cones back instead of storing the fan; a
+    # stored fan and a dict of key hashes took 82 MB
+    path, target = tmp_path / "quadrics.txt", tmp_path / "quadrics.fan"
+    write_matrix_file(path, TANGENT_QUADRICS_5X20)
+    code, peak = _cli_peak_mb([path, "--dual", "--compare", "--output", target])
+    assert code == 0
+    with open(target, encoding="utf-8") as fh:
+        assert "".join(next(fh) for _ in range(4)) == "n 20\nm 15\nrays 172\nmaxcones 475722\n"
+    assert peak <= 78.0, peak
 
 
 def test_failed_streamed_fan_is_one_error_line(tmp_path, monkeypatch, capsys):

@@ -288,7 +288,7 @@ def test_cone_array_is_a_sequence_of_sorted_tuples():
     # one read-only view of the packed ray indices; no slices of cones
     flat = fan.maximal_cones.flat
     assert flat.readonly and list(flat) == [i for cone in cones for i in cone]
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="'slice' object cannot be interpreted as an integer"):
         fan.maximal_cones[1:3]
     assert fan == cyclic_bergman_fan(M) == pickle.loads(pickle.dumps(fan))
     assert ConeArray(array("B", [0, 1]), 1, 2) != ConeArray(array("B", [1, 0]), 1, 2)
@@ -297,13 +297,14 @@ def test_cone_array_is_a_sequence_of_sorted_tuples():
 
 def test_spilled_cones_read_back_as_the_stored_blocks(tmp_path):
     # a spilled fan holds only where its cones start and their count; its
-    # blocks are the stored fan's, in whole cones, sequential or from worker
-    # processes, also for rank 1, after leading bytes, and with the stale
-    # bytes of a larger fan's spill after them
+    # blocks, cones and Bergman classes are the stored fan's, in whole cones,
+    # sequential or from worker processes, also for rank 1, after leading
+    # bytes, and with the stale bytes of a larger fan's spill after them
     handles = [Matroid.from_matrix(cube_matrix(3)), Matroid.from_matrix(UNIFORM_2_3).dual()]
     larger = bytes(cyclic_bergman_fan(handles[0]).maximal_cones.flat)
     cases = [(handles[0], 0, b"", b""), (handles[0], 2, b"", b""), (handles[0], 0, b"header!", b"")]
-    cases += [(Matroid.from_matrix(GRAPHIC_3X6), 0, b"", larger), (handles[1], 0, b"", b"")]
+    cases += [(Matroid.from_matrix(GRAPHIC_3X6), 0, b"", larger)]
+    cases += [(handles[1], 0, b"", b""), (handles[1], 2, b"", b"")]
     for M, threads, lead, stale in cases:
         fan = cyclic_bergman_fan(M)
         with open(tmp_path / "spill", "w+b") as spill:
@@ -318,6 +319,8 @@ def test_spilled_cones_read_back_as_the_stored_blocks(tmp_path):
                 for cones in (fan.maximal_cones, spilled.maximal_cones):
                     with pytest.raises(ValueError, match="at least 1"):
                         next(cones.blocks(size))
+            assert list(spilled.maximal_cones) == list(fan.maximal_cones)
+            assert compare_with_bergman(spilled, M) == compare_with_bergman(fan, M)
             assert spill.tell() == len(lead) + fan.maximal_cones.flat.nbytes
     assert sum(map(len, fan.maximal_cones.blocks(3))) == 0 and len(fan.maximal_cones) == 1
     cube3 = cyclic_bergman_fan(handles[0]).maximal_cones
@@ -545,24 +548,20 @@ def test_compare_with_bergman_matches_weight_oracle():
         assert compare_with_bergman(fan, M) == bergman_classes_by_weight(fan, M), name
 
 
-def test_colliding_key_hashes_never_merge_classes(monkeypatch):
-    cases = [
-        Matroid.from_matrix(GRAPHIC_3X6),
-        Matroid.from_matrix(cube_matrix(3)),
-        Matroid.from_matrix(TANGENT_LINE_CUBIC_4X13),
-    ]
-    fans = [cyclic_bergman_fan(M) for M in cases]
-    want = [compare_with_bergman(fan, M) for fan, M in zip(fans, cases)]
-    # every key hashes alike, so each class is found by comparing keys
-    monkeypatch.setattr(fan_module, "hash", lambda key: 0, raising=False)
-    for fan, M, classes in zip(fans, cases, want):
-        assert compare_with_bergman(fan, M) == classes
-
-
 def test_cone_rays_without_a_common_tight_basis_are_an_internal_invariant():
     # every basis of U(2,3) misses one of the three singleton rays
     M = Matroid.from_matrix(UNIFORM_2_3)
     rays = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
     fan = Fan(3, rays, ConeArray(array("B", [0, 1, 2]), 3, 1))
     with pytest.raises(InternalInvariant):
+        compare_with_bergman(fan, M)
+
+
+def test_cone_rays_that_do_not_nest_are_an_internal_invariant():
+    # the parallel classes {1, 2} and {3, 4} of the graphic 3x6 are both
+    # non-singleton rays, and neither holds the other
+    M = Matroid.from_matrix(GRAPHIC_3X6)
+    rays = ((0, 0, 1, 1, 0, 0), (1, 1, 0, 0, 0, 0))
+    fan = Fan(6, rays, ConeArray(array("B", [0, 1]), 2, 1))
+    with pytest.raises(InternalInvariant, match="do not cut E into tight blocks"):
         compare_with_bergman(fan, M)
