@@ -17,9 +17,10 @@ line/cubic with --random 250 --seed 2 and cube4 with --random 250 --seed 3,
 whose objectives span more than one shooting batch (SHOT_CHUNK).  Each
 input run in the fan modes also runs OUTPUT_MODES with --output FILE, so
 the full fan's spilled body, and the Bergman classes read back from the
-spill, are checked through a file as well as through stdout: 130 runs over
-the 11 files the script writes.  Each line gives the input, the
-flags, the exit code and the sha256 of stdout and of stderr, and for an
+spill, sequential and with --threads 2, are checked through a file as well
+as through stdout: 139 runs over the 11 files the script writes.  Each line
+gives the input, the flags, the exit code and the sha256 of stdout and of
+stderr, and for an
 --output run that of the file written (of nothing if none was).  If an
 input the runs read is missing, the script prints one error line and exits
 2 before it runs anything.  The CLI
@@ -58,6 +59,7 @@ OUTPUT_MODES = [
     ["--dual"],
     ["--dual", "--bases", "--circuits", "--tutte"],
     ["--dual", "--compare"],
+    ["--dual", "--compare", "--threads", "2"],
 ]
 RANDOM_INPUTS = [
     "line_cubic_4x13.txt",

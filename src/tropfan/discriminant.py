@@ -136,7 +136,7 @@ def setup(A, *, threads: int = 0, require_spanned: bool = False) -> Discriminant
 
     Checks full row rank and the all-ones vector in the rowspace, and records
     in lattice_spanned whether the maximal minors of A are coprime, which the
-    vertex formula needs: shoot_vertex raises LatticeNotSpanned otherwise, and
+    vertex formula needs: shoot_vertices raises LatticeNotSpanned otherwise, and
     so does setup under require_spanned, before it builds the fan.  Both
     facts come from Aperp, a Z-basis of the integer kernel of A: the
     all-ones vector is in the rowspace iff every row of Aperp sums to 0, and
@@ -363,7 +363,7 @@ def random_vertices(prob: DiscriminantProblem, count: int, seed: int) -> list:
     """Shoot `count` seeded random integer objectives; duplicates are flagged.
 
     Objectives are uniform in [-OBJECTIVE_RANGE, OBJECTIVE_RANGE] per
-    coordinate; a tied one is resolved by shoot_vertex's fixed perturbation.
+    coordinate; a tied one is resolved by shoot_vertices' fixed perturbation.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, not {count}")

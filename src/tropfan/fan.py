@@ -20,14 +20,15 @@ from __future__ import annotations
 import operator
 import os
 from array import array
-from collections import namedtuple
+from collections import deque, namedtuple
 from collections.abc import Sequence
-from itertools import groupby, repeat
+from itertools import groupby, islice, repeat
 
 from .errors import HasColoops, HasLoops, InternalInvariant
-from .exact import IntMat
 from .matroid import Matroid
 from .util import elements_of, mask_of, mask_to_vector
+
+BASIS_CHUNK = 256  # bases handed to one worker task under threads > 0
 
 
 class ConeArray(Sequence):
@@ -207,34 +208,39 @@ def _typecode(nrays: int) -> str:
     return next(t for t in "BHILQ" if nrays <= 1 << 8 * array(t).itemsize)
 
 
-def _basis_blocks(M: Matroid, bases, index, typecode):
+def _basis_blocks(pairs, n: int, width: int, index, typecode):
     """Yield one (block, count) pair per basis: an array of its cones' sorted ray indices.
 
-    Cones come in canonical pair order.  A basis element outside the image
-    hangs off the topmost slot whose cover holds it, so a cone's rays are
-    the up-sets of its spine slots but the bottom one, plus the singletons
-    outside the image.  Every image element of a slot's cover sits in that
-    slot or above (a reused b is chain-minimal in image & F_k, a new slot
-    goes in at or below it, and a new image element above every cover
-    holding it), so an up-set is the union of block | cover over the slots
-    from the top down to it.  The table of byte j maps v to the singleton
-    rays among the elements 8j + bits of v.  A ray missing from index
-    (ruled out by the paper's theorem), a basis element in no block or
-    cover (a coloop) and a cone without rank - 1 rays raise
-    InternalInvariant.  With typecode None every cone is checked, none stored.
+    pairs holds (B, M.fundamental_circuit_masks(B)) per basis B, over the
+    ground set 1..n; width is rank - 1, the rays per cone, and index the ray
+    index of _ray_index.  Cones come in canonical pair order.  A basis
+    element outside the image hangs off the topmost slot whose cover holds
+    it, so a cone's rays are the up-sets of its spine slots but the bottom
+    one, plus the singletons outside the image.  Every image element of a
+    slot's cover sits in that slot or above (a reused b is chain-minimal in
+    image & F_k, a new slot goes in at or below it, and a new image element
+    above every cover holding it), so an up-set is the union of
+    block | cover over the slots from the top down to it.  The table of byte j maps
+    v to the singleton rays among the elements 8j + bits of v.  A ray
+    missing from index (ruled out by the paper's theorem), a basis element
+    in no block or cover (a coloop) and a cone without rank - 1 rays raise
+    InternalInvariant.  With typecode None every cone is checked, none
+    stored.
     """
-    nonray = ((1 << M.n) - 1) & ~sum(mask for mask in index if not mask & (mask - 1))
-    bits = [[1 << i for i in range(8) if v >> i & 1] for v in range(256)]
-    tables = [
-        (j, [[index[b << j] for b in bs if b << j in index] for bs in bits])
-        for j in range(0, M.n, 8)
-    ]
-    width = M.rank - 1
-    for B in bases:
+    nonray = ((1 << n) - 1) & ~sum(mask for mask in index if not mask & (mask - 1))
+    tables = []
+    for j in range(0, n, 8):  # built per call, so per chunk under threads: kept cheap
+        table = [[]]
+        for v in range(1, 256):  # v's rays: those of v less its top bit, then the top bit's
+            top = 1 << v.bit_length() - 1
+            ray = index.get(top << j)
+            table.append(table[v ^ top] if ray is None else table[v ^ top] + [ray])
+        tables.append((j, table))
+    for B, masks in pairs:
         out = None if typecode is None else array(typecode)
         bmask = mask_of(B)
-        pairs = _regressive_pairs(M.fundamental_circuit_masks(B))
-        for chain in pairs:
+        chains = _regressive_pairs(masks)
+        for chain in chains:
             row = []
             acc = image = 0
             try:
@@ -259,7 +265,7 @@ def _basis_blocks(M: Matroid, bases, index, typecode):
             if out is not None:
                 row.sort()
                 out.fromlist(row)
-        yield out, len(pairs)
+        yield out, len(chains)
 
 
 def _drain(blocks, write=None) -> int:
@@ -273,34 +279,40 @@ def _drain(blocks, write=None) -> int:
 
 
 def _fan_worker(payload):
-    entries, dual_mode, prefixes, index, typecode = payload
-    M = Matroid(IntMat.from_rows(entries), dual_mode=dual_mode, loops=(), coloops=())
+    """One --threads task: _drain the blocks of _basis_blocks(*payload) into one block."""
+    typecode = payload[-1]
     out = None if typecode is None else array(typecode)
-    blocks = _basis_blocks(M, M.enumerate_bases(prefixes), index, typecode)
-    return out, _drain(blocks, None if out is None else out.extend)
+    return out, _drain(_basis_blocks(*payload), None if out is None else out.extend)
 
 
 def _collect_cones(M: Matroid, threads: int, index, typecode):
     """Yield every cone of the fan as (block, count) pairs in canonical order.
 
-    The one producer of cones.  threads > 0 hands runs of the basis walk
-    (Matroid.basis_shards) to worker processes, at most one per CPU; each
-    walks its run and returns one block, yielded in run order, so the parent
-    lists no bases.  The pool is imported here, so a sequential run never
+    The one producer of cones, over one walk of the bases and their circuit
+    masks.  threads > 0 cuts that walk into chunks of BASIS_CHUNK bases for
+    worker processes, at most one per CPU, with at most two chunks per
+    worker in flight; each chunk's cones come back as one block, yielded in
+    walk order.  The pool is imported here, so a sequential run never
     loads it; a broken pool (a worker died) is raised as OSError.
     """
+    pairs = ((B, M.fundamental_circuit_masks(B)) for B in M.enumerate_bases())
     if threads <= 0:
-        yield from _basis_blocks(M, M.enumerate_bases(), index, typecode)
+        yield from _basis_blocks(pairs, M.n, M.rank - 1, index, typecode)
         return
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
     workers = min(threads, os.cpu_count() or 1)
-    shards = M.basis_shards(workers * 4)
-    payloads = [(M.A.entries, M.dual_mode, run, index, typecode) for run in shards]
+    pending = deque()
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(_fan_worker, payloads)
+            while chunk := list(islice(pairs, BASIS_CHUNK)):
+                payload = (chunk, M.n, M.rank - 1, index, typecode)
+                pending.append(pool.submit(_fan_worker, payload))
+                if len(pending) == 2 * workers:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
     except BrokenProcessPool as exc:
         raise OSError(str(exc)) from exc
 

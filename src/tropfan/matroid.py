@@ -13,8 +13,7 @@ Ground-set indices are 1-based throughout.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations, compress
-from math import comb
+from itertools import compress
 
 from .errors import HasColoops, HasLoops, NotABasis, RankDeficient, WrongSize
 from .exact import IntMat, gauss_jordan, pivot_step
@@ -94,7 +93,7 @@ class Matroid:
             raise WrongSize(f"{list(S)} is not a subset of 1..{self.n}")
         return S
 
-    def enumerate_bases(self, prefixes=None):
+    def enumerate_bases(self):
         """Yield every basis exactly once, in lexicographic order of subsets.
 
         A depth-first walk over the increasing column subsets of A: a node
@@ -103,11 +102,10 @@ class Matroid:
         on the columns chosen, on the handle with its basis for
         fundamental_circuit_masks.  Dual bases in lexicographic order are the
         complements of M(A)'s in reverse order, so dual children descend.
-        With prefixes, a run of basis_shards, only the bases below them come.
         """
         n, m, dual = self.n, self.m, self.dual_mode
 
-        def below(rows, chosen, prev, prefix):
+        def below(rows, chosen, prev):
             k = len(chosen)
             if k == m:
                 elems = [e for e in range(n) if e not in chosen] if dual else chosen
@@ -116,29 +114,12 @@ class Matroid:
                 yield B
                 return
             cols = range(chosen[-1] + 1 if chosen else 0, n - m + k + 1)
-            # inside the prefix, its next column is the only child
-            for c in prefix[k : k + 1] or (reversed(cols) if dual else cols):
+            for c in reversed(cols) if dual else cols:
                 child = [row[:] for row in rows]
                 if pivot_step(child, k, c, prev):
-                    yield from below(child, chosen + (c,), child[k][c], prefix)
+                    yield from below(child, chosen + (c,), child[k][c])
 
-        for prefix in [()] if prefixes is None else prefixes:
-            yield from below(self.A.row_lists(), (), 1, prefix)
-
-    def basis_shards(self, k: int) -> list:
-        """Runs of the walk's top-level prefixes, for workers to walk in turn.
-
-        A prefix is the walk's first min(2, m) pivot columns; the at most k
-        runs, in walk order, span about equal numbers of column subsets."""
-        d = min(2, self.m)
-        prefixes = list(combinations(range(self.n - self.m + d), d))
-        runs, done, total = [], 0, comb(self.n, self.m)
-        for p in prefixes[::-1] if self.dual_mode else prefixes:
-            if not runs or done * k >= total * len(runs):
-                runs.append([])
-            runs[-1].append(p)
-            done += comb(self.n - 1 - p[-1], self.m - d)
-        return runs
+        yield from below(self.A.row_lists(), (), 1)
 
     @cached_property
     def bases(self) -> tuple:

@@ -6,6 +6,7 @@ import random
 import tracemalloc
 from array import array
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -172,28 +173,8 @@ def test_sharded_threads_match_sequential_and_list_no_bases():
         M = Matroid.from_matrix(A).dual()
         assert cyclic_bergman_fan(M, threads=2) == seq
         assert fan_counts(M, threads=2) == (len(seq.rays), len(seq.maximal_cones))
-        # each worker walks its own run of prefixes; the parent lists no bases
+        # the chunks come from one streamed walk; the parent keeps no list of bases
         assert "bases" not in vars(M)
-
-
-def test_more_shards_than_top_level_subtrees():
-    # U(2,3) has three top-level prefixes and the rank-1 U(1,3) three; two
-    # workers ask for eight runs
-    for A in (UNIFORM_2_3, [[1, 2, -1]]):
-        M = Matroid.from_matrix(A)
-        for H in (M, M.dual()):
-            runs = H.basis_shards(8)
-            assert len(runs) == 3 and all(runs)
-            assert [B for run in runs for B in H.enumerate_bases(run)] == list(H.bases)
-        assert cyclic_bergman_fan(M, threads=2) == cyclic_bergman_fan(M)
-        assert fan_counts(M, threads=2) == fan_counts(M)
-
-
-def test_shards_are_balanced_by_subtree_size():
-    M = Matroid.from_matrix(cube_matrix(4)).dual()
-    sizes = [sum(1 for _ in M.enumerate_bases(run)) for run in M.basis_shards(4)]
-    assert sum(sizes) == len(M.bases) and len(sizes) == 4
-    assert max(sizes) < 2 * min(sizes)
 
 
 def test_worker_reduces_no_basis_afresh(monkeypatch):
@@ -201,25 +182,42 @@ def test_worker_reduces_no_basis_afresh(monkeypatch):
     fan = cyclic_bergman_fan(M)
     rays, index = fan_module._ray_index(M)
     typecode = fan_module._typecode(len(rays))
-    calls = []  # copies of A: one per prefix the walks start from, none per basis
+    calls = []  # copies of A
     real = IntMat.row_lists
     monkeypatch.setattr(IntMat, "row_lists", lambda A: calls.append(A) or real(A))
-    data, count, runs = array(typecode), 0, M.basis_shards(3)
-    for run in runs:
-        block, k = fan_module._fan_worker((M.A.entries, True, run, index, typecode))
+    pairs = [(B, M.fundamental_circuit_masks(B)) for B in M.enumerate_bases()]
+    assert len(calls) == 1  # the walk's root; each basis reuses the walk's rows
+    calls.clear()
+    data, count, size = array(typecode), 0, fan_module.BASIS_CHUNK
+    for start in range(0, len(pairs), size):
+        payload = (pairs[start : start + size], M.n, M.rank - 1, index, typecode)
+        block, k = fan_module._fan_worker(payload)
         data += block
         count += k
-    assert len(calls) == sum(map(len, runs))
+    assert calls == []
     assert ConeArray(data, M.rank - 1, count) == fan.maximal_cones
 
 
-def test_threads_are_capped_at_the_cpu_count(monkeypatch):
-    # an in-process stand-in for the pool: no worker process is started
-    seen, chunks = [], []
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """An in-process stand-in for the process pool: no worker process is started.
+
+    A task runs when its result is read.  The record holds each pool's
+    max_workers, the bases of each task and the most tasks outstanding at once.
+    """
+    record = SimpleNamespace(workers=[], chunks=[], outstanding=set(), most=0)
+
+    class InlineFuture:
+        def __init__(self, fn, payload):
+            self.fn, self.payload = fn, payload
+
+        def result(self):
+            record.outstanding.remove(self)
+            return self.fn(self.payload)
 
     class InlinePool:
         def __init__(self, max_workers):
-            seen.append(max_workers)
+            record.workers.append(max_workers)
 
         def __enter__(self):
             return self
@@ -227,17 +225,44 @@ def test_threads_are_capped_at_the_cpu_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, payloads):
-            payloads = list(payloads)
-            chunks.append(len(payloads))
-            return map(fn, payloads)
+        def submit(self, fn, payload):
+            future = InlineFuture(fn, payload)
+            record.chunks.append(len(payload[0]))
+            record.outstanding.add(future)
+            record.most = max(record.most, len(record.outstanding))
+            return future
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
+    return record
+
+
+def test_threads_are_capped_at_the_cpu_count(inline_pool):
     M = Matroid.from_matrix(cube_matrix(3))
     assert cyclic_bergman_fan(M, threads=10**6) == cyclic_bergman_fan(M)
     assert fan_counts(M, threads=10**6) == (20, 80)
-    assert seen and all(1 <= k <= os.cpu_count() for k in seen)
-    assert all(k <= 4 * os.cpu_count() for k in chunks)
+    assert inline_pool.workers and all(1 <= k <= os.cpu_count() for k in inline_pool.workers)
+
+
+def test_threads_hold_a_bounded_number_of_bounded_chunks(inline_pool):
+    # U(2,3) and the rank-1 U(1,3) have fewer bases than one chunk; the
+    # cube4 dual's 3,008 make 12 chunks, more than two workers hold at once
+    cases = []
+    for A in (UNIFORM_2_3, [[1, 2, -1]]):
+        cases += [Matroid.from_matrix(A), Matroid.from_matrix(A).dual()]
+    cases.append(Matroid.from_matrix(cube_matrix(4)).dual())
+    for M in cases:
+        nbases = sum(1 for _ in M.enumerate_bases())
+        for fan_or_counts in (cyclic_bergman_fan, fan_counts):
+            inline_pool.workers.clear()
+            inline_pool.chunks.clear()
+            inline_pool.most = 0
+            assert fan_or_counts(M, threads=2) == fan_or_counts(M)
+            (workers,) = inline_pool.workers
+            assert sum(inline_pool.chunks) == nbases
+            assert max(inline_pool.chunks) <= fan_module.BASIS_CHUNK
+            assert inline_pool.most <= 2 * workers
+            assert not inline_pool.outstanding
+    assert len(inline_pool.chunks) > 2 * workers  # the last run, the cube4 dual's
 
 
 def test_precomputed_rays_equal_enumerated_masks():

@@ -1,7 +1,6 @@
 """Compatible-pair enumeration, cone rows, and the caterpillar-tree cone oracle."""
 
 from array import array
-from types import SimpleNamespace
 
 import pytest
 
@@ -94,9 +93,8 @@ def test_chains_are_slots_of_blocks_and_covers():
 
 def cone_rows(monkeypatch, n, basis, chain, index):
     """The rows _basis_blocks builds when the one chain over basis is given."""
-    M = SimpleNamespace(n=n, rank=len(basis), fundamental_circuit_masks=lambda B: {})
     monkeypatch.setattr(fan_module, "_regressive_pairs", lambda fmask: [chain])
-    ((out, count),) = fan_module._basis_blocks(M, [basis], index, "B")
+    ((out, count),) = fan_module._basis_blocks([(basis, {})], n, len(basis) - 1, index, "B")
     assert count == 1
     return list(out)
 
@@ -148,10 +146,12 @@ def test_cone_rows_equal_the_mask_oracle():
             for chain in _regressive_pairs(M.fundamental_circuit_masks(B))
         ]
         typecode = _typecode(len(rays))
+        pairs = [(B, M.fundamental_circuit_masks(B)) for B in M.bases]
         out = array(typecode)
-        count = fan_module._drain(fan_module._basis_blocks(M, M.bases, index, typecode), out.extend)
+        blocks = fan_module._basis_blocks(pairs, M.n, M.rank - 1, index, typecode)
+        count = fan_module._drain(blocks, out.extend)
         assert list(ConeArray(out, M.rank - 1, count)) == want, M.A.entries
-        blocks = fan_module._basis_blocks(M, M.bases, index, None)
+        blocks = fan_module._basis_blocks(pairs, M.n, M.rank - 1, index, None)
         assert fan_module._drain(blocks) == count
     M = Matroid.from_matrix(parallel)
     assert not {1 << 6, 1 << 7} & set(fan_module._ray_index(M)[1])
