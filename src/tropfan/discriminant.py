@@ -14,8 +14,8 @@ Four devices keep this exact and fast:
   an integer matrix Q and denominator D.  One walk over the trie of the
   cones' sorted ray tuples finds the codim-1 cones with their normals, Q and
   D: each trie node pivots one more projected ray into a fraction-free
-  transform shared by every cone below it, and a dependent prefix drops
-  its whole subtree;
+  transform shared by every cone below it, one int per column and one lane
+  per row, and a dependent prefix drops its whole subtree;
 * the determinant in the vertex formula factors through the cone's hyperplane
   normal: |det(A^T, rays, e_i)| = kappa * |normal_i| for a per-cone integer
   kappa, which the same walk reads off its last row in closed form, so
@@ -54,6 +54,7 @@ import random
 from collections import namedtuple
 from functools import cached_property
 from itertools import compress
+from math import isqrt, prod
 from operator import index, mul
 
 from .errors import (
@@ -64,7 +65,7 @@ from .errors import (
     RankError,
     WrongSize,
 )
-from .exact import IntMat, det, integer_kernel_basis, pivot_step, rank
+from .exact import IntMat, det, integer_kernel_basis, rank
 from .fan import Fan, _require_no_loops_coloops, cyclic_bergman_fan
 from .matroid import Matroid
 from .util import dot, primitive
@@ -142,10 +143,10 @@ def setup(A, *, threads: int = 0, require_spanned: bool = False) -> Discriminant
     all-ones vector is in the rowspace iff every row of Aperp sums to 0, and
     the gcd of the maximal minors is det(A A^T) / |det [A; Aperp]|.  The fan is
     computed in dual mode straight from A.  Its codimension-1 cones come from
-    one walk over the trie of the cones' sorted ray tuples, one `pivot_step`
-    per shared prefix (`_codim1_cones`), and are listed in the walk's order,
-    by sorted ray tuple.  Shooting reads them in that order, which is also
-    the order they were allocated in.
+    one walk over the trie of the cones' sorted ray tuples, one fraction-free
+    step per shared prefix on n column ints with a lane per row, permuted, of
+    a width Hadamard's bound proves (`_codim1_cones`).  Shooting reads them in
+    the walk's order, by sorted ray tuple, which they were allocated in.
     """
     if not isinstance(A, IntMat):
         A = IntMat.from_rows(A)
@@ -174,58 +175,72 @@ def _codim1_cones(A: IntMat, Aperp: IntMat, fan: Fan, g: int) -> list:
     """The codim-1 cones, found by one walk over the trie of their sorted ray tuples.
 
     A node at depth d stands for the first d rays r_0..r_{d-1} of the cones
-    below it.  It holds the rows of R = T . Aperp plus a spare column n,
-    where T is the q x q fraction-free transform (q = n - m) that takes each
-    projected ray phi(r_k) = Aperp . r_k of the prefix to p e_k, p the last
-    pivot.  A child puts R . r = T . phi(r) in column n and pivots it into
-    row d with one `pivot_step`; a zero step means the prefix's projected
-    rays are dependent, and every cone below it is dropped.  At a leaf, row
-    q - 1 of T is orthogonal to the cone's q - 1 projected rays, so row q - 1
-    of R is normal to the cone's span plus the rowspace of A and fixes kappa
-    (below); rows 0..q-2 of R are Q, with Q . r_k = p e_k and Q . a = 0 for
-    each row a of A.  Returns the cones in trie order, i.e. by sorted ray tuple.
+    below it.  It holds R = T . Aperp, where T is the q x q fraction-free
+    transform (q = n - m) that takes each projected ray Aperp . r_k of the
+    prefix to p e_k, p the last pivot, as n ints: lane l of column j holds
+    R[l][j] + 2^(L-1), and row k is the lane at bit order[k].  A child sums
+    the columns over its ray's up-set to the spare column S = R . r and pivots
+    on the first nonzero lane of S among rows d.. as `exact.pivot_step` would,
+    a division exact in every lane (Bareiss 1968); with none, the prefix's
+    projected rays are dependent, and the subtree is dropped.  At a leaf, row
+    q - 1 of R is normal to the cone's span plus the rowspace of A and fixes
+    kappa (below); rows 0..q-2 of R are Q, with Q . r_k = p e_k and Q . a = 0
+    for each row a of A.  Returns the cones in trie order, by sorted ray tuple.
     """
-    n = Aperp.cols
-    # kappa in closed form.  N = [A; Aperp] sends A^T to [A A^T; 0], so
-    # det N * det(A^T, rays, e_i) = det(A A^T) * det(Phi, Aperp e_i) with Phi
-    # the projected rays; T sends (Phi, Aperp e_i) to (p e_0 .. p e_{q-2}, R e_i)
-    # and det T = +-p^(q-1), so det(Phi, Aperp e_i) = +-R[q-1][i].  det(A A^T) /
-    # |det N| is g, the gcd of A's maximal minors (setup), so kappa is g |R[q-1][i]|
-    # / |normal_i|, an exact division.
-    width = Aperp.rows - 1  # rays per cone
-    flat = fan.maximal_cones.flat  # ray indices, cone by cone
+    q = Aperp.rows
+    # kappa in closed form.  N = [A; Aperp] sends A^T to [A A^T; 0], so det N * det(A^T, rays,
+    # e_i) = det(A A^T) * det(Phi, Aperp e_i) with Phi the projected rays; T sends (Phi, Aperp
+    # e_i) to (p e_0 .. p e_{q-2}, R e_i) and det T = +-p^(q-1), so det(Phi, Aperp e_i) =
+    # +-R[q-1][i].  det(A A^T) / |det N| is g, the gcd of A's maximal minors (setup), so kappa
+    # is g |R[q-1][i]| / |normal_i|, an exact division.
+    # Every entry the walk holds is a minor of order <= q of [Aperp | Phi]: below the product
+    # of the q largest column norms (Hadamard), so below 2^(L-2).
+    phi = [tuple(sum(compress(row, ray)) for row in Aperp.entries) for ray in fan.rays]
+    norms = sorted(sum(x * x for x in col) for col in [*Aperp.columns, *phi])
+    L = (isqrt(prod(norms[-q:])) + 1).bit_length() + 2
+    mask, half, bias = (1 << L) - 1, 1 << L - 1, sum(1 << L * lane + L - 1 for lane in range(q))
+    # a ray's up-set, and the bias that summing its columns counts too often
+    ups = [([j for j, x in enumerate(ray) if x], (sum(ray) - 1) * bias) for ray in fan.rays]
+    width, flat = q - 1, fan.maximal_cones.flat  # rays per cone; ray indices, cone by cone
     out, intern = [], {}.setdefault  # equal Q rows, normals and supports become one tuple
-    # (cones below a node, its depth, its rows, its last pivot); children are
-    # pushed in descending ray order, so nodes are popped in trie order
-    stack = [(range(len(fan.maximal_cones)), 0, [[*row, 0] for row in Aperp.entries], 1)]
+    # (cones below a node, its depth, its columns, its order as lane shifts, its last
+    # pivot); children are pushed in descending ray order, so pop in trie order
+    columns = [sum(x + half << L * lane for lane, x in enumerate(col)) for col in Aperp.columns]
+    stack = [(range(len(fan.maximal_cones)), 0, columns, [L * lane for lane in range(q)], 1)]
     while stack:
-        group, depth, rows, prev = stack.pop()
+        group, depth, cols, order, prev = stack.pop()
         if depth < width:
             children = {}
             for ci in group:
                 children.setdefault(flat[ci * width + depth], []).append(ci)
             for ray in sorted(children, reverse=True):
-                vec = fan.rays[ray]
-                m = [row[:] for row in rows]
-                for row in m:  # entry n held the previous step's column; compress() stops at n
-                    row[n] = sum(compress(row, vec))
-                if pivot_step(m, depth, n, prev):
-                    stack.append((children[ray], depth + 1, m, m[depth][n]))
+                up, extra = ups[ray]
+                Sb, k = sum([cols[j] for j in up]) - extra, depth  # S + bias
+                while k < q and Sb >> order[k] & mask == half:
+                    k += 1
+                if k == q:
+                    continue
+                o, shift = order[:], order[k]
+                o[depth], o[k] = shift, order[depth]
+                p = (Sb >> shift & mask) - half
+                # (p * col + T - y * S) / prev, y = col's lane piv, is the biased step
+                S = Sb - bias - (prev << shift)
+                T = half * S + (prev - p) * bias
+                rest = [(p * c + T - (c >> shift & mask) * S) // prev for c in cols]
+                stack.append((children[ray], depth + 1, rest, o, p))
             continue
+        rows = list(zip(*[[(c >> s & mask) - half for s in order] for c in cols]))
         (ci,) = group
-        normal = primitive(rows[-1][:n])
-        for i in flat[ci * width : ci * width + width]:
-            if dot(normal, fan.rays[i]) != 0:
-                raise InternalInvariant("normal not orthogonal to a cone ray")
-        for row in A.entries:
-            if dot(normal, row) != 0:
-                raise InternalInvariant("normal not orthogonal to the rowspace")
+        normal = primitive(rows[-1])
+        if any(dot(normal, fan.rays[i]) for i in flat[ci * width : ci * width + width]):
+            raise InternalInvariant("normal not orthogonal to a cone ray")
+        if any(dot(normal, row) for row in A.entries):
+            raise InternalInvariant("normal not orthogonal to the rowspace")
         support = tuple(i for i, x in enumerate(normal) if x)
-        i0 = support[0]
-        kappa, rem = divmod(g * abs(rows[-1][i0]), abs(normal[i0]))
+        kappa, rem = divmod(g * abs(rows[-1][support[0]]), abs(normal[support[0]]))
         if rem or kappa == 0:
             raise InternalInvariant("determinant does not factor through the normal")
-        qrows = tuple([intern(q, q) for q in [tuple(row[:n]) for row in rows[:-1]]])
+        qrows = tuple([intern(row, row) for row in rows[:-1]])
         normal, support = intern(normal, normal), intern(support, support)
         out.append(Codim1Cone(ci, normal, qrows, prev, kappa, support))
     return out

@@ -6,12 +6,12 @@ few lines over one elimination core, `gauss_jordan`: Montante's fraction-free
 Gauss-Jordan scheme (Bareiss 1968, applied to the rows above the pivot as
 well as below), where cross-multiplication is followed by an exact division
 by the previous pivot, so every intermediate entry is an integer minor of the
-input.  Its step, `pivot_step`, also drives the trie walks of
-`Matroid.enumerate_bases`, `Matroid.cyclic_flats` and `discriminant.setup`,
-and the fresh basis reduction of `Matroid.fundamental_circuit_masks`.  The
-one exception is `integer_kernel_basis`, which needs a basis of the integer
-kernel lattice, not only of its span, and so takes unimodular Euclid steps to
-a Hermite form.
+input.  Its step, `pivot_step`, drives the trie walks of
+`Matroid.enumerate_bases` and `Matroid.cyclic_flats` and the basis reduction
+of `fundamental_circuit_masks`; `discriminant._codim1_cones` takes it on
+packed columns, rows as permuted lanes of Hadamard-bounded width.  The one
+exception, `integer_kernel_basis`, needs a Z-basis of the kernel lattice,
+not only of its span, so takes unimodular Euclid steps to a Hermite form.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ space around a basis, and the pair a point induces.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import gcd
+from math import gcd, isqrt, prod
 from operator import mul
 from typing import NamedTuple
 
@@ -553,6 +553,21 @@ def codim1_oracle(prob) -> list:
         qrows = tuple(tuple(_dot(row, col) for col in cols) for row in adj)
         out.append((ci, normal, qrows, d))
     return out
+
+
+def codim1_lane_bits(prob) -> int:
+    """The lane width L the codim-1 walk proves from Hadamard's inequality, restated.
+
+    Every entry of the walk is a minor of order at most q of [Aperp | Phi],
+    Phi the projected rays; so it is at most the product of the q largest
+    column norms, below H = isqrt(the product of their squares) + 1, and
+    L = bitlen(H) + 2 puts it below 2^(L-2).
+    """
+    q = prob.Aperp.rows
+    cols = [list(col) for col in zip(*prob.Aperp.entries)]
+    cols += [[_dot(row, ray) for row in prob.Aperp.entries] for ray in prob.fan.rays]
+    squares = sorted((_dot(col, col) for col in cols), reverse=True)[:q]
+    return (isqrt(prod(squares)) + 1).bit_length() + 2
 
 
 def cofactor_det(rows):

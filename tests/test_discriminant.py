@@ -14,6 +14,7 @@ import pytest
 
 import tropfan
 from brute import (
+    codim1_lane_bits,
     codim1_oracle,
     dual_defective_vertices,
     eq2_determinant,
@@ -29,6 +30,7 @@ from tropfan.data import (
     GRAPHIC_3X6,
     TANGENT_CONIC_CUBIC_4X16,
     TANGENT_LINE_CUBIC_4X13,
+    TANGENT_LINE_CUBIC_GALE_9X13,
     TANGENT_QUADRICS_5X20,
     cube_matrix,
 )
@@ -36,6 +38,7 @@ from tropfan.discriminant import (
     OBJECTIVE_RANGE,
     SHOT_CHUNK,
     Codim1Cone,
+    _codim1_cones,
     _pack_cones,
     _shoot,
     random_vertices,
@@ -47,6 +50,7 @@ from tropfan.errors import (
     DegenerateDual,
     HasColoops,
     HasLoops,
+    InternalInvariant,
     LatticeNotSpanned,
     NoAllOnesRow,
     RankError,
@@ -127,10 +131,20 @@ def test_conic_cubic_setup_peak_memory():
     assert (shot - after) / 1024 < 7, (after, shot)
 
 
+def wide_lanes_matrix(B):
+    # its walk's entries stay near B and B^2, but Hadamard's bound needs 90 bits
+    # for B = 10^6, 130 for 10^9 and 303 for 10^22, whose entries pass 2^64
+    return IntMat.from_rows([[1] * 6, [0, 1, B, B + 3, 2 * B + 1, 3 * B + 7]])
+
+
+WIDE_LANES = [wide_lanes_matrix(B) for B in (10**6, 10**9, 10**22)]
+WIDE_IDS = ["wide_1e6", "wide_1e9", "wide_1e22"]
+
+
 @pytest.mark.parametrize(
     "A",
-    [TANGENT_LINE_CUBIC_4X13, GRAPHIC_3X6, cube_matrix(3)],
-    ids=["line_cubic", "graphic_3x6", "cube3"],
+    [TANGENT_LINE_CUBIC_4X13, GRAPHIC_3X6, cube_matrix(3), *WIDE_LANES],
+    ids=["line_cubic", "graphic_3x6", "cube3", *WIDE_IDS],
 )
 def test_codim1_walk_matches_per_cone_oracle(A):
     prob = setup(A)
@@ -149,6 +163,43 @@ def test_codim1_walk_matches_per_cone_oracle(A):
             assert [dot(q, ray) for q in qrows] == [denom * (j == k) for j in range(len(rays))]
         for row in prob.A.entries:
             assert not any(dot(q, row) for q in qrows)
+
+
+@pytest.mark.parametrize(
+    "A",
+    [TANGENT_LINE_CUBIC_4X13, TANGENT_CONIC_CUBIC_4X16, GRAPHIC_3X6, cube_matrix(3), UNSPANNED_3X7]
+    + WIDE_LANES,
+    ids=["line_cubic", "conic_cubic", "graphic_3x6", "cube3", "unspanned_3x7", *WIDE_IDS],
+)
+def test_codim1_lanes_hold_every_entry(A):
+    # the walk packs one row per L-bit lane, L from Hadamard's bound: every entry
+    # it reads back, Q, the last pivot and the last row R = kappa * normal / g,
+    # lies below 2^(L-2), and the wide inputs need lanes past 64 bits
+    prob = setup(A)
+    L, g = codim1_lane_bits(prob), maximal_minor_gcd(A)
+    assert prob.codim1_cones
+    for cone in prob.codim1_cones:
+        last = [cone.kappa * abs(x) // g for x in cone.normal]
+        entries = [abs(cone.denom), *last, *(abs(x) for row in cone.qrows for x in row)]
+        assert max(entries) < 1 << L - 2
+    if A in WIDE_LANES:
+        assert L > 64
+    if A == WIDE_LANES[-1]:
+        assert max(abs(x) for c in prob.codim1_cones for row in c.qrows for x in row) >> 64
+
+
+def test_codim1_walk_rejects_a_foreign_rowspace(line_cubic_problem):
+    # the Gale dual's rows are not orthogonal to the cones' normals, as A's are
+    prob = line_cubic_problem
+    with pytest.raises(InternalInvariant, match="normal not orthogonal to the rowspace"):
+        _codim1_cones(TANGENT_LINE_CUBIC_GALE_9X13, prob.Aperp, prob.fan, 1)
+
+
+def test_codim1_walk_rejects_a_zero_gcd(line_cubic_problem):
+    # g = 0 makes every kappa 0, which no cone of a spanned lattice has
+    prob = line_cubic_problem
+    with pytest.raises(InternalInvariant, match="determinant does not factor through the normal"):
+        _codim1_cones(prob.A, prob.Aperp, prob.fan, 0)
 
 
 def test_setup_rejects_rank_deficient():
